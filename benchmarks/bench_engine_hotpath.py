@@ -1,35 +1,29 @@
 #!/usr/bin/env python
-"""Engine hot-path benchmark: reference vs incremental vs fast tiers.
+"""Engine hot-path benchmark: reference vs incremental engine.
 
-Measures two things per engine tier and records them in
+Measures two things per engine and records them in
 ``BENCH_engine.json`` so the repo carries a perf trajectory across
 PRs:
 
 * **single-cell event throughput** — one representative contended cell
   (H100, GPT-3 2.7B, FSDP, jitter + governor active) simulated by each
-  tier; reports engine events/second.
+  engine; reports engine events/second.
 * **quick-grid cells/sec** — the full Figs. 4-6 quick evaluation grid
   (48 cells x 3 modes) run serially through the execution service with
-  caching disabled, once per tier.
+  caching disabled, once per engine.
 
-The tiers are ``reference`` (full recompute), ``incremental`` (the
-bit-exact default), ``fast`` (calendar event queue + additive
-contention aggregates + adaptive governor ticks, cohort batching
-off) and ``batched`` (the same plus cohort batching over the
-struct-of-arrays store — ``SimConfig.fast()``'s actual default);
-the last two carry bounded relative error — see the
-engine-equivalence tolerance suite.
+The engines are ``reference`` (full recompute, the correctness
+oracle) and ``incremental`` (the bit-exact default).
 
-``--profile`` wraps each tier's single-cell run in cProfile and
+``--profile`` wraps each engine's single-cell run in cProfile and
 prints the top 20 functions by cumulative time, for hot-path work.
 
-``--verify`` instead runs one grid cell end-to-end under the reference
-and incremental engines and exits nonzero unless the full result
-payloads are byte-identical (the CI equivalence gate; the fast tier is
-gated by its tolerance tests, not by byte identity).
+``--verify`` instead runs one grid cell end-to-end under both engines
+and exits nonzero unless the full result payloads are byte-identical
+(the CI equivalence gate).
 
 Timed sections run with cyclic GC suspended (the ``timeit`` module's
-convention, applied identically to every tier): collection scheduling
+convention, applied identically to both engines): collection scheduling
 is allocation-count driven, so whether a major sweep lands inside a
 timed pass is random noise, not engine cost. Records carry
 ``gc_paused: true``.
@@ -52,12 +46,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.experiment import (  # noqa: E402
-    SIM_COHORT_ENV,
-    SIM_ENGINE_ENV,
-    SIM_FAST_ENV,
-    ExperimentConfig,
-)
+from repro.core.experiment import SIM_ENGINE_ENV, ExperimentConfig  # noqa: E402
 from repro.exec.executors import SerialExecutor  # noqa: E402
 from repro.exec.job import SimJob  # noqa: E402
 from repro.exec.planning import default_planner  # noqa: E402
@@ -71,12 +60,8 @@ from repro.sim.engine import (  # noqa: E402
 )
 from repro.sim.prep import prep_stats  # noqa: E402
 
-#: Exact engines (``--verify`` pins them byte-identical).
+#: The benchmarked engines (``--verify`` pins them byte-identical).
 ENGINES = ("reference", "incremental")
-#: All benchmarked tiers. ``fast`` is the unbatched aggregate tier
-#: (cohort batching forced off via $REPRO_SIM_COHORT) and ``batched``
-#: the full ``SimConfig.fast()`` cohort path.
-TIERS = ("reference", "incremental", "fast", "batched")
 
 #: The representative contended cell for the event-throughput probe.
 SINGLE_CELL = ExperimentConfig(
@@ -106,7 +91,7 @@ def _paused_gc():
     counters, so whether a gen-2 sweep (hundreds of ms against the
     planner's persistent caches) lands inside a timed pass is
     essentially random — pausing it measures the code, not the
-    collector.  Every tier is paused identically; the record carries
+    collector.  Both engines are paused identically; the record carries
     ``gc_paused`` so the numbers are comparable across revisions.
     """
     was_enabled = gc.isenabled()
@@ -121,40 +106,16 @@ def _paused_gc():
 
 @contextlib.contextmanager
 def _engine_env(engine: str):
-    """Route ExperimentConfig simulations through one engine tier."""
-    env_vars = (SIM_ENGINE_ENV, SIM_FAST_ENV, SIM_COHORT_ENV)
-    previous = {var: os.environ.get(var) for var in env_vars}
-    for var in env_vars:
-        os.environ.pop(var, None)
-    if engine == "batched":
-        os.environ[SIM_FAST_ENV] = "1"
-    elif engine == "fast":
-        os.environ[SIM_FAST_ENV] = "1"
-        os.environ[SIM_COHORT_ENV] = "0"
-    else:
-        os.environ[SIM_ENGINE_ENV] = engine
+    """Route ExperimentConfig simulations through one engine."""
+    previous = os.environ.get(SIM_ENGINE_ENV)
+    os.environ[SIM_ENGINE_ENV] = engine
     try:
         yield
     finally:
-        for var, value in previous.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
-def _tier_sim_config(engine: str) -> SimConfig:
-    """Direct SimConfig for one tier (the single-cell probe path)."""
-    config = SimConfig(
-        jitter_sigma=0.02, seed=1, reference_engine=engine == "reference"
-    )
-    if engine == "batched":
-        config = config.fast()
-    elif engine == "fast":
-        import dataclasses
-
-        config = dataclasses.replace(config.fast(), cohort_batching=False)
-    return config
+        if previous is None:
+            os.environ.pop(SIM_ENGINE_ENV, None)
+        else:
+            os.environ[SIM_ENGINE_ENV] = previous
 
 
 def bench_single_cell(repeats: int, profile: bool = False) -> dict:
@@ -164,16 +125,18 @@ def bench_single_cell(repeats: int, profile: bool = False) -> dict:
     plan = planner.plan_for(SINGLE_CELL, overlap=True)
     cost_model = planner.cost_model_for(SINGLE_CELL)
     out: dict = {"cell": SINGLE_CELL.describe(), "repeats": repeats}
-    for engine in TIERS:
-        # Every tier starts with cold process-wide evaluator memos so
+    for engine in ENGINES:
+        # Every engine starts with cold process-wide evaluator memos so
         # the recorded speedups compare engines, not cache inheritance
-        # from whichever tier ran first. The first construction after
-        # the reset therefore *builds* the tier's PreparedSim (cold
+        # from whichever engine ran first. The first construction after
+        # the reset therefore *builds* the engine's PreparedSim (cold
         # setup); every later construction fetches it from the prep
         # cache (warm setup) — both are recorded so the prepared-layer
         # amortization is a gateable series, not folded into noise.
         reset_shared_evaluators()
-        config = _tier_sim_config(engine)
+        config = SimConfig(
+            jitter_sigma=0.02, seed=1, reference_engine=engine == "reference"
+        )
         prep_before = prep_stats()
         best = None
         setup_times = []
@@ -215,25 +178,16 @@ def bench_single_cell(repeats: int, profile: bool = False) -> dict:
             },
             "gpu_rate_passes": sim.stats.gpu_rate_passes,
             "stale_events": sim.stats.stale_events,
-            "ticks_skipped": sim.stats.ticks_skipped,
-            "cohorts": sim.stats.cohorts,
-            "vector_batches": sim.stats.vector_batches,
         }
         if profile:
-            _profile_tier(engine, node, plan, config, cost_model)
+            _profile_engine(engine, node, plan, config, cost_model)
     out["speedup"] = (
         out["incremental"]["events_per_s"] / out["reference"]["events_per_s"]
-    )
-    out["speedup_fast"] = (
-        out["fast"]["events_per_s"] / out["reference"]["events_per_s"]
-    )
-    out["speedup_batched"] = (
-        out["batched"]["events_per_s"] / out["reference"]["events_per_s"]
     )
     return out
 
 
-def _profile_tier(engine, node, plan, config, cost_model) -> None:
+def _profile_engine(engine, node, plan, config, cost_model) -> None:
     """cProfile one single-cell run; print top 20 by cumulative time."""
     import cProfile
     import pstats
@@ -255,8 +209,8 @@ def bench_grid() -> dict:
     # Warm the shared planner — nodes, plans (both overlap variants)
     # and collective cost models — so every timed pass measures
     # simulation, not plan construction. The plan/cost-model builds
-    # are identical work in every tier, so leaving them in would only
-    # dilute the engine-to-engine ratios.
+    # are identical work for both engines, so leaving them in would
+    # only dilute the engine-to-engine ratio.
     planner = default_planner()
     for job in jobs:
         planner.node_for(job.config)
@@ -268,8 +222,8 @@ def bench_grid() -> dict:
             # Infeasible cells are the service's business to skip.
             continue
     out: dict = {"cells": len(jobs), "spec": spec.name}
-    for engine in TIERS:
-        # Cold evaluator memos per tier (cells within a tier still
+    for engine in ENGINES:
+        # Cold evaluator memos per engine (cells within a run still
         # share them, which is the product behaviour being measured).
         reset_shared_evaluators()
         service = ExecutionService(executor=SerialExecutor(), cache=None)
@@ -295,12 +249,6 @@ def bench_grid() -> dict:
         }
     out["speedup"] = (
         out["incremental"]["cells_per_s"] / out["reference"]["cells_per_s"]
-    )
-    out["speedup_fast"] = (
-        out["fast"]["cells_per_s"] / out["reference"]["cells_per_s"]
-    )
-    out["speedup_batched"] = (
-        out["batched"]["cells_per_s"] / out["reference"]["cells_per_s"]
     )
     return out
 
@@ -365,7 +313,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="cProfile each tier's single-cell run and print the top "
+        help="cProfile each engine's single-cell run and print the top "
         "20 functions by cumulative time",
     )
     args = parser.parse_args(argv)
@@ -384,28 +332,24 @@ def main(argv=None) -> int:
     print(f"single-cell event throughput ({repeats} repeat(s))...")
     record["single_cell"] = bench_single_cell(repeats, profile=args.profile)
     sc = record["single_cell"]
-    for engine in TIERS:
-        tier = sc[engine]
+    for engine in ENGINES:
+        row = sc[engine]
         print(
-            f"  {engine:>11}: {tier['events']} events, "
-            f"setup {tier['setup_cold_s'] * 1e3:.2f} ms cold / "
-            f"{tier['setup_warm_s'] * 1e3:.2f} ms warm, "
-            f"drain {tier['drain_s'] * 1e3:.1f} ms "
-            f"({tier['events_per_s']:.0f} events/s; prep "
-            f"{tier['prep']['hits']} hit(s), "
-            f"{tier['prep']['builds']} build(s))"
+            f"  {engine:>11}: {row['events']} events, "
+            f"setup {row['setup_cold_s'] * 1e3:.2f} ms cold / "
+            f"{row['setup_warm_s'] * 1e3:.2f} ms warm, "
+            f"drain {row['drain_s'] * 1e3:.1f} ms "
+            f"({row['events_per_s']:.0f} events/s; prep "
+            f"{row['prep']['hits']} hit(s), "
+            f"{row['prep']['builds']} build(s))"
         )
-    print(
-        f"  speedup: {sc['speedup']:.2f}x incremental, "
-        f"{sc['speedup_fast']:.2f}x fast, "
-        f"{sc['speedup_batched']:.2f}x batched"
-    )
+    print(f"  speedup: {sc['speedup']:.2f}x incremental")
 
     if not args.skip_grid:
         print("quick Figs. 4-6 grid (serial, uncached)...")
         record["grid"] = bench_grid()
         grid = record["grid"]
-        for engine in TIERS:
+        for engine in ENGINES:
             prepared = grid[engine]["prepared_sims"]
             print(
                 f"  {engine:>11}: {grid['cells']} cells in "
@@ -414,11 +358,7 @@ def main(argv=None) -> int:
                 f"prepared {prepared['hits']} hit(s), "
                 f"{prepared['builds']} build(s))"
             )
-        print(
-            f"  speedup: {grid['speedup']:.2f}x incremental, "
-            f"{grid['speedup_fast']:.2f}x fast, "
-            f"{grid['speedup_batched']:.2f}x batched"
-        )
+        print(f"  speedup: {grid['speedup']:.2f}x incremental")
 
     out = Path(args.out)
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

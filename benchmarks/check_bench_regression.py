@@ -5,36 +5,29 @@ CI regenerates the benchmark record with the committed baseline's own
 protocol (``bench_engine_hotpath.py --repeats 3``, full quick grid)
 and calls this script against the committed ``BENCH_engine.json``.
 
-The *gated* metrics are each tier's speedups **relative to the
-reference engine measured in the same run**, one series per tier:
+The *gated* metrics are ratios measured within one record:
 
-* ``default`` — the bit-exact incremental tier
+* ``default`` — the incremental engine's speedup **relative to the
+  reference engine measured in the same run**
   (``single_cell.speedup``, ``grid.speedup``)
-* ``fast`` — the unbatched tolerance tier
-  (``single_cell.speedup_fast``, ``grid.speedup_fast``)
-* ``batched`` — the cohort-batched tier
-  (``single_cell.speedup_batched``, ``grid.speedup_batched``)
-* ``setup`` — the prepared-layer amortization, cold setup over warm
-  setup within one tier (``single_cell.<tier>.setup_cold_over_warm``)
+* ``setup`` — the prepared-layer amortization, the incremental
+  engine's cold setup over its warm setup
+  (``single_cell.incremental.setup_cold_over_warm``)
 
 Ratios within one record cancel out the machine: a CI runner that is
 uniformly 40% slower than the committer's box produces the same
-speedups, while a hot-path pessimization in an engine tier (the
-common regression mode — the reference path barely changes) drags
-that tier's ratio down. The gate fails (exit 1) when a fresh speedup
-drops more than the series' threshold below the baseline's. The
-thresholds widen with the tier's variance: the batched tier's short
-wall times make its ratio the noisiest, so it gets the loosest gate.
+speedups, while a hot-path pessimization in the incremental engine
+(the common regression mode — the reference path barely changes)
+drags its ratio down. The gate fails (exit 1) when a fresh ratio
+drops more than the series' threshold below the baseline's.
 Absolute throughputs are printed for context but never gate, since
 they track hardware. Metrics missing from either record (e.g. a
-``--skip-grid`` run, or a pre-batched-tier baseline) are reported and
-skipped, never failed.
+``--skip-grid`` run) are reported and skipped, never failed.
 
 Usage::
 
     python benchmarks/check_bench_regression.py BASELINE FRESH \
-        [--threshold 0.20] [--threshold-fast 0.25] \
-        [--threshold-batched 0.30] [--threshold-setup 0.60]
+        [--threshold 0.20] [--threshold-setup 0.60]
 """
 
 from __future__ import annotations
@@ -46,8 +39,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
 #: series name -> (label, path into the record) for every gated
-#: metric — speedup ratios of that tier vs the reference, measured in
-#: the same run, so machine-independent.
+#: metric — ratios measured within one run, so machine-independent.
 GATED_SERIES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = (
     (
         "default",
@@ -56,24 +48,6 @@ GATED_SERIES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = 
              ("single_cell", "speedup")),
             ("quick-grid incremental/reference speedup",
              ("grid", "speedup")),
-        ),
-    ),
-    (
-        "fast",
-        (
-            ("single-cell fast/reference speedup",
-             ("single_cell", "speedup_fast")),
-            ("quick-grid fast/reference speedup",
-             ("grid", "speedup_fast")),
-        ),
-    ),
-    (
-        "batched",
-        (
-            ("single-cell batched/reference speedup",
-             ("single_cell", "speedup_batched")),
-            ("quick-grid batched/reference speedup",
-             ("grid", "speedup_batched")),
         ),
     ),
     # The prepared-layer amortization: cold setup (first construction,
@@ -86,8 +60,6 @@ GATED_SERIES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = 
         (
             ("single-cell incremental cold/warm setup ratio",
              ("single_cell", "incremental", "setup_cold_over_warm")),
-            ("single-cell batched cold/warm setup ratio",
-             ("single_cell", "batched", "setup_cold_over_warm")),
         ),
     ),
 )
@@ -96,10 +68,6 @@ GATED_SERIES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = 
 INFO_METRICS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("single-cell events/s", ("single_cell", "incremental", "events_per_s")),
     ("quick-grid cells/s", ("grid", "incremental", "cells_per_s")),
-    ("quick-grid batched cells/s", ("grid", "batched", "cells_per_s")),
-    ("single-cell batched warm setup s",
-     ("single_cell", "batched", "setup_warm_s")),
-    ("single-cell batched drain s", ("single_cell", "batched", "drain_s")),
 )
 
 
@@ -139,21 +107,6 @@ def main(argv=None) -> int:
         "(incremental) series (default: 0.20 = 20%%)",
     )
     parser.add_argument(
-        "--threshold-fast",
-        type=float,
-        default=0.25,
-        help="relative speedup drop that fails the fast series "
-        "(default: 0.25)",
-    )
-    parser.add_argument(
-        "--threshold-batched",
-        type=float,
-        default=0.30,
-        help="relative speedup drop that fails the batched series "
-        "(default: 0.30; its short wall times make the ratio the "
-        "noisiest)",
-    )
-    parser.add_argument(
         "--threshold-setup",
         type=float,
         default=0.60,
@@ -166,8 +119,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     thresholds = {
         "default": args.threshold,
-        "fast": args.threshold_fast,
-        "batched": args.threshold_batched,
         "setup": args.threshold_setup,
     }
 

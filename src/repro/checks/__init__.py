@@ -1,10 +1,10 @@
 """Static invariant checkers for the repro codebase.
 
 The simulator's correctness rests on contracts no single runtime test
-exercises end to end: engine tiers must dispatch every event kind,
-config fields must ride the job cache key, vectorized ``*_many``
-kernels need pure-python twins, fleet state needs consistent locking,
-and the coordinator/worker pair must agree on a wire vocabulary.
+exercises end to end: the engines must dispatch every event kind,
+config fields must ride the job cache key, fleet state needs
+consistent locking, and the coordinator/worker pair must agree on a
+wire vocabulary.
 
 This package encodes those contracts as AST-level checks over the
 source tree (no module under check is ever imported), surfaced through

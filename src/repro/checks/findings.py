@@ -22,12 +22,8 @@ CODES: Dict[str, str] = {
     "C203": "cache-key payload unconditionally drops a config field",
     "C204": "to_dict()/payload dict literal misses a dataclass field",
     "C205": "SimConfig field not forwarded by ExperimentConfig.sim_config()",
-    # T-series: tier parity.
+    # T-series: engine dispatch parity.
     "T301": "EventKind member missing from an engine dispatch chain",
-    "T302": "vectorized *_many function has no scalar twin",
-    "T303": "*_many function lacks an np=None parameter or fallback branch",
-    "T304": "*_many parameter count does not match its scalar twin",
-    "T305": "engine accesses an SoA column absent from the store __slots__",
     # L-series: lock discipline.
     "L401": "lock-guarded attribute written outside any lock context",
     "L402": "lock-guarded attribute read outside any lock context",

@@ -24,7 +24,7 @@ Checker = Callable[[Project], Iterator[Finding]]
 CHECKERS: Dict[str, Tuple[str, Checker]] = {
     "D": ("determinism", check_determinism),
     "C": ("cache-key completeness", check_cachekey),
-    "T": ("tier parity", check_tierparity),
+    "T": ("engine dispatch", check_tierparity),
     "L": ("lock discipline", check_lockdiscipline),
     "W": ("wire contract", check_wire),
 }

@@ -822,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FIELD=VALUE",
         help="override one base-cell experiment field for every cell "
-        "(repeatable; e.g. --set gpu=H100 --set engine_tier=fast). "
+        "(repeatable; e.g. --set gpu=H100 --set runs=1). "
         "Values parse as JSON scalars, then strings. Overridden runs "
         "use the generic per-cell rows and a hash-qualified manifest "
         "name; fields swept by an axis are rejected",
@@ -1039,8 +1039,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_parser = sub.add_parser(
         "check",
-        help="static invariant checks (determinism, cache keys, tier "
-        "parity, lock/wire discipline)",
+        help="static invariant checks (determinism, cache keys, engine "
+        "dispatch, lock/wire discipline)",
     )
     check_parser.add_argument(
         "--select",

@@ -5,6 +5,11 @@ One :class:`ExperimentConfig` describes a cell of the paper's sweeps
 simulates the overlapped, sequential and ideal scenarios ``runs`` times
 with different jitter seeds (the paper averages over 25 runs) and
 reports averaged metrics plus vendor-sampled power statistics.
+
+Every run goes through the bit-exact incremental engine, or through
+the reference oracle under ``$REPRO_SIM_ENGINE=reference``; the two
+produce identical numbers, so a cell's job cache key fixes its
+results.
 """
 
 from __future__ import annotations
@@ -38,51 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: incremental). Both engines produce bit-identical results.
 SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
 
-#: Environment variable selecting the event-queue backend (``heap`` or
-#: ``calendar``). The backends pop identical event sequences, so —
-#: like the engine toggle — this is bit-exact and safe to leave out of
-#: the job cache key.
-SIM_EVENT_QUEUE_ENV = "REPRO_SIM_EVENT_QUEUE"
-
-#: Environment variable forcing the *fast* accuracy tier (truthy
-#: values: 1/true/yes/on) for every simulation, equivalent to
-#: ``engine_tier="fast"`` on each config. Unlike the two toggles
-#: above this one changes numbers (within the tolerance tier), and it
-#: deliberately bypasses the job cache key — do not combine it with a
-#: shared persistent result cache. Sweeps that should *record* fast
-#: results set ``engine_tier`` on the config instead, which hashes
-#: into the cache key.
-SIM_FAST_ENV = "REPRO_SIM_FAST"
-
-#: Environment variable disabling cohort batching (falsy values:
-#: 0/false/no/off) while keeping the rest of the fast tier on. Like
-#: :data:`SIM_FAST_ENV` it bypasses the cache key — it exists so the
-#: perf bench can measure the unbatched fast tier as its own series
-#: and as an escape hatch, not as a sweep knob.
-SIM_COHORT_ENV = "REPRO_SIM_COHORT"
-
-#: Recognized ``ExperimentConfig.engine_tier`` values. ``exact`` is
-#: the bit-exact default (incremental engine, heap queue); ``fast``
-#: turns on the calendar event queue, additive contention aggregates,
-#: adaptive governor ticks and cohort batching over the
-#: struct-of-arrays store (bounded relative error, gated by the
-#: equivalence suite's tolerance tier); ``auto`` arms the same
-#: mechanisms but starts bit-exact and flips to the fast path only
-#: once the live event population reaches
-#: ``ExperimentConfig.auto_tier_threshold``.
-ENGINE_TIERS = ("exact", "fast", "auto")
-
-#: Metrics whose fast-tier error bound can be tuned per config via
-#: ``ExperimentConfig.tolerances``.
-TOLERANCE_METRICS = ("records", "power", "energy")
-
-#: Relative error bound the fast tier is held to when a config does
-#: not override it for a metric.
-DEFAULT_TOLERANCE = 0.05
-
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -106,18 +66,6 @@ class ExperimentConfig:
     max_clock_frac: float = 1.0
     check_memory: bool = True
     calibration: Optional[ContentionCalibration] = None
-    engine_tier: str = "exact"
-    #: Per-metric relative error bounds for the fast tier, e.g.
-    #: ``{"records": 0.02, "power": 0.08}``. Keys must come from
-    #: :data:`TOLERANCE_METRICS`; metrics not listed fall back to
-    #: :data:`DEFAULT_TOLERANCE`. Accepted as a dict and normalized to
-    #: a sorted tuple of pairs so configs stay hashable and two
-    #: insertion orders of the same bounds produce one cache key.
-    tolerances: Optional[Tuple[Tuple[str, float], ...]] = None
-    #: Live-event population at which the ``auto`` tier flips from
-    #: bit-exact to the cohort-batched fast path. Ignored (and omitted
-    #: from cache keys) for the other tiers.
-    auto_tier_threshold: int = 64
     #: Degradation windows (stragglers, slow HBM, flaky links, thermal
     #: throttling — see :mod:`repro.sim.perturb`) injected into every
     #: run of this cell. Accepted as specs or plain mappings and
@@ -134,32 +82,6 @@ class ExperimentConfig:
         object.__setattr__(
             self, "perturbations", normalize_perturbations(self.perturbations)
         )
-        if self.engine_tier not in ENGINE_TIERS:
-            raise ConfigurationError(
-                f"unknown engine_tier {self.engine_tier!r} "
-                f"(known: {', '.join(ENGINE_TIERS)})"
-            )
-        if self.tolerances is not None:
-            if isinstance(self.tolerances, dict):
-                items = self.tolerances.items()
-            else:
-                items = tuple(self.tolerances)
-            normalized = []
-            for metric, bound in sorted(items):
-                if metric not in TOLERANCE_METRICS:
-                    raise ConfigurationError(
-                        f"unknown tolerance metric {metric!r} "
-                        f"(known: {', '.join(TOLERANCE_METRICS)})"
-                    )
-                bound = float(bound)
-                if not bound > 0.0:
-                    raise ConfigurationError(
-                        f"tolerance for {metric!r} must be positive"
-                    )
-                normalized.append((metric, bound))
-            object.__setattr__(self, "tolerances", tuple(normalized))
-        if self.auto_tier_threshold < 1:
-            raise ConfigurationError("auto_tier_threshold must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if self.num_gpus < 1:
@@ -176,20 +98,6 @@ class ExperimentConfig:
             raise ConfigurationError("max_clock_frac must be in (0, 1]")
         if self.microbatch_size is not None and self.microbatch_size < 1:
             raise ConfigurationError("microbatch_size must be >= 1")
-
-    def tolerance(self, metric: str, default: float = DEFAULT_TOLERANCE) -> float:
-        """Relative error bound the fast tier is held to for ``metric``.
-
-        Looks up this config's ``tolerances`` override and falls back
-        to ``default`` (:data:`DEFAULT_TOLERANCE`). Unknown metric
-        names are rejected at construction, so lookups here cannot
-        silently miss a typo.
-        """
-        if self.tolerances:
-            for name, bound in self.tolerances:
-                if name == metric:
-                    return bound
-        return default
 
     def node(self) -> NodeSpec:
         """The target system (with any calibration override applied)."""
@@ -212,73 +120,22 @@ class ExperimentConfig:
         """Simulator configuration for one run.
 
         ``$REPRO_SIM_ENGINE=reference`` routes every simulation through
-        the full-recompute reference engine (the perf baseline) and
-        ``$REPRO_SIM_EVENT_QUEUE`` selects the queue backend; both are
-        bit-exact toggles, which is why they are safe to leave out of
-        the job cache key. The *fast* accuracy tier comes either from
-        this config's ``engine_tier`` field (which hashes into the
-        cache key) or from ``$REPRO_SIM_FAST`` (which does not — see
-        :data:`SIM_FAST_ENV` for the caveat). Asking for the
-        reference oracle on a fast-tier *cell* is refused: the env
-        toggle is cache-transparent, so honoring it would record
-        reference-engine numbers under fast-tier cache keys.
+        the full-recompute reference engine (the correctness oracle and
+        perf baseline); it is bit-exact, which is why it is safe to
+        leave out of the job cache key.
         """
         reference = (
             os.environ.get(SIM_ENGINE_ENV, "").strip().lower() == "reference"
         )
-        if reference and self.engine_tier != "exact":
-            # A fast/auto-tier *config* hashes engine_tier into its
-            # job cache key, but the engine env toggle does not —
-            # letting the oracle silently win here would populate
-            # tiered cache entries and manifests with reference-engine
-            # numbers. Refuse the combination instead.
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"${SIM_ENGINE_ENV}=reference cannot simulate a cell "
-                f"with engine_tier={self.engine_tier!r} (the env "
-                f"toggle is excluded from the job cache key, so the "
-                f"tiered cache would record reference-engine "
-                f"results); unset one of them"
-            )
-        fast = self.engine_tier in ("fast", "auto") or (
-            not reference
-            and os.environ.get(SIM_FAST_ENV, "").strip().lower() in _TRUTHY
-        )
-        event_queue = (
-            os.environ.get(SIM_EVENT_QUEUE_ENV, "").strip().lower()
-            or ("calendar" if fast else "heap")
-        )
-        # Cohort batching rides with the fast tier unless the (cache-
-        # transparent) env escape hatch turns it off — e.g. the perf
-        # bench's unbatched "fast" series.
-        cohort = (
-            fast
-            and os.environ.get(SIM_COHORT_ENV, "").strip().lower()
-            not in _FALSY
-        )
-        config = SimConfig(  # repro: allow[C205] governor period, power tracing, and the sim-time wall are methodology constants; changing them is a CACHE_SCHEMA_VERSION bump, not a per-cell knob
+        return SimConfig(  # repro: allow[C205] governor period, power tracing, and the sim-time wall are methodology constants; changing them is a CACHE_SCHEMA_VERSION bump, not a per-cell knob
             contention_enabled=not ideal,
             power_limit_w=self.power_limit_w,
             max_clock_frac=self.max_clock_frac,
             jitter_sigma=self.jitter_sigma,
             seed=seed,
-            # The engine/queue/cohort env toggles bypass the cache
-            # key: the oracle wins over $REPRO_SIM_FAST (both are
-            # cache-transparent, so no pollution is possible there).
             reference_engine=reference,
-            event_queue=event_queue,
-            fast_contention=fast,
-            adaptive_governor=fast,
-            cohort_batching=cohort,
-            auto_tier_threshold=(
-                self.auto_tier_threshold
-                if self.engine_tier == "auto"
-                else None
-            ),
             perturbations=self.perturbations,
         )
-        return config
 
     def with_updates(self, **kwargs) -> "ExperimentConfig":
         """Functional update helper for sweeps."""
@@ -288,13 +145,12 @@ class ExperimentConfig:
         """Short label for tables and logs."""
         tc = "tc" if self.use_tensor_cores else "noTC"
         cap = f" cap={self.power_limit_w:.0f}W" if self.power_limit_w else ""
-        tier = "" if self.engine_tier == "exact" else f" [{self.engine_tier}]"
         perturbed = (
             f" +{len(self.perturbations)}pert" if self.perturbations else ""
         )
         return (
             f"{self.gpu}x{self.num_gpus} {self.model} b{self.batch_size} "
-            f"{self.strategy} {self.precision.value}/{tc}{cap}{tier}{perturbed}"
+            f"{self.strategy} {self.precision.value}/{tc}{cap}{perturbed}"
         )
 
 

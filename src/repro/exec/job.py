@@ -72,21 +72,6 @@ class SimJob:
     def payload(self) -> dict:
         """Canonical JSON payload the cache key digests."""
         config = _jsonable(self.config)
-        # The engine tier joined ExperimentConfig after caches already
-        # existed; the default ("exact") is omitted from the digest so
-        # every pre-existing exact-tier cache key and manifest stays
-        # valid, while fast-tier jobs still hash distinctly.
-        if config.get("engine_tier") == "exact":
-            del config["engine_tier"]
-        # Same story for the knobs that joined alongside the auto
-        # tier: at their defaults they cannot change any number, so
-        # they are omitted to keep pre-existing cache keys valid.
-        if config.get("tolerances") is None:
-            config.pop("tolerances", None)
-        if self.config.engine_tier != "auto":
-            # The flip threshold only steers the auto engine; for the
-            # other tiers it is inert and must not split cache keys.
-            config.pop("auto_tier_threshold", None)
         if not config.get("perturbations"):
             # Fault-free cells (the default) keep their pre-existing
             # cache keys; perturbed cells hash their window specs.

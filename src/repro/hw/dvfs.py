@@ -93,25 +93,6 @@ class FrequencyGovernor:
         """Current smoothed power estimate."""
         return self._ewma_w
 
-    def would_noop(self, instantaneous_power_w: float) -> bool:
-        """True iff a tick at this power provably leaves the clock alone.
-
-        The engine's adaptive tick cadence uses this to skip governor
-        ticks: with the clock pinned at its cap, the sample at or
-        under the limit and the moving average at or under the limit,
-        :meth:`observe` can only try to ramp up — and there is no
-        headroom left to ramp into. Skipping the tick leaves the EWMA
-        stale (it would have decayed toward the sub-limit sample), so
-        throttle *onset* after a later spike can shift by a control
-        period; that bounded drift is why the adaptive cadence lives
-        in the fast accuracy tier rather than the bit-exact one.
-        """
-        if instantaneous_power_w > self.policy.limit_w:
-            return False
-        if self.clock_frac < self.policy.max_clock_frac:
-            return False
-        return self._ewma_w <= self.policy.limit_w
-
     def observe(self, instantaneous_power_w: float) -> float:
         """Feed one power sample; returns the new clock fraction."""
         if instantaneous_power_w < 0:
@@ -152,18 +133,3 @@ class FrequencyGovernor:
         self._ewma_w = 0.0
         self._primed = False
         self.clock_frac = self.policy.max_clock_frac
-
-
-def observe_many(governors, powers_w):
-    """Feed one sample to each governor; returns the new clock fractions.
-
-    The cohort-batched engine collects every governor tick that lands
-    on the same timestamp and applies them in one call. Each governor's
-    update is the same :meth:`FrequencyGovernor.observe` the per-event
-    path runs — the batching is in the *dispatch*, not the control law,
-    so a lone tick produces identical floats either way.
-    """
-    return [
-        governor.observe(power)
-        for governor, power in zip(governors, powers_w)
-    ]

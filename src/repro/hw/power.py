@@ -196,9 +196,7 @@ class PowerEvaluator:
         """``clamp(clock) ** DVFS_POWER_EXPONENT``, memoized.
 
         pow() is the single most expensive primitive in the power
-        formula and DVFS revisits the same clock fractions; the batched
-        engine's fused evaluation loop shares this memo with
-        :meth:`evaluate_parts`.
+        formula and DVFS revisits the same clock fractions.
         """
         term = self._clock_pow.get(clock_frac)
         if term is None:
@@ -207,83 +205,6 @@ class PowerEvaluator:
             term = min(max(clock_frac, 0.0), 1.0) ** DVFS_POWER_EXPONENT
             self._clock_pow[clock_frac] = term
         return term
-
-    def evaluate_parts_many(  # repro: allow[T304] sm_items splits into fixed (vector, tensor) component arrays
-        self,
-        clock_fracs,
-        hbm_fracs,
-        link_fracs,
-        vector_utils,
-        tensor_utils,
-        np=None,
-    ):
-        """Batched :meth:`evaluate_parts` over per-GPU component arrays.
-
-        Fixed two-datapath layout matching the batched engine's SM
-        accumulators. The summation order — vector term then tensor
-        term — and the per-component clamps are exactly those of
-        :meth:`evaluate_parts` with ``sm_items=((VECTOR, v),
-        (TENSOR, t))``, and the numpy path (pass a numpy module as
-        ``np``) is bit-for-bit equal to the pure-python loop (pinned
-        by the SoA tests).
-        """
-        coeffs = self.coeffs
-        vec_max = coeffs.sm_max_frac.get(Datapath.VECTOR)
-        if vec_max is None:
-            if any(util != 0.0 for util in vector_utils):
-                raise ConfigurationError(
-                    f"no SM power coefficient for {Datapath.VECTOR}"
-                )
-            vec_max = 0.0
-        ten_max = coeffs.sm_max_frac.get(Datapath.TENSOR)
-        if ten_max is None:
-            if any(util != 0.0 for util in tensor_utils):
-                raise ConfigurationError(
-                    f"no SM power coefficient for {Datapath.TENSOR}"
-                )
-            ten_max = 0.0
-        idle = coeffs.idle_frac
-        hbm_max = coeffs.hbm_max_frac
-        link_max = coeffs.link_max_frac
-        tdp = self.tdp_w
-        if np is not None:
-            # In-place accumulation: the expression tree of the
-            # original formulation allocates ~8 temporaries per call,
-            # and the batched engine calls this once per cohort with
-            # scratch views. Every +=/*= below preserves the scalar
-            # path's association order (IEEE addition is commutative,
-            # so folding ``idle`` in after the dynamic product is
-            # bit-identical to ``idle + dynamic * clock_term``).
-            clock_term = np.clip(clock_fracs, 0.0, 1.0)
-            clock_term **= DVFS_POWER_EXPONENT
-            acc = np.clip(vector_utils, 0.0, 1.0)
-            acc *= vec_max
-            ten_term = np.clip(tensor_utils, 0.0, 1.0)
-            ten_term *= ten_max
-            acc += ten_term
-            acc *= clock_term
-            acc += idle
-            hbm_term = np.clip(hbm_fracs, 0.0, 1.0)
-            hbm_term *= hbm_max
-            acc += hbm_term
-            link_term = np.clip(link_fracs, 0.0, 1.0)
-            link_term *= link_max
-            acc += link_term
-            acc *= tdp
-            return acc.tolist()
-        clock_term_of = self.clock_term
-        out = []
-        for i in range(len(clock_fracs)):
-            dynamic = vec_max * min(max(vector_utils[i], 0.0), 1.0)
-            dynamic += ten_max * min(max(tensor_utils[i], 0.0), 1.0)
-            power_frac = (
-                idle
-                + dynamic * clock_term_of(clock_fracs[i])
-                + hbm_max * min(max(hbm_fracs[i], 0.0), 1.0)
-                + link_max * min(max(link_fracs[i], 0.0), 1.0)
-            )
-            out.append(tdp * power_frac)
-        return out
 
     def idle_power(self) -> float:
         """Board power with no kernels resident (memoized)."""

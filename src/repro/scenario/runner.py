@@ -180,7 +180,7 @@ def parse_set_overrides(pairs: Optional[List[str]]) -> "dict[str, Any]":
 
     Values parse as JSON scalars where possible (``16`` -> int,
     ``0.5`` -> float, ``true`` -> bool, ``null`` -> None) and fall
-    back to plain strings (``gpu=H100``, ``engine_tier=fast``), which
+    back to plain strings (``gpu=H100``, ``strategy=pipeline``), which
     matches how spec files deserialize the same fields.
     """
     import json

@@ -37,10 +37,6 @@ class CollectiveInstance:
     #: Index into the engine's global time-step log up to which this
     #: instance's progress has been banked (incremental engine only).
     bank_idx: int = 0
-    #: Cumulative simulated time up to which progress has been banked
-    #: (batched engine only — O(1) banking against the engine's running
-    #: time accumulator instead of replaying the time-step log).
-    bank_cum: float = 0.0
 
     def post(self, task: CommTask, now: float) -> None:
         """Register one rank's arrival at the collective."""

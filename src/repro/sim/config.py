@@ -1,4 +1,8 @@
-"""Simulation configuration."""
+"""Simulation configuration.
+
+Every run is bit-exact: the only engine switch is the reference
+oracle (``reference_engine``), which produces identical numbers.
+"""
 
 from __future__ import annotations
 
@@ -35,40 +39,6 @@ class SimConfig:
             bit-for-bit identical (the equivalence suite pins this);
             the reference path exists as the correctness oracle and
             perf baseline.
-        event_queue: event-queue backend — ``"heap"`` (binary heap,
-            the default) or ``"calendar"`` (bucketed calendar queue
-            with bucket width keyed to the governor period). The two
-            backends pop identical event sequences, so this knob is
-            bit-exact; it exists because the calendar queue's cost is
-            O(bucket) instead of O(log n) once event populations grow.
-        fast_contention: maintain per-GPU contention aggregates
-            additively — O(1) add/remove on task placement and
-            retirement instead of re-reducing the resident sets on
-            every recompute. Float sums accumulate in a different
-            order than the reference reduction, so this is the *fast*
-            accuracy tier: results carry bounded relative error (the
-            equivalence suite's tolerance tier gates it) instead of
-            bit-exactness.
-        adaptive_governor: skip governor ticks while the tick is
-            provably a no-op — measured power at or under the limit,
-            the moving average at or under the limit, and the clock
-            pinned at its cap — re-arming as soon as any event dirties
-            the GPU's power. Throttle onset can shift by up to one
-            control period, so this too belongs to the fast tier.
-        cohort_batching: process all events sharing a timestamp as one
-            cohort — apply their state deltas together, then run a
-            single rate/power/DVFS re-evaluation per dirty GPU — and
-            back the per-GPU hot state with the struct-of-arrays store.
-            Governor ticks landing mid-cohort observe the pre-cohort
-            power, so this is a fast-tier mechanism (it requires
-            ``fast_contention``) gated by the tolerance suite.
-        auto_tier_threshold: when set, run the adaptive *auto* engine:
-            bit-exact incremental execution until the live event
-            population reaches this threshold, then a one-time flip to
-            the cohort-batched fast path for the remainder of the run.
-            Runs that never reach the threshold are bit-identical to
-            the exact tier. ``None`` (the default) disables the auto
-            engine.
         perturbations: degradation windows injected into the run as
             ``PERTURB_BEGIN``/``PERTURB_END`` events (stragglers, slow
             HBM, flaky links, thermal throttling — see
@@ -86,54 +56,14 @@ class SimConfig:
     trace_power: bool = True
     max_sim_time_s: float = 600.0
     reference_engine: bool = False
-    event_queue: str = "heap"
-    fast_contention: bool = False
-    adaptive_governor: bool = False
-    cohort_batching: bool = False
-    auto_tier_threshold: Optional[int] = None
     perturbations: Tuple[PerturbationSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        from repro.sim.events import EVENT_QUEUE_KINDS
-
         object.__setattr__(
             self, "perturbations", normalize_perturbations(self.perturbations)
         )
         if self.power_limit_w is not None and self.power_limit_w <= 0:
             raise ConfigurationError("power_limit_w must be positive")
-        if self.event_queue not in EVENT_QUEUE_KINDS:
-            raise ConfigurationError(
-                f"unknown event_queue {self.event_queue!r} "
-                f"(known: {', '.join(EVENT_QUEUE_KINDS)})"
-            )
-        if self.reference_engine and self.fast_contention:
-            raise ConfigurationError(
-                "fast_contention needs the incremental engine's resident "
-                "indices; it cannot combine with reference_engine"
-            )
-        if self.cohort_batching and not self.fast_contention:
-            raise ConfigurationError(
-                "cohort_batching is a fast-tier mechanism; it requires "
-                "fast_contention (the batched engine evaluates from the "
-                "additive aggregates)"
-            )
-        if self.auto_tier_threshold is not None:
-            if self.reference_engine:
-                raise ConfigurationError(
-                    "auto_tier_threshold selects the adaptive auto "
-                    "engine; it cannot combine with reference_engine"
-                )
-            if self.auto_tier_threshold < 1:
-                raise ConfigurationError(
-                    "auto_tier_threshold must be >= 1"
-                )
-            if not (self.fast_contention and self.cohort_batching):
-                raise ConfigurationError(
-                    "auto_tier_threshold selects the adaptive auto "
-                    "engine, which flips into the cohort-batched fast "
-                    "tier; it requires fast_contention and "
-                    "cohort_batching (use SimConfig.auto())"
-                )
         if not 0.0 < self.max_clock_frac <= 1.0:
             raise ConfigurationError("max_clock_frac must be in (0, 1]")
         if self.governor_period_s <= 0:
@@ -151,32 +81,3 @@ class SimConfig:
     def ideal(self) -> "SimConfig":
         """Copy configured for the paper's ideal (no-interference) mode."""
         return replace(self, contention_enabled=False)
-
-    def fast(self) -> "SimConfig":
-        """Copy configured for the fast accuracy tier.
-
-        Turns on every tiered-accuracy mechanism at once: the calendar
-        event queue (bit-exact), additive contention aggregates,
-        adaptive governor ticks and cohort batching over the
-        struct-of-arrays store (bounded relative error). The
-        equivalence suite's tolerance tier gates this combination.
-        """
-        return replace(
-            self,
-            reference_engine=False,
-            event_queue="calendar",
-            fast_contention=True,
-            adaptive_governor=True,
-            cohort_batching=True,
-        )
-
-    def auto(self, threshold: int = 64) -> "SimConfig":
-        """Copy configured for the adaptive *auto* engine.
-
-        Every fast-tier mechanism is armed, but execution starts
-        bit-exact and only flips to the cohort-batched path once the
-        live event population reaches ``threshold``. Small runs stay
-        bit-identical to the exact tier; large runs pay the exact cost
-        only for their warm-up prefix.
-        """
-        return replace(self.fast(), auto_tier_threshold=threshold)

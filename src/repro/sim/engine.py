@@ -24,6 +24,10 @@ results (the equivalence suite pins this):
   finish events are tombstoned in the queue (lazy invalidation)
   instead of eagerly rescheduled.
 
+There is no approximate engine: the paper's findings are few-percent
+differences between simulated modes, so every production run is
+bit-exact to the oracle.
+
 Invariant per-task quantities — jittered work and isolated durations,
 collective cost-model lookups, jitter factors — are hoisted into
 tables built once per simulation; power evaluations and roofline peaks
@@ -40,23 +44,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.collectives.cost_model import CollectiveCostModel
-from repro.errors import (
-    ConfigurationError,
-    DeadlockError,
-    PlanError,
-    SimulationError,
-)
+from repro.errors import DeadlockError, PlanError, SimulationError
 from repro.hw.datapath import Datapath
-from repro.hw.dvfs import FrequencyGovernor, PowerLimitPolicy, observe_many
+from repro.hw.dvfs import FrequencyGovernor, PowerLimitPolicy
 from repro.hw.system import NodeSpec
 from repro.sim.collective_sync import CollectiveInstance
 from repro.sim.config import SimConfig
-from repro.sim.events import EventKind, make_event_queue
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.prep import PreparedSim, prepare, reset_prepared, run_arena
 from repro.sim.rates import RateModel
 from repro.sim.result import PowerSegment, SimulationResult, TaskRecord
-from repro.sim.soa import VECTOR_MIN, CohortScratch, numpy_or_none
-from repro.sim.task import CommTask, ComputeTask, Task, TaskCategory
+from repro.sim.task import CommTask, ComputeTask, Task
 from repro.workloads.kernels import reset_kernel_intern
 
 #: Floors preventing full starvation (real kernels always trickle).
@@ -67,21 +65,9 @@ _MAX_COMM_SM = 0.45
 #: Vector-pipe utilisation per unit of collective SM share: channel
 #: copy loops of an *active* collective draw most of their pipes'
 #: power; busy-polling (spinning) channels draw less and move no data.
-#: Shared by every engine tier's power path.
 _COMM_VECTOR_UTIL = 0.8
 _SPIN_VECTOR_UTIL = 0.4
 
-#: Hot-loop aliases (module lookups are faster than attribute chains).
-_INF = float("inf")
-_TASK_FINISH = EventKind.TASK_FINISH
-_GOVERNOR_TICK = EventKind.GOVERNOR_TICK
-_COLLECTIVE_FINISH = EventKind.COLLECTIVE_FINISH
-_PERTURB_BEGIN = EventKind.PERTURB_BEGIN
-_PERTURB_END = EventKind.PERTURB_END
-#: TASK_FINISH events exist only for compute entries (comm retires
-#: through COLLECTIVE_FINISH), so the batched finish branch records
-#: this constant instead of calling the ``category`` property.
-_CAT_COMPUTE = TaskCategory.COMPUTE
 #: (start_s, task_id) over TaskRecord's tuple layout — the result-sort
 #: key, evaluated once per record.
 _RECORD_SORT_KEY = operator.itemgetter(6, 0)
@@ -92,7 +78,7 @@ def reset_shared_evaluators() -> None:
 
     Results never depend on them (every cached value is pure in its
     key), but *timings* do — the engine benchmark calls this between
-    tiers so no tier inherits a cache another tier warmed.
+    engines so neither inherits a cache the other warmed.
     """
     reset_prepared()
     reset_kernel_intern()
@@ -117,18 +103,6 @@ class _RunningCompute:
     #: hashes the kernel table.
     peak_eff: float = 0.0
     ai: float = float("inf")
-    #: Short kernels never reach steady-state power; this precomputed
-    #: ``isolated_s / (isolated_s + 50e-6)`` ramp discount is used by
-    #: the batched tier's fused power loop (the exact tiers compute
-    #: the identical quotient inline).
-    ramp: float = 1.0
-    #: Whether the kernel issues on the vector datapath (else tensor);
-    #: pre-resolved so the fused power loop never touches the kernel.
-    is_vector: bool = True
-    #: Free-running utilisation at the config's clock cap — the clock
-    #: every uncapped (and most capped) evaluations see — so the fused
-    #: loop's common case is one float compare instead of a dict walk.
-    free_util0: float = 0.0
     #: The task's id, denormalized so finish (re)scheduling — once per
     #: rate change per entry — skips the task attribute walk.
     tid: int = -1
@@ -138,9 +112,6 @@ class _RunningCompute:
     #: Index into the engine's time-step log up to which progress has
     #: been banked (incremental engine only).
     bank_idx: int = 0
-    #: Cumulative simulated time up to which progress has been banked
-    #: (batched engine only — O(1) banking, no replay log).
-    bank_cum: float = 0.0
     #: Per-clock free-running utilisation, resolved through the shared
     #: RateModel memo on first use (values are identical; this cache
     #: only skips the kernel-keyed hashing on the power hot path).
@@ -155,17 +126,6 @@ class EngineStats:
     stale_events: int = 0
     gpu_rate_passes: int = 0
     instance_rate_passes: int = 0
-    #: Governor tick schedulings skipped by the adaptive cadence
-    #: (fast tier only; one count per provably-no-op skip decision).
-    ticks_skipped: int = 0
-    #: Same-timestamp event cohorts drained by the batched engine
-    #: (events / cohorts is the mean batching factor).
-    cohorts: int = 0
-    #: Multi-GPU recompute batches evaluated through the numpy path.
-    vector_batches: int = 0
-    #: Exact-to-batched transitions performed by the auto engine
-    #: (0 when the run stayed under the threshold, else 1).
-    auto_flips: int = 0
     #: Perturbation windows opened/closed (one count per applied
     #: PERTURB_BEGIN/PERTURB_END event).
     perturb_events: int = 0
@@ -213,6 +173,9 @@ class Simulator:
             or prepared.jitter_sigma != config.jitter_sigma
             or prepared.max_clock_frac != config.max_clock_frac
             or prepared.num_gpus != node.num_gpus
+            # By value: the tables copy calibration factors and the
+            # collective costs derive from them.
+            or prepared.node.calibration != node.calibration
         ):
             raise PlanError(
                 "prepared simulation does not match (node, tasks, config)"
@@ -232,11 +195,7 @@ class Simulator:
         self._tasks_src = tasks
 
         self.time = 0.0
-        # Calendar buckets (when selected) are keyed to the governor
-        # period — the natural spacing of the event population.
-        self.queue = make_event_queue(
-            config.event_queue, bucket_width_s=config.governor_period_s
-        )
+        self.queue = EventQueue()
         self.running: Dict[int, _RunningCompute] = {}
         self.instances: Dict[str, CollectiveInstance] = {}
         self._inst_seq = 0
@@ -278,16 +237,6 @@ class Simulator:
         #: Count of GPUs with a tick outstanding (fast-path exit for
         #: the per-event _ensure_ticks sweep).
         self._ticks_outstanding = 0
-        #: GPUs whose next tick is provably a no-op (adaptive cadence
-        #: only). Membership is invalidated the moment the GPU's power
-        #: is re-evaluated, so the skip predicate is never stale.
-        self._tick_blocked: set = set()
-        #: GPUs with no tick in flight and not blocked — the exact set
-        #: _ensure_ticks may need to schedule. The three sets/flags are
-        #: kept disjoint-consistent (pending / blocked / unscheduled
-        #: partition the governed GPUs) so the batched engine can skip
-        #: its tick sweep entirely when this is empty.
-        self._tick_unscheduled: set = set(range(node.num_gpus))
         self._power_now: Dict[int, float] = {}
         #: Open power segment per GPU as a plain tuple
         #: (start_s, power_w, compute_active, comm_active, clock_frac);
@@ -314,7 +263,7 @@ class Simulator:
         event in the ordinary queue, keyed by its index in the config
         tuple — scheduled here, before any task event exists, so the
         insertion order (and therefore every same-time tie-break) is
-        identical in every tier. The per-GPU multiplier arrays start
+        identical in both engines. The per-GPU multiplier arrays start
         at identity; :meth:`_apply_perturb` rebuilds them from the
         active-perturbation set on every boundary.
         """
@@ -340,10 +289,10 @@ class Simulator:
             self._perturb_target_sets.append(frozenset(gpus))
             if not gpus:
                 continue  # inert on this node width
-            self.queue.schedule(spec.start_s, _PERTURB_BEGIN, index)
+            self.queue.schedule(spec.start_s, EventKind.PERTURB_BEGIN, index)
             end = spec.end_s
             if end < inf:
-                self.queue.schedule(end, _PERTURB_END, index)
+                self.queue.schedule(end, EventKind.PERTURB_END, index)
 
     # ------------------------------------------------------------------
     # incremental hooks (no-ops in the reference engine)
@@ -383,10 +332,9 @@ class Simulator:
         self._try_launch()
         self._recompute()
         self._ensure_ticks()
-        # Same rationale as the batched tier's loop: the drain
-        # allocates no reference cycles, so generational collection
-        # scans during it are pure overhead. Restore the caller's
-        # setting even on simulation errors.
+        # The drain allocates no reference cycles, so generational
+        # collection scans during it are pure overhead. Restore the
+        # caller's setting even on simulation errors.
         was_enabled = gc.isenabled()
         if was_enabled:
             gc.disable()
@@ -514,15 +462,11 @@ class Simulator:
                     progressed = True
 
     def _launch_compute(self, task: ComputeTask) -> None:
-        work, iso, peak_eff, ai, ramp, is_vector, free_util0 = (
-            self._compute_table[task.task_id]
-        )
+        work, iso, peak_eff, ai = self._compute_table[task.task_id]
         # Positional: rate=1.0 is a placeholder the first recompute
         # overwrites.
         entry = _RunningCompute(
-            task, work, 1.0, iso, self.time,
-            peak_eff, ai, ramp, is_vector, free_util0,
-            task.task_id,
+            task, work, 1.0, iso, self.time, peak_eff, ai, task.task_id
         )
         self.running[task.task_id] = entry
         self._on_compute_launched(entry)
@@ -672,16 +616,30 @@ class Simulator:
         insts: List[CollectiveInstance],
         spinning: List[CollectiveInstance],
     ) -> None:
-        """Update compute rates + power for one GPU from its residents."""
+        """Update compute rates + power for one GPU from its residents.
+
+        Each running kernel gets an equal share of the SMs and HBM
+        bandwidth the resident collectives leave; finish events are
+        (re)scheduled only when a rate changes.
+        """
         self.stats.gpu_rate_passes += 1
         clock = self._clock[gpu_index]
-        sm_avail, hbm_avail, eff_clock = self._availability(
-            clock,
-            sum(i.cost.sm_fraction for i in insts),
-            sum(i.cost.sm_fraction for i in spinning),
-            sum(i.hbm_demand_now() for i in insts),
-            bool(insts),
-        )
+        if self.config.contention_enabled:
+            comm_sm = sum(i.cost.sm_fraction for i in insts)
+            spin_sm = sum(i.cost.sm_fraction for i in spinning)
+            total_sm = min(_MAX_COMM_SM, comm_sm + self._spin_scale * spin_sm)
+            sm_avail = max(_MIN_SM_FRACTION, 1.0 - total_sm)
+            hbm_eff = self._hbm_eff
+            comm_hbm = sum(i.hbm_demand_now() for i in insts)
+            hbm_avail = max(_MIN_HBM_FRACTION * hbm_eff, hbm_eff - comm_hbm)
+            if insts:
+                hbm_avail *= 1.0 - self._interference
+            eff_clock = clock
+        else:
+            # The paper's ideal mode: no interference, clock at the cap.
+            sm_avail = 1.0
+            hbm_avail = self._hbm_eff
+            eff_clock = self.config.max_clock_frac
         rate_mul = 1.0
         if self._perturbed:
             rate_mul = self._perturb_rate[gpu_index]
@@ -690,56 +648,10 @@ class Simulator:
                 hbm_avail *= hbm_mul
             cap = self._perturb_cap[gpu_index]
             if eff_clock > cap:
-                # Only reachable in ideal mode, where _availability
-                # bypasses the (already capped) per-GPU clock.
+                # Only reachable in ideal mode, which bypasses the
+                # (already capped) per-GPU clock.
                 eff_clock = cap
-        self._update_entry_rates(
-            entries, len(entries), sm_avail, hbm_avail, eff_clock, rate_mul
-        )
-        self._update_power(gpu_index, entries, insts, spinning, clock)
-
-    def _availability(
-        self,
-        clock: float,
-        comm_sm: float,
-        spin_sm: float,
-        comm_hbm: float,
-        comm_active: bool,
-    ) -> Tuple[float, float, float]:
-        """(sm_avail, hbm_avail, eff_clock) from raw contention terms.
-
-        One home for the contention formulas — the clamp, the
-        starvation floors, interference scaling and the ideal-mode
-        bypass — shared by every tier; the tiers differ only in how
-        the raw ``comm_*`` sums are obtained.
-        """
-        if not self.config.contention_enabled:
-            return 1.0, self._hbm_eff, self.config.max_clock_frac
-        total_sm = min(_MAX_COMM_SM, comm_sm + self._spin_scale * spin_sm)
-        sm_avail = max(_MIN_SM_FRACTION, 1.0 - total_sm)
-        hbm_eff = self._hbm_eff
-        hbm_avail = max(_MIN_HBM_FRACTION * hbm_eff, hbm_eff - comm_hbm)
-        if comm_active:
-            hbm_avail *= 1.0 - self._interference
-        return sm_avail, hbm_avail, clock
-
-    def _update_entry_rates(
-        self,
-        entries,
-        n: int,
-        sm_avail: float,
-        hbm_avail: float,
-        eff_clock: float,
-        rate_mul: float = 1.0,
-    ) -> None:
-        """Re-derive each running kernel's rate from its fair share.
-
-        Shared verbatim by every engine tier (the tiers differ only in
-        how ``sm_avail``/``hbm_avail`` are aggregated), so the roofline
-        arithmetic and the push-on-change event discipline live once.
-        ``rate_mul`` is the GPU's straggler derate (1.0 when healthy),
-        applied after the roofline floor so the rate stays positive.
-        """
+        n = len(entries)
         rate_from_params = RateModel.rate_from_params
         for entry in entries:
             new_rate = rate_from_params(
@@ -749,6 +661,8 @@ class Simulator:
                 hbm_avail / n,
                 eff_clock,
             )
+            # The straggler derate applies after the roofline floor,
+            # so the rate stays positive.
             if rate_mul != 1.0:
                 new_rate *= rate_mul
             if new_rate != entry.rate or not entry.scheduled:
@@ -759,6 +673,7 @@ class Simulator:
                 self.queue.schedule(
                     finish, EventKind.TASK_FINISH, entry.tid
                 )
+        self._update_power(gpu_index, entries, insts, spinning, clock)
 
     def _bank_entry(self, entry: _RunningCompute) -> None:
         """Bring an entry's banked progress up to ``self.time``.
@@ -768,19 +683,22 @@ class Simulator:
         the lazy time-step replay.
         """
 
-    def _compute_power_terms(
+    def _update_power(
         self,
+        gpu_index: int,
         entries: List[_RunningCompute],
+        insts: List[CollectiveInstance],
+        spinning: List[CollectiveInstance],
         clock: float,
-        sm_util: Dict[Datapath, float],
-    ) -> float:
-        """Accumulate the running kernels' SM/HBM power terms.
+    ) -> None:
+        """Evaluate and publish one GPU's board power.
 
-        Returns the kernels' HBM draw in bytes/s and fills ``sm_util``
-        per datapath. The arithmetic matches the module-level
-        ``sm_utilization``/``hbm_demand`` functions bit-for-bit; the
-        kernel parameters come pre-resolved from the launch table.
+        The kernel terms match the module-level ``sm_utilization``/
+        ``hbm_demand`` functions bit-for-bit; the kernel parameters
+        come pre-resolved from the launch table. The memoized value
+        feeds the governor's view and the power-segment roll.
         """
+        sm_util: Dict[Datapath, float] = {}
         hbm_used = 0.0
         stall_frac = self._stall_frac
         util_from_params = RateModel.sm_utilization_from_params
@@ -809,18 +727,6 @@ class Simulator:
             ai = entry.ai
             if ai != float("inf") and ai > 0:
                 hbm_used += entry.rate / ai
-        return hbm_used
-
-    def _update_power(
-        self,
-        gpu_index: int,
-        entries: List[_RunningCompute],
-        insts: List[CollectiveInstance],
-        spinning: List[CollectiveInstance],
-        clock: float,
-    ) -> None:
-        sm_util: Dict[Datapath, float] = {}
-        hbm_used = self._compute_power_terms(entries, clock, sm_util)
         link_frac = 0.0
         for inst in insts:
             hbm_used += inst.hbm_demand_now()
@@ -836,29 +742,6 @@ class Simulator:
                 sm_util.get(Datapath.VECTOR, 0.0)
                 + _SPIN_VECTOR_UTIL * inst.cost.sm_fraction
             )
-        self._commit_power(
-            gpu_index,
-            clock,
-            hbm_used,
-            link_frac,
-            sm_util,
-            compute_active=bool(entries),
-            comm_active=bool(insts),
-        )
-
-    def _commit_power(
-        self,
-        gpu_index: int,
-        clock: float,
-        hbm_used: float,
-        link_frac: float,
-        sm_util: Dict[Datapath, float],
-        compute_active: bool,
-        comm_active: bool,
-    ) -> None:
-        """Evaluate + publish one GPU's power (shared by every tier):
-        memoized evaluation, the governor's view, adaptive-tick
-        re-arming and the power-segment roll."""
         power = self._power_eval.evaluate_parts(
             clock,
             hbm_used / self._hbm_bw,
@@ -866,15 +749,11 @@ class Simulator:
             tuple(sm_util.items()),
         )
         self._power_now[gpu_index] = power
-        blocked = self._tick_blocked
-        if gpu_index in blocked:
-            blocked.remove(gpu_index)
-            self._tick_unscheduled.add(gpu_index)
         self._maybe_roll_segment(
             gpu_index,
             power,
-            compute_active=compute_active,
-            comm_active=comm_active,
+            compute_active=bool(entries),
+            comm_active=bool(insts),
             clock=clock,
         )
 
@@ -894,41 +773,17 @@ class Simulator:
         Ticks are NOT scheduled when the machine is fully stalled, so a
         rendezvous deadlock drains the queue and is reported as such
         instead of ticking forever.
-
-        With ``adaptive_governor`` on, a tick is additionally skipped
-        while it is provably a no-op (power and its moving average at
-        or under the limit, clock pinned at the cap — see
-        :meth:`FrequencyGovernor.would_noop`). Power is piecewise
-        constant between events and this method runs after every
-        event's recompute, so any dirty-set change that moves a GPU's
-        power re-evaluates the skip and re-arms the tick immediately.
         """
         governors = self._governors
         if not governors or not self._has_activity():
             return
-        # Fast path: every governed GPU is either awaiting its tick or
-        # provably skippable — nothing to schedule this event.
-        if self._ticks_outstanding + len(self._tick_blocked) >= len(
-            governors
-        ):
+        # Fast path: every governed GPU is already awaiting its tick.
+        if self._ticks_outstanding >= len(governors):
             return
-        adaptive = self.config.adaptive_governor
-        blocked = self._tick_blocked
-        unscheduled = self._tick_unscheduled
         for gpu_index, pending in self._tick_pending.items():
-            if pending or gpu_index in blocked:
+            if pending:
                 continue
-            if adaptive:
-                power = self._power_now.get(gpu_index)
-                if power is not None and governors[gpu_index].would_noop(
-                    power
-                ):
-                    self.stats.ticks_skipped += 1
-                    blocked.add(gpu_index)
-                    unscheduled.discard(gpu_index)
-                    continue
             self._tick_pending[gpu_index] = True
-            unscheduled.discard(gpu_index)
             self._ticks_outstanding += 1
             self.queue.schedule(
                 self.time + self.config.governor_period_s,
@@ -938,7 +793,6 @@ class Simulator:
 
     def _governor_tick(self, gpu_index: int) -> None:
         self._tick_pending[gpu_index] = False
-        self._tick_unscheduled.add(gpu_index)
         self._ticks_outstanding -= 1
         governor = self._governors.get(gpu_index)
         if governor is None:
@@ -965,12 +819,12 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _apply_perturb(self, index: int, begin: bool) -> None:
-        """Open or close one degradation window (all tiers share this).
+        """Open or close one degradation window (both engines share this).
 
         The targeted GPUs' multipliers are rebuilt from scratch from
         the *active* perturbation set, composing in spec order — never
         by multiplying/dividing incrementally, which would accumulate
-        float drift and break cross-tier bit-equality. Every targeted
+        float drift and break cross-engine bit-equality. Every targeted
         GPU is then dirtied unconditionally via the ordinary
         clock-changed hook; the push-on-change discipline downstream
         makes spurious dirtying result-neutral.
@@ -1182,19 +1036,14 @@ class IncrementalSimulator(Simulator):
 
     def _finalize(self) -> SimulationResult:
         result = super()._finalize()
-        self._release_run_state()
-        return result
-
-    def _release_run_state(self) -> None:
-        """Return pooled per-run containers to the thread's arena.
-
-        Called once at the end of a completed run; the simulator's own
-        references stay valid (the containers are simply cleared), and
-        nothing reads them after ``_finalize``.
-        """
+        # Return the pooled per-run containers to the thread's arena
+        # (once). The simulator's own references stay valid — the
+        # containers are simply cleared — and nothing reads them after
+        # this point.
         if not self._arena_released:
             self._arena_released = True
             self._arena.release_sets(self.node.num_gpus, self._arena_sets)
+        return result
 
     # ------------------------------------------------------------------
     # lazy banking
@@ -1350,1360 +1199,40 @@ class IncrementalSimulator(Simulator):
 
     def _recompute(self) -> None:
         if self._dirty_insts:
-            self._recompute_insts()
+            # Creation order == the reference engine's global
+            # instances-dict order, so same-time finish events are
+            # pushed with the same relative heap priority.
+            for seq in sorted(self._dirty_insts):
+                inst = self._insts_by_seq.get(seq)
+                if inst is None or not inst.active:
+                    continue
+                self.stats.instance_rate_passes += 1
+                new_rate = self._instance_rate(inst)
+                if new_rate != inst.rate:
+                    self._bank_instance(inst)
+                    inst.rate = new_rate
+                    finish = self.time + inst.work_remaining / max(
+                        new_rate, 1e-12
+                    )
+                    self.queue.schedule(
+                        finish, EventKind.COLLECTIVE_FINISH, inst.op.key
+                    )
+                    # The instance's HBM/link draw scales with its
+                    # rate; every participant's contention changed.
+                    self._dirty_gpus.update(inst.op.participants)
+            self._dirty_insts.clear()
 
         if self._dirty_gpus:
             for gpu_index in sorted(self._dirty_gpus):
-                self._recompute_dirty_gpu(gpu_index)
+                active = self._active_on[gpu_index]
+                spinning = self._spinning_on[gpu_index]
+                self._recompute_gpu(
+                    gpu_index,
+                    list(self._running_on[gpu_index].values()),
+                    [active[s] for s in sorted(active)],
+                    [spinning[s] for s in sorted(spinning)],
+                )
             self._dirty_gpus.clear()
-
-    def _recompute_insts(self) -> None:
-        """Re-derive dirty instances' rates (shared with the batched
-        engine, whose banking dispatch differs but whose instance-rate
-        discipline is identical)."""
-        # Creation order == the reference engine's global
-        # instances-dict order, so same-time finish events are
-        # pushed with the same relative heap priority.
-        for seq in sorted(self._dirty_insts):
-            inst = self._insts_by_seq.get(seq)
-            if inst is None or not inst.active:
-                continue
-            self.stats.instance_rate_passes += 1
-            new_rate = self._instance_rate(inst)
-            if new_rate != inst.rate:
-                self._bank_instance(inst)
-                inst.rate = new_rate
-                finish = self.time + inst.work_remaining / max(
-                    new_rate, 1e-12
-                )
-                self.queue.schedule(
-                    finish, EventKind.COLLECTIVE_FINISH, inst.op.key
-                )
-                self._on_instance_rate_changed(inst)
-                # The instance's HBM/link draw scales with its
-                # rate; every participant's contention changed.
-                self._dirty_gpus.update(inst.op.participants)
-        self._dirty_insts.clear()
-
-    def _on_instance_rate_changed(self, inst: CollectiveInstance) -> None:
-        """Hook for subclasses tracking rate-derived aggregates."""
-
-    def _recompute_dirty_gpu(self, gpu_index: int) -> None:
-        active = self._active_on[gpu_index]
-        spinning = self._spinning_on[gpu_index]
-        self._recompute_gpu(
-            gpu_index,
-            list(self._running_on[gpu_index].values()),
-            [active[s] for s in sorted(active)],
-            [spinning[s] for s in sorted(spinning)],
-        )
-
-
-class FastSimulator(IncrementalSimulator):
-    """The fast accuracy tier: O(1) additive contention aggregates.
-
-    Where :class:`IncrementalSimulator` re-reduces a dirty GPU's
-    resident collective sets on every recompute (exact, and in the
-    reference engine's float order), this engine maintains per-GPU
-    *additive* aggregates — communication SM share, spin SM share, HBM
-    draw and link utilisation — updated in O(1) when an instance
-    posts, starts, changes rate or retires. Incremental float
-    accumulation visits the terms in event order rather than creation
-    order, so results carry bounded relative error instead of
-    bit-exactness; the equivalence suite's tolerance tier gates it.
-    Aggregates snap back to exactly 0.0 whenever a GPU's resident set
-    empties, so the drift cannot compound across program phases.
-    """
-
-    def __init__(
-        self,
-        node: NodeSpec,
-        tasks: Sequence[Task],
-        config: Optional[SimConfig] = None,
-        cost_model: Optional[CollectiveCostModel] = None,
-        prepared: Optional[PreparedSim] = None,
-    ):
-        super().__init__(
-            node, tasks, config, cost_model=cost_model, prepared=prepared
-        )
-        num_gpus = node.num_gpus
-        #: Sum of cost.sm_fraction over active instances per GPU.
-        self._agg_comm_sm: List[float] = [0.0] * num_gpus
-        #: Sum of cost.sm_fraction over spinning instances per GPU.
-        self._agg_spin_sm: List[float] = [0.0] * num_gpus
-        #: Sum of instance HBM draw (bytes/s) over active instances.
-        self._agg_hbm: List[float] = [0.0] * num_gpus
-        #: Sum of instance link utilisation over active instances.
-        self._agg_link: List[float] = [0.0] * num_gpus
-        #: Last rate-dependent contribution added per instance seq, so
-        #: rate changes and retirement apply exact-value deltas.
-        self._inst_hbm_contrib: Dict[int, float] = {}
-        self._inst_link_contrib: Dict[int, float] = {}
-
-    # ------------------------------------------------------------------
-    # aggregate maintenance
-    # ------------------------------------------------------------------
-
-    def _on_comm_posted(self, task: CommTask, inst: CollectiveInstance) -> None:
-        super()._on_comm_posted(task, inst)
-        self._agg_spin_sm[task.gpu] += inst.cost.sm_fraction
-
-    def _on_instance_started(self, inst: CollectiveInstance) -> None:
-        sm_fraction = inst.cost.sm_fraction
-        for gpu in inst.posted:
-            if inst.seq in self._spinning_on[gpu]:
-                self._agg_spin_sm[gpu] -= sm_fraction
-        super()._on_instance_started(inst)
-        for gpu in inst.posted:
-            if not self._spinning_on[gpu]:
-                self._agg_spin_sm[gpu] = 0.0
-        for gpu in inst.op.participants:
-            self._agg_comm_sm[gpu] += sm_fraction
-        # Rate is still 0 at the rendezvous; the first recompute sets
-        # it and accounts the HBM/link contributions below.
-        self._inst_hbm_contrib[inst.seq] = 0.0
-        self._inst_link_contrib[inst.seq] = 0.0
-
-    def _apply_rate_contribution(self, inst: CollectiveInstance) -> None:
-        """Fold an instance's new rate into its participants' sums."""
-        seq = inst.seq
-        new_hbm = inst.hbm_demand_now()
-        new_link = inst.link_fraction_now()
-        delta_hbm = new_hbm - self._inst_hbm_contrib.get(seq, 0.0)
-        delta_link = new_link - self._inst_link_contrib.get(seq, 0.0)
-        self._inst_hbm_contrib[seq] = new_hbm
-        self._inst_link_contrib[seq] = new_link
-        for gpu in inst.op.participants:
-            self._agg_hbm[gpu] += delta_hbm
-            self._agg_link[gpu] += delta_link
-
-    def _on_collective_finished(self, inst: CollectiveInstance) -> None:
-        super()._on_collective_finished(inst)
-        seq = inst.seq
-        sm_fraction = inst.cost.sm_fraction
-        hbm = self._inst_hbm_contrib.pop(seq, 0.0)
-        link = self._inst_link_contrib.pop(seq, 0.0)
-        for gpu in inst.op.participants:
-            if self._active_on[gpu]:
-                self._agg_comm_sm[gpu] -= sm_fraction
-                self._agg_hbm[gpu] -= hbm
-                self._agg_link[gpu] -= link
-            else:
-                # Empty resident set: snap to exact zero so float
-                # residue from the add/remove churn cannot accumulate.
-                self._agg_comm_sm[gpu] = 0.0
-                self._agg_hbm[gpu] = 0.0
-                self._agg_link[gpu] = 0.0
-
-    # ------------------------------------------------------------------
-    # recompute from aggregates
-    # ------------------------------------------------------------------
-
-    def _on_instance_rate_changed(self, inst: CollectiveInstance) -> None:
-        self._apply_rate_contribution(inst)
-
-    def _recompute_dirty_gpu(self, gpu_index: int) -> None:
-        """One GPU's rates + power from the additive aggregates.
-
-        Same contention formulas and entry-rate loop as the exact
-        engines; only the communication terms come from the O(1)
-        aggregates instead of a resident-set reduction.
-        """
-        self.stats.gpu_rate_passes += 1
-        clock = self._clock[gpu_index]
-        active_count = len(self._active_on[gpu_index])
-        sm_avail, hbm_avail, eff_clock = self._availability(
-            clock,
-            max(0.0, self._agg_comm_sm[gpu_index]),
-            max(0.0, self._agg_spin_sm[gpu_index]),
-            max(0.0, self._agg_hbm[gpu_index]),
-            bool(active_count),
-        )
-        rate_mul = 1.0
-        if self._perturbed:
-            rate_mul = self._perturb_rate[gpu_index]
-            hbm_mul = self._perturb_hbm[gpu_index]
-            if hbm_mul != 1.0:
-                hbm_avail *= hbm_mul
-            cap = self._perturb_cap[gpu_index]
-            if eff_clock > cap:
-                eff_clock = cap
-        running = self._running_on[gpu_index]
-        self._update_entry_rates(
-            running.values(), len(running), sm_avail, hbm_avail, eff_clock,
-            rate_mul,
-        )
-        self._update_power_fast(gpu_index, clock, active_count)
-
-    def _update_power_fast(
-        self, gpu_index: int, clock: float, active_count: int
-    ) -> None:
-        """Power from aggregates: O(running) instead of O(residents).
-
-        The per-instance vector/HBM/link loops of ``_update_power``
-        collapse into the aggregate sums (same coefficients, shared
-        module constants); the evaluation/publishing tail is the
-        shared :meth:`_commit_power`.
-        """
-        sm_util: Dict[Datapath, float] = {}
-        running = self._running_on[gpu_index]
-        hbm_used = self._compute_power_terms(
-            list(running.values()), clock, sm_util
-        )
-        link_frac = 0.0
-        if active_count:
-            hbm_used += max(0.0, self._agg_hbm[gpu_index])
-            link_frac = max(0.0, self._agg_link[gpu_index])
-            # Channel copy loops run on the vector pipes.
-            sm_util[Datapath.VECTOR] = (
-                sm_util.get(Datapath.VECTOR, 0.0)
-                + _COMM_VECTOR_UTIL * max(0.0, self._agg_comm_sm[gpu_index])
-            )
-        if self._spinning_on[gpu_index]:
-            # Busy-polling channels draw some vector power, no data.
-            sm_util[Datapath.VECTOR] = (
-                sm_util.get(Datapath.VECTOR, 0.0)
-                + _SPIN_VECTOR_UTIL * max(0.0, self._agg_spin_sm[gpu_index])
-            )
-        self._commit_power(
-            gpu_index,
-            clock,
-            hbm_used,
-            link_frac,
-            sm_util,
-            compute_active=bool(running),
-            comm_active=bool(active_count),
-        )
-
-
-class BatchedSimulator(FastSimulator):
-    """Cohort-batched fast tier over the struct-of-arrays store.
-
-    Three mechanisms on top of :class:`FastSimulator`, all within the
-    same tolerance contract (gated by the equivalence suite's
-    tolerance tier):
-
-    * **Cohort batching** — all events sharing a timestamp are popped
-      as one cohort (:meth:`EventQueue.pop_live_cohort`), their state
-      deltas applied together, and rates/power/DVFS re-evaluated once
-      per (cohort x dirty GPU) instead of once per event. Applying a
-      cohort member never reschedules or invalidates another member
-      (finishes and ticks only mutate state the *recompute* reads), so
-      draining the whole timestamp before recomputing is sound.
-      Governor ticks landing mid-cohort observe the pre-cohort power
-      and are applied after the finishes (:func:`observe_many`).
-    * **Struct-of-arrays hot state** — per-GPU clock, power and the
-      additive contention aggregates live in one
-      :class:`~repro.sim.soa.SoAStore`; the per-GPU recompute is fused
-      into a single pass that derives each running kernel's rate *and*
-      its power terms, evaluating the power formula directly. When a
-      cohort dirties many GPUs at once the evaluation goes through the
-      numpy-vectorized ``*_many`` entry points; the pure-python
-      fallback (no numpy, or ``REPRO_SIM_NO_NUMPY=1``) is bit-for-bit
-      identical.
-    * **O(1) banking** — progress banks against a running cumulative
-      simulated time (``bank_cum``) in one multiply instead of
-      replaying the per-step log. Value-equal for a constant rate
-      (rates only change after banking), but the single fused multiply
-      rounds differently than the per-step replay — a tolerance-tier
-      difference, never a semantic one.
-    """
-
-    def __init__(
-        self,
-        node: NodeSpec,
-        tasks: Sequence[Task],
-        config: Optional[SimConfig] = None,
-        cost_model: Optional[CollectiveCostModel] = None,
-        prepared: Optional[PreparedSim] = None,
-    ):
-        super().__init__(
-            node, tasks, config, cost_model=cost_model, prepared=prepared
-        )
-        config = self.config
-        prep = self.prepared
-        store = self._arena.acquire_soa(
-            node.num_gpus, config.max_clock_frac, prep.idle_power_w
-        )
-        self._soa = store
-        # Alias the store's arrays over the dict/list state the parent
-        # classes created: inherited hooks, the fused loops and the
-        # pre-flip exact path (AutoSimulator) all share this storage.
-        self._clock = store.clock
-        self._power_now = store.power
-        self._agg_comm_sm = store.comm_sm
-        self._agg_spin_sm = store.spin_sm
-        self._agg_hbm = store.hbm
-        self._agg_link = store.link
-        # Perturbation multipliers move into the store too (all still
-        # identity: no PERTURB event can have fired during __init__).
-        self._perturb_rate = store.rate_mul
-        self._perturb_hbm = store.hbm_mul
-        self._perturb_link = store.link_mul
-        self._perturb_cap = store.clock_cap
-        #: Cumulative simulated time — the O(1) banking base.
-        self._cum_dt = 0.0
-        self._np = numpy_or_none()
-        # Staging arrays for the vectorized multi-GPU drain; that path
-        # is gated on numpy being in play, so so is the scratch.
-        self._cohort_scratch = (
-            CohortScratch(node.num_gpus, self._np)
-            if self._np is not None
-            else None
-        )
-        self._adaptive = config.adaptive_governor
-        # Hot invariants for the fused evaluation loop.
-        self._contention = config.contention_enabled
-        self._one_minus_interf = 1.0 - self._interference
-        self._hbm_floor = _MIN_HBM_FRACTION * self._hbm_eff
-        self._max_clock0 = config.max_clock_frac
-        self._governor_period_s = config.governor_period_s
-        #: Bound method of the shared evaluator's clock-pow memo; the
-        #: fused loop calls it once per dirty GPU per cohort.
-        self._clock_term = self._power_eval.clock_term
-        if prep.missing_paths:
-            raise ConfigurationError(
-                f"no SM power coefficient for {prep.missing_paths[0]}"
-            )
-        self._vec_max = prep.vec_max
-        self._ten_max = prep.ten_max
-        self._idle_frac = prep.idle_frac
-        self._hbm_max = prep.hbm_max
-        self._link_max = prep.link_max
-        self._tdp = prep.tdp
-        # Closure over the now-complete hot state (see the factory's
-        # docstring); every piece it binds is initialized above.
-        self._recompute_gpu_fused = self._make_fused_recompute()
-
-    # ------------------------------------------------------------------
-    # O(1) banking
-    # ------------------------------------------------------------------
-
-    def _advance_to(self, t: float) -> None:
-        time = self.time
-        if t > time:
-            self._cum_dt += t - time
-            self.time = t
-        elif t < time - 1e-12:
-            raise SimulationError("event time went backwards")
-
-    def _bank_entry(self, entry: _RunningCompute) -> None:
-        cum = self._cum_dt
-        behind = cum - entry.bank_cum
-        if behind > 0.0:
-            w = entry.work_remaining - entry.rate * behind
-            entry.work_remaining = w if w > 0.0 else 0.0
-            entry.bank_cum = cum
-
-    def _bank_instance(self, inst: CollectiveInstance) -> None:
-        cum = self._cum_dt
-        behind = cum - inst.bank_cum
-        if behind > 0.0:
-            w = inst.work_remaining - inst.rate * behind
-            inst.work_remaining = w if w > 0.0 else 0.0
-            inst.bank_cum = cum
-            inst.last_update_s = self.time
-
-    def _on_compute_launched(self, entry: _RunningCompute) -> None:
-        # The incremental hook, inlined (one frame per launch);
-        # bank_idx still primes the auto engine's exact phase.
-        entry.bank_idx = len(self._dts)
-        entry.bank_cum = self._cum_dt
-        gpu = entry.task.gpu
-        self._running_on[gpu][entry.tid] = entry
-        self._dirty_gpus.add(gpu)
-
-    def _on_instance_started(self, inst: CollectiveInstance) -> None:
-        super()._on_instance_started(inst)
-        inst.bank_cum = self._cum_dt
-
-    def _finish_compute(self, tid: int) -> None:
-        # The base method with _pop_head and the per-completion hooks
-        # (_on_compute_finished, _on_task_done) inlined: three python
-        # frames per finished task otherwise, on the hottest dispatch.
-        # Keep line-for-line equivalent to those methods.
-        entry = self.running.pop(tid)
-        task = entry.task
-        gpu = task.gpu
-        key = (gpu, task.stream)
-        order = self.streams[key]
-        pos = self._stream_pos[key]
-        head = order[pos] if pos < len(order) else None
-        if head != tid:
-            raise SimulationError(
-                f"stream {key}: completing task {tid} but head is {head}"
-            )
-        self._stream_pos[key] = pos + 1
-        self.done.add(tid)
-        self.records.append(
-            TaskRecord(
-                tid,
-                gpu,
-                task.stream,
-                task.label,
-                task.category,
-                task.phase,
-                entry.started_at,
-                self.time,
-                entry.isolated_s,
-            )
-        )
-        self._running_on[gpu].pop(tid, None)
-        self._dirty_gpus.add(gpu)
-        self._launch_candidates.update(self._wake_streams[tid])
-
-    def _release_run_state(self) -> None:
-        if not self._arena_released:
-            super()._release_run_state()
-            self._arena.release_soa(self.node.num_gpus, self._soa)
-
-    # ------------------------------------------------------------------
-    # cohort event loop
-    # ------------------------------------------------------------------
-
-    def run(self) -> SimulationResult:
-        self._open_segments()
-        self._try_launch()
-        self._recompute()
-        self._ensure_ticks()
-        # The cohort loop allocates only tuples and small lists that
-        # die immediately or survive to the result — no cycles — so
-        # generational collection scans are pure overhead (several
-        # percent of the run). Suspend GC while the loop runs; the
-        # finally block restores the caller's setting even on
-        # simulation errors.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            self._event_loop()
-        finally:
-            if was_enabled:
-                gc.enable()
-        return self._finalize()
-
-    def _event_loop(self) -> None:
-        """The cohort loop, with the per-cohort path fully flattened.
-
-        The finish / launch / recompute dispatch bodies are inlined
-        here on hoisted locals — line-for-line equivalent to
-        :meth:`_finish_compute`, :meth:`_try_launch` (plus
-        :meth:`_launch_compute`) and :meth:`_recompute`, which remain
-        the canonical copies (the auto engine's pre-flip loop and the
-        non-loop callers still dispatch through them). Python frames
-        are the dominant cost at this call rate; keep the copies in
-        sync when touching either.
-        """
-        config = self.config
-        max_time = config.max_sim_time_s
-        total = len(self.tasks)
-        stats = self.stats
-        pop_cohort = self.queue.pop_live_cohort
-        finish_collective = self._finish_collective
-        fused = self._recompute_gpu_fused
-        recompute_insts = self._recompute_insts
-        ensure_ticks = self._ensure_ticks
-        post_comm = self._post_comm
-        stream_order_key = self._stream_order.__getitem__
-        np = self._np
-        have_governors = bool(self._governors)
-        # Hot state hoisted as locals: every object below keeps its
-        # identity across the run (mutated in place, never rebound).
-        done = self.done
-        tasks = self.tasks
-        running = self.running
-        records = self.records
-        streams = self.streams
-        stream_pos = self._stream_pos
-        waiting = self._waiting
-        comm_started = self._comm_started
-        launch_candidates = self._launch_candidates
-        wake_streams = self._wake_streams
-        compute_table = self._compute_table
-        running_on = self._running_on
-        dirty_gpus = self._dirty_gpus
-        dirty_insts = self._dirty_insts
-        tick_unscheduled = self._tick_unscheduled
-        dts = self._dts
-        events = 0
-        cohorts = 0
-        # Reused cohort buffer: the loop fully consumes each cohort
-        # before popping the next, so one list serves the whole run.
-        cohort_buf: list = []
-        try:
-            while len(done) < total:
-                cohort = pop_cohort(cohort_buf)
-                if cohort is None:
-                    raise DeadlockError(self._deadlock_report())
-                t = cohort[0][0]
-                if t > max_time:
-                    raise SimulationError(
-                        f"simulation exceeded {max_time}s"
-                    )
-                events += len(cohort)
-                cohorts += 1
-                # _advance_to, inlined (the auto engine's override is
-                # equivalent once flipped).
-                time_now = self.time
-                if t > time_now:
-                    self._cum_dt += t - time_now
-                    self.time = t
-                elif t < time_now - 1e-12:
-                    raise SimulationError("event time went backwards")
-                ticks = None
-                for _etime, kind, payload, _ver in cohort:
-                    if kind is _TASK_FINISH:
-                        # _finish_compute, inlined.
-                        entry = running.pop(payload)
-                        task = entry.task
-                        gpu = task.gpu
-                        key = (gpu, task.stream)
-                        order = streams[key]
-                        pos = stream_pos[key]
-                        head = order[pos] if pos < len(order) else None
-                        if head != payload:
-                            raise SimulationError(
-                                f"stream {key}: completing task "
-                                f"{payload} but head is {head}"
-                            )
-                        stream_pos[key] = pos + 1
-                        done.add(payload)
-                        started = entry.started_at
-                        if t < started:
-                            raise SimulationError(
-                                f"task {task.label}: end before start"
-                            )
-                        records.append(
-                            tuple.__new__(
-                                TaskRecord,
-                                (
-                                    payload, gpu, task.stream,
-                                    task.label, _CAT_COMPUTE,
-                                    task.phase, started, t,
-                                    entry.isolated_s,
-                                ),
-                            )
-                        )
-                        running_on[gpu].pop(payload, None)
-                        dirty_gpus.add(gpu)
-                        launch_candidates.update(wake_streams[payload])
-                    elif kind is _COLLECTIVE_FINISH:
-                        finish_collective(payload)
-                    elif kind is _PERTURB_BEGIN:
-                        self._apply_perturb(payload, True)
-                    elif kind is _PERTURB_END:
-                        self._apply_perturb(payload, False)
-                    elif ticks is None:
-                        ticks = [payload]
-                    else:
-                        ticks.append(payload)
-                if len(done) >= total:
-                    # Any same-time remainder can only be governor
-                    # ticks; the per-event loop would have stopped
-                    # before them.
-                    break
-                if ticks is not None:
-                    self._apply_ticks(ticks)
-                # _try_launch + _launch_compute, inlined.
-                while launch_candidates:
-                    if len(launch_candidates) == 1:
-                        batch = list(launch_candidates)
-                    else:
-                        batch = sorted(
-                            launch_candidates, key=stream_order_key
-                        )
-                    launch_candidates.clear()
-                    for key in batch:
-                        order = streams[key]
-                        pos = stream_pos[key]
-                        if pos >= len(order):
-                            continue
-                        tid = order[pos]
-                        if (
-                            tid in running
-                            or tid in waiting
-                            or tid in comm_started
-                        ):
-                            continue
-                        task = tasks[tid]
-                        if not task.deps <= done:
-                            continue
-                        # Dispatch on compute-table membership (exactly
-                        # the ComputeTask ids): one dict probe replaces
-                        # an isinstance check and immediately yields the
-                        # row the compute branch needs anyway.
-                        row = compute_table.get(tid)
-                        if row is not None:
-                            (
-                                work, iso, peak_eff, ai, ramp,
-                                is_vector, free_util0,
-                            ) = row
-                            entry = _RunningCompute(
-                                task, work, 1.0, iso, self.time,
-                                peak_eff, ai, ramp, is_vector,
-                                free_util0, tid,
-                            )
-                            running[tid] = entry
-                            entry.bank_idx = len(dts)
-                            entry.bank_cum = self._cum_dt
-                            running_on[task.gpu][tid] = entry
-                            dirty_gpus.add(task.gpu)
-                        elif isinstance(task, CommTask):
-                            post_comm(task)
-                        else:  # pragma: no cover - defensive
-                            raise PlanError(
-                                f"unknown task type for {task.label}"
-                            )
-                # _recompute, inlined.
-                if dirty_insts:
-                    recompute_insts()
-                if dirty_gpus:
-                    if len(dirty_gpus) == 1:
-                        fused(dirty_gpus.pop())
-                    else:
-                        if np is not None and len(dirty_gpus) >= VECTOR_MIN:
-                            self._recompute_gpus_vectorized(
-                                sorted(dirty_gpus), np
-                            )
-                        else:
-                            for gpu_index in sorted(dirty_gpus):
-                                fused(gpu_index)
-                        dirty_gpus.clear()
-                if have_governors and tick_unscheduled:
-                    ensure_ticks()
-        finally:
-            stats.events += events
-            stats.cohorts += cohorts
-
-    def _apply_ticks(self, gpus: List[int]) -> None:
-        """Apply a cohort's governor ticks in one batched dispatch.
-
-        Every tick observes the pre-cohort power (power is re-evaluated
-        only after the cohort), matching the single-tick discipline.
-        """
-        governors = self._governors
-        pending = self._tick_pending
-        for gpu_index in gpus:
-            pending[gpu_index] = False
-        self._tick_unscheduled.update(gpus)
-        self._ticks_outstanding -= len(gpus)
-        if not governors:  # pragma: no cover - ticks imply governors
-            return
-        clock = self._clock
-        power = self._power_now
-        if len(gpus) == 1:
-            # The dominant cohort shape (one governor due); skip the
-            # list staging — observe() is the same control law.
-            new_clocks = (governors[gpus[0]].observe(power[gpus[0]]),)
-        else:
-            new_clocks = observe_many(
-                [governors[g] for g in gpus], [power[g] for g in gpus]
-            )
-        min_seen = self._min_clock_seen
-        perturbed = self._perturbed
-        caps = self._perturb_cap
-        for gpu_index, new_clock in zip(gpus, new_clocks):
-            if perturbed:
-                cap = caps[gpu_index]
-                if new_clock > cap:
-                    new_clock = cap
-                    governors[gpu_index].clock_frac = cap
-            if new_clock != clock[gpu_index]:
-                clock[gpu_index] = new_clock
-                self._on_clock_changed(gpu_index)
-            if new_clock < min_seen:
-                min_seen = new_clock
-        self._min_clock_seen = min_seen
-
-    # ------------------------------------------------------------------
-    # governor (list-backed state; bit-equal to the base dispatch)
-    # ------------------------------------------------------------------
-
-    def _governor_tick(self, gpu_index: int) -> None:
-        self._tick_pending[gpu_index] = False
-        self._tick_unscheduled.add(gpu_index)
-        self._ticks_outstanding -= 1
-        governor = self._governors.get(gpu_index)
-        if governor is None:
-            return
-        # _power_now is primed with idle power at construction, so the
-        # base dispatch's None fallback cannot trigger here.
-        new_clock = governor.observe(self._power_now[gpu_index])
-        if self._perturbed:
-            cap = self._perturb_cap[gpu_index]
-            if new_clock > cap:
-                new_clock = cap
-                governor.clock_frac = cap
-        if new_clock != self._clock[gpu_index]:
-            self._clock[gpu_index] = new_clock
-            self._on_clock_changed(gpu_index)
-        self._min_clock_seen = min(self._min_clock_seen, new_clock)
-
-    def _ensure_ticks(self) -> None:
-        governors = self._governors
-        if not governors:
-            return
-        # _has_activity, inlined (the incremental tier's form).
-        if not (self.running or self._active_inst_count > 0):
-            return
-        unscheduled = self._tick_unscheduled
-        if not unscheduled:
-            return
-        # The auto engine runs non-adaptively before its flip; the
-        # instance attribute (not the config) is the live switch.
-        adaptive = self._adaptive
-        blocked = self._tick_blocked
-        pending = self._tick_pending
-        power_now = self._power_now
-        schedule = self.queue.schedule
-        next_t = self.time + self._governor_period_s
-        skipped = 0
-        # sorted() keeps the scheduling order identical to the base
-        # dispatch's gpu-ascending sweep (same-time FIFO pop order);
-        # blocked GPUs are disjoint from this set by invariant. A
-        # lone entry (the dominant case: one GPU unblocked per cohort)
-        # needs no sort.
-        if len(unscheduled) == 1:
-            sweep = tuple(unscheduled)
-        else:
-            sweep = sorted(unscheduled)
-        for gpu_index in sweep:
-            if adaptive:
-                # Governor.would_noop, inlined (same comparisons in the
-                # same order) — one method frame per GPU per cohort at
-                # the loop's call rate.
-                governor = governors[gpu_index]
-                policy = governor.policy
-                if (
-                    not power_now[gpu_index] > policy.limit_w
-                    and not governor.clock_frac < policy.max_clock_frac
-                    and governor._ewma_w <= policy.limit_w
-                ):
-                    skipped += 1
-                    blocked.add(gpu_index)
-                    unscheduled.discard(gpu_index)
-                    continue
-            pending[gpu_index] = True
-            self._ticks_outstanding += 1
-            schedule(next_t, _GOVERNOR_TICK, gpu_index)
-            unscheduled.discard(gpu_index)
-        if skipped:
-            self.stats.ticks_skipped += skipped
-
-    # ------------------------------------------------------------------
-    # fused recompute
-    # ------------------------------------------------------------------
-
-    def _recompute(self) -> None:
-        if self._dirty_insts:
-            self._recompute_insts()
-        dirty = self._dirty_gpus
-        if dirty:
-            if len(dirty) == 1:
-                # Common case (one finish dirties one GPU) first.
-                for gpu_index in dirty:
-                    self._recompute_gpu_fused(gpu_index)
-            else:
-                np = self._np
-                if np is not None and len(dirty) >= VECTOR_MIN:
-                    self._recompute_gpus_vectorized(sorted(dirty), np)
-                else:
-                    for gpu_index in sorted(dirty):
-                        self._recompute_gpu_fused(gpu_index)
-            dirty.clear()
-
-    def _fused_availability(
-        self, gpu_index: int, clock: float, active_count: int
-    ) -> Tuple[float, float, float]:
-        """:meth:`_availability` from the aggregates, branch-inlined.
-
-        Same clamps, floors and interference scaling in the same
-        order; the ``max(0.0, agg)`` guards mirror the unbatched fast
-        tier's reads of the additive aggregates.
-        """
-        if not self._contention:
-            return 1.0, self._hbm_eff, self.config.max_clock_frac
-        comm_sm = self._agg_comm_sm[gpu_index]
-        if comm_sm < 0.0:
-            comm_sm = 0.0
-        spin_sm = self._agg_spin_sm[gpu_index]
-        if spin_sm < 0.0:
-            spin_sm = 0.0
-        total_sm = comm_sm + self._spin_scale * spin_sm
-        if total_sm > _MAX_COMM_SM:
-            total_sm = _MAX_COMM_SM
-        sm_avail = 1.0 - total_sm
-        if sm_avail < _MIN_SM_FRACTION:
-            sm_avail = _MIN_SM_FRACTION
-        comm_hbm = self._agg_hbm[gpu_index]
-        if comm_hbm < 0.0:
-            comm_hbm = 0.0
-        hbm_avail = self._hbm_eff - comm_hbm
-        if hbm_avail < self._hbm_floor:
-            hbm_avail = self._hbm_floor
-        if active_count:
-            hbm_avail *= self._one_minus_interf
-        return sm_avail, hbm_avail, clock
-
-    def _make_fused_recompute(self):
-        """Build the fused rate + power evaluation for one dirty GPU.
-
-        One pass over the GPU's running kernels derives each rate
-        (push-on-change, O(1) banking) *and* accumulates the SM/HBM
-        power terms, then evaluates the power formula directly — the
-        same arithmetic as the unbatched fast tier's two-pass
-        ``_update_entry_rates`` + ``_update_power_fast`` (power-term
-        summation runs vector-then-tensor, which is bitwise-commutative
-        with any two-term order), touching each entry once per cohort
-        instead of once per event.
-
-        Returned as a closure and installed as the instance's
-        ``_recompute_gpu_fused`` at the end of ``__init__``: this is
-        the hottest function in the batched tier, and binding the
-        identity-stable state (arrays, sets, dicts, model constants)
-        as closure cells removes ~30 ``self._x`` attribute walks per
-        call. Only the rebound scalars ``self.time`` / ``self._cum_dt``
-        still read through ``self``. Everything bound here is created
-        once in ``__init__`` and mutated in place, never reassigned.
-        """
-        stats = self.stats
-        clock_arr = self._clock
-        active_on = self._active_on
-        contention = self._contention
-        hbm_eff = self._hbm_eff
-        max_clock0 = self._max_clock0
-        spin_scale = self._spin_scale
-        agg_comm_sm = self._agg_comm_sm
-        agg_spin_sm = self._agg_spin_sm
-        agg_hbm = self._agg_hbm
-        agg_link = self._agg_link
-        hbm_floor = self._hbm_floor
-        one_minus_interf = self._one_minus_interf
-        running_on = self._running_on
-        schedule = self.queue.schedule
-        stall_frac = self._stall_frac
-        free_utilization = self._rates.free_utilization
-        spinning_on = self._spinning_on
-        vec_max = self._vec_max
-        ten_max = self._ten_max
-        hbm_bw = self._hbm_bw
-        tdp = self._tdp
-        idle_frac = self._idle_frac
-        hbm_max = self._hbm_max
-        link_max = self._link_max
-        clock_term = self._clock_term
-        # The evaluator's clock-pow memo, bound directly: the common
-        # case (clock already seen) is then one dict probe with no
-        # method frame; clock_term remains the miss path and keeps the
-        # memo's bound/eviction discipline.
-        clock_pow = self._power_eval._clock_pow
-        power_now = self._power_now
-        blocked = self._tick_blocked
-        unscheduled = self._tick_unscheduled
-        segment_open = self._segment_open
-        segments = self._segments
-        perturbed = self._perturbed
-        perturb_rate = self._perturb_rate
-        perturb_hbm = self._perturb_hbm
-        perturb_cap = self._perturb_cap
-
-        def fused(gpu_index: int) -> None:
-            stats.gpu_rate_passes += 1
-            clock = clock_arr[gpu_index]
-            active_count = len(active_on[gpu_index])
-            # _fused_availability, inlined: the call overhead alone is
-            # measurable here. Keep line-for-line equivalent to that
-            # method (the vectorized path still calls it).
-            if not contention:
-                sm_avail = 1.0
-                hbm_avail = hbm_eff
-                eff_clock = max_clock0
-            else:
-                comm_sm = agg_comm_sm[gpu_index]
-                if comm_sm < 0.0:
-                    comm_sm = 0.0
-                spin_sm = agg_spin_sm[gpu_index]
-                if spin_sm < 0.0:
-                    spin_sm = 0.0
-                total_sm = comm_sm + spin_scale * spin_sm
-                if total_sm > _MAX_COMM_SM:
-                    total_sm = _MAX_COMM_SM
-                sm_avail = 1.0 - total_sm
-                if sm_avail < _MIN_SM_FRACTION:
-                    sm_avail = _MIN_SM_FRACTION
-                comm_hbm = agg_hbm[gpu_index]
-                if comm_hbm < 0.0:
-                    comm_hbm = 0.0
-                hbm_avail = hbm_eff - comm_hbm
-                if hbm_avail < hbm_floor:
-                    hbm_avail = hbm_floor
-                if active_count:
-                    hbm_avail *= one_minus_interf
-                eff_clock = clock
-            if perturbed:
-                rate_mul = perturb_rate[gpu_index]
-                pm = perturb_hbm[gpu_index]
-                if pm != 1.0:
-                    hbm_avail *= pm
-                cap = perturb_cap[gpu_index]
-                if eff_clock > cap:
-                    eff_clock = cap
-            else:
-                rate_mul = 1.0
-            running = running_on[gpu_index]
-            uv = 0.0
-            ut = 0.0
-            hbm_used = 0.0
-            n = len(running)
-            if n:
-                share_sm = sm_avail / n
-                share_hbm = hbm_avail / n
-                now = self.time
-                cum = self._cum_dt
-                at_cap = clock == max_clock0
-                for entry in running.values():
-                    peak_eff = entry.peak_eff
-                    ai = entry.ai
-                    # rate_from_params, branch-inlined.
-                    rate = peak_eff * share_sm * eff_clock
-                    if ai != _INF:
-                        bandwidth = ai * share_hbm
-                        if bandwidth < rate:
-                            rate = bandwidth
-                    if rate <= 0.0:
-                        rate = peak_eff * 1e-4
-                        if rate < 1.0:
-                            rate = 1.0
-                    if rate_mul != 1.0:
-                        rate *= rate_mul
-                    if rate != entry.rate or not entry.scheduled:
-                        behind = cum - entry.bank_cum
-                        if behind > 0.0:
-                            w = entry.work_remaining - entry.rate * behind
-                            entry.work_remaining = w if w > 0.0 else 0.0
-                            entry.bank_cum = cum
-                        entry.rate = rate
-                        entry.scheduled = True
-                        schedule(
-                            now + entry.work_remaining / rate,
-                            _TASK_FINISH,
-                            entry.tid,
-                        )
-                    # sm_utilization_from_params with sm_fraction=1.0.
-                    peak = peak_eff * clock
-                    if peak <= 0.0:
-                        util = 0.0
-                    else:
-                        util = rate / peak
-                        if util > 1.0:
-                            util = 1.0
-                    if at_cap:
-                        free_util = entry.free_util0
-                    else:
-                        cache = entry.free_util_cache
-                        free_util = cache.get(clock)
-                        if free_util is None:
-                            free_util = free_utilization(
-                                entry.task.kernel, clock
-                            )
-                            cache[clock] = free_util
-                    if free_util > util:
-                        util += stall_frac * (free_util - util)
-                    util *= entry.ramp
-                    if entry.is_vector:
-                        uv += util
-                    else:
-                        ut += util
-                    if ai != _INF and ai > 0.0:
-                        hbm_used += rate / ai
-            link_frac = 0.0
-            if active_count:
-                agg = agg_hbm[gpu_index]
-                if agg > 0.0:
-                    hbm_used += agg
-                agg = agg_link[gpu_index]
-                if agg > 0.0:
-                    link_frac = agg
-                agg = agg_comm_sm[gpu_index]
-                if agg > 0.0:
-                    uv += _COMM_VECTOR_UTIL * agg
-            if spinning_on[gpu_index]:
-                agg = agg_spin_sm[gpu_index]
-                if agg > 0.0:
-                    uv += _SPIN_VECTOR_UTIL * agg
-            # evaluate_parts with sm_items ((VECTOR, uv), (TENSOR, ut)),
-            # branch-inlined and sharing its clock-pow memo.
-            if uv > 1.0:
-                uv = 1.0
-            elif uv < 0.0:
-                uv = 0.0
-            dynamic_sm = vec_max * uv
-            if ut != 0.0:
-                if ut > 1.0:
-                    ut = 1.0
-                dynamic_sm += ten_max * ut
-            hbm_frac = hbm_used / hbm_bw
-            if hbm_frac > 1.0:
-                hbm_frac = 1.0
-            if link_frac > 1.0:
-                link_frac = 1.0
-            ct = clock_pow.get(clock)
-            if ct is None:
-                ct = clock_term(clock)
-            power = tdp * (
-                idle_frac
-                + dynamic_sm * ct
-                + hbm_max * hbm_frac
-                + link_max * link_frac
-            )
-            # Publish (shared _commit_power semantics) + segment roll.
-            power_now[gpu_index] = power
-            if blocked and gpu_index in blocked:
-                blocked.remove(gpu_index)
-                unscheduled.add(gpu_index)
-            current = segment_open.get(gpu_index)
-            if current is not None:
-                compute_active = n > 0
-                comm_active = active_count > 0
-                start_s, cur_power, cur_compute, cur_comm, cur_clock = current
-                if (
-                    cur_compute != compute_active
-                    or cur_comm != comm_active
-                    or abs(cur_power - power) >= 1e-6
-                    or abs(cur_clock - clock) >= 1e-9
-                ):
-                    now = self.time
-                    if now > start_s:
-                        # tuple.__new__ like TaskRecord: skips the
-                        # namedtuple's generated kwargs __new__, which
-                        # profiles at this call rate.
-                        segments[gpu_index].append(
-                            tuple.__new__(
-                                PowerSegment,
-                                (
-                                    gpu_index, start_s, now, cur_power,
-                                    cur_compute, cur_comm, cur_clock,
-                                ),
-                            )
-                        )
-                    segment_open[gpu_index] = (
-                        now, power, compute_active, comm_active, clock,
-                    )
-
-        return fused
-
-    def _recompute_gpus_vectorized(self, gpus: List[int], np) -> None:
-        """Many dirty GPUs at once through the ``*_many`` entry points.
-
-        Produces the same floats as :meth:`_recompute_gpu_fused` run
-        per GPU (the ``*_many`` helpers are bit-identical to their
-        scalar forms); it exists so large cohorts — e.g. the initial
-        full-dirty pass on a big node — amortize into a few numpy
-        kernels instead of a python loop per GPU.
-        """
-        stats = self.stats
-        stats.gpu_rate_passes += len(gpus)
-        stats.vector_batches += 1
-        # Phase 1: availability per GPU; flatten entry rate inputs.
-        per_gpu = []
-        acc: Dict[int, List[float]] = {}
-        flat: List[Tuple[int, _RunningCompute]] = []
-        pe_list: List[float] = []
-        ai_list: List[float] = []
-        sm_list: List[float] = []
-        hbm_list: List[float] = []
-        clk_rate: List[float] = []
-        clk_util: List[float] = []
-        mul_list: List[float] = []
-        perturbed = self._perturbed
-        for gpu_index in gpus:
-            clock = self._clock[gpu_index]
-            active_count = len(self._active_on[gpu_index])
-            sm_avail, hbm_avail, eff_clock = self._fused_availability(
-                gpu_index, clock, active_count
-            )
-            rate_mul = 1.0
-            if perturbed:
-                rate_mul = self._perturb_rate[gpu_index]
-                pm = self._perturb_hbm[gpu_index]
-                if pm != 1.0:
-                    hbm_avail *= pm
-                cap = self._perturb_cap[gpu_index]
-                if eff_clock > cap:
-                    eff_clock = cap
-            running = self._running_on[gpu_index]
-            n = len(running)
-            if n:
-                share_sm = sm_avail / n
-                share_hbm = hbm_avail / n
-                for entry in running.values():
-                    flat.append((gpu_index, entry))
-                    pe_list.append(entry.peak_eff)
-                    ai_list.append(entry.ai)
-                    sm_list.append(share_sm)
-                    hbm_list.append(share_hbm)
-                    clk_rate.append(eff_clock)
-                    clk_util.append(clock)
-                    mul_list.append(rate_mul)
-            per_gpu.append((gpu_index, clock, n, active_count))
-            acc[gpu_index] = [0.0, 0.0, 0.0]  # uv, ut, hbm_used
-        # Phase 2: batched rate + utilisation evaluation.
-        if flat:
-            rates = RateModel.rate_from_params_many(
-                pe_list, ai_list, sm_list, hbm_list, clk_rate, np=np
-            )
-            if perturbed:
-                # Fold the straggler derate in *before* utilisation so
-                # power tracks the derated rate, exactly as the scalar
-                # fused path does (x * 1.0 is an exact identity, so the
-                # untargeted entries come through bit-unchanged).
-                if np is not None and not isinstance(rates, list):
-                    rates = rates * np.asarray(mul_list)
-                else:
-                    rates = [r * m for r, m in zip(rates, mul_list)]
-            utils = RateModel.sm_utilization_from_params_many(
-                pe_list, rates, 1.0, clk_util, np=np
-            )
-        else:
-            rates = utils = []
-        # Phase 3: apply rates (push-on-change, O(1) banking) and fold
-        # stall/ramp discounts into the per-GPU accumulators.
-        now = self.time
-        cum = self._cum_dt
-        schedule = self.queue.schedule
-        stall_frac = self._stall_frac
-        free_utilization = self._rates.free_utilization
-        max_clock0 = self._max_clock0
-        for i, (gpu_index, entry) in enumerate(flat):
-            rate = rates[i]
-            if rate != entry.rate or not entry.scheduled:
-                behind = cum - entry.bank_cum
-                if behind > 0.0:
-                    w = entry.work_remaining - entry.rate * behind
-                    entry.work_remaining = w if w > 0.0 else 0.0
-                    entry.bank_cum = cum
-                entry.rate = rate
-                entry.scheduled = True
-                schedule(
-                    now + entry.work_remaining / rate,
-                    _TASK_FINISH,
-                    entry.tid,
-                )
-            util = utils[i]
-            clock = clk_util[i]
-            if clock == max_clock0:
-                free_util = entry.free_util0
-            else:
-                cache = entry.free_util_cache
-                free_util = cache.get(clock)
-                if free_util is None:
-                    free_util = free_utilization(entry.task.kernel, clock)
-                    cache[clock] = free_util
-            if free_util > util:
-                util += stall_frac * (free_util - util)
-            util *= entry.ramp
-            slot = acc[gpu_index]
-            if entry.is_vector:
-                slot[0] += util
-            else:
-                slot[1] += util
-            ai = entry.ai
-            if ai != _INF and ai > 0.0:
-                slot[2] += rate / ai
-        # Phase 4: per-GPU communication terms -> power inputs, staged
-        # prefix-first into the preallocated scratch arrays (the values
-        # are identical to the python lists this replaced; the *_many
-        # evaluation sees the same float64 stream either way).
-        hbm_bw = self._hbm_bw
-        clocks, hbm_fracs, link_fracs, vec_utils, ten_utils = (
-            self._cohort_scratch.views(len(per_gpu))
-        )
-        for i, (gpu_index, clock, n, active_count) in enumerate(per_gpu):
-            uv, ut, hbm_used = acc[gpu_index]
-            link_frac = 0.0
-            if active_count:
-                agg = self._agg_hbm[gpu_index]
-                if agg > 0.0:
-                    hbm_used += agg
-                agg = self._agg_link[gpu_index]
-                if agg > 0.0:
-                    link_frac = agg
-                agg = self._agg_comm_sm[gpu_index]
-                if agg > 0.0:
-                    uv += _COMM_VECTOR_UTIL * agg
-            if self._spinning_on[gpu_index]:
-                agg = self._agg_spin_sm[gpu_index]
-                if agg > 0.0:
-                    uv += _SPIN_VECTOR_UTIL * agg
-            clocks[i] = clock
-            hbm_fracs[i] = hbm_used / hbm_bw
-            link_fracs[i] = link_frac if link_frac < 1.0 else 1.0
-            vec_utils[i] = uv
-            ten_utils[i] = ut
-        # Phase 5: batched power evaluation + publish.
-        powers = self._power_eval.evaluate_parts_many(
-            clocks, hbm_fracs, link_fracs, vec_utils, ten_utils, np=np
-        )
-        power_now = self._power_now
-        blocked = self._tick_blocked
-        unscheduled = self._tick_unscheduled
-        for i, (gpu_index, clock, n, active_count) in enumerate(per_gpu):
-            power = powers[i]
-            power_now[gpu_index] = power
-            if gpu_index in blocked:
-                blocked.remove(gpu_index)
-                unscheduled.add(gpu_index)
-            self._maybe_roll_segment(
-                gpu_index,
-                power,
-                compute_active=n > 0,
-                comm_active=active_count > 0,
-                clock=clock,
-            )
-
-
-class AutoSimulator(BatchedSimulator):
-    """Adaptive engine: bit-exact start, one flip to the batched path.
-
-    Runs the exact incremental discipline — replay banking, per-event
-    dispatch, exact resident-set recompute, non-adaptive governor
-    cadence — until the queue's live event population reaches
-    ``SimConfig.auto_tier_threshold``, then banks all progress exactly
-    and switches every dispatch to :class:`BatchedSimulator`'s cohort
-    path for the remainder of the run. Runs that never reach the
-    threshold are bit-identical to the exact tier (the equivalence
-    suite pins this); runs that flip carry the fast tier's bounded
-    relative error only from the flip point on.
-
-    The fast tier's aggregate bookkeeping runs from the start (it is
-    state-only and by construction consistent with the exact reduction
-    inputs), so the aggregates are warm the moment the engine flips.
-    """
-
-    def __init__(
-        self,
-        node: NodeSpec,
-        tasks: Sequence[Task],
-        config: Optional[SimConfig] = None,
-        cost_model: Optional[CollectiveCostModel] = None,
-        prepared: Optional[PreparedSim] = None,
-    ):
-        super().__init__(
-            node, tasks, config, cost_model=cost_model, prepared=prepared
-        )
-        self._flipped = False
-        # Pre-flip execution is bit-exact: replay banking plus the
-        # non-adaptive governor cadence.
-        self._adaptive = False
-
-    # Pre/post-flip dispatch. Pre-flip the replay log must be fed and
-    # consulted; post-flip the O(1) cumulative banking takes over.
-
-    def _advance_to(self, t: float) -> None:
-        time = self.time
-        if t > time:
-            dt = t - time
-            self._cum_dt += dt
-            if not self._flipped:
-                self._dts.append(dt)
-            self.time = t
-        elif t < time - 1e-12:
-            raise SimulationError("event time went backwards")
-
-    def _bank_entry(self, entry: _RunningCompute) -> None:
-        if self._flipped:
-            BatchedSimulator._bank_entry(self, entry)
-        else:
-            IncrementalSimulator._bank_entry(self, entry)
-
-    def _bank_instance(self, inst: CollectiveInstance) -> None:
-        if self._flipped:
-            BatchedSimulator._bank_instance(self, inst)
-        else:
-            IncrementalSimulator._bank_instance(self, inst)
-
-    def _recompute(self) -> None:
-        if self._flipped:
-            BatchedSimulator._recompute(self)
-        else:
-            IncrementalSimulator._recompute(self)
-
-    def _recompute_dirty_gpu(self, gpu_index: int) -> None:
-        # Reached only pre-flip (via IncrementalSimulator._recompute):
-        # the exact resident-set reduction, not the aggregate path.
-        IncrementalSimulator._recompute_dirty_gpu(self, gpu_index)
-
-    def _event_loop(self) -> None:
-        config = self.config
-        threshold = config.auto_tier_threshold
-        max_time = config.max_sim_time_s
-        total = len(self.tasks)
-        done = self.done
-        stats = self.stats
-        queue = self.queue
-        while len(done) < total:
-            if queue.live_count >= threshold:
-                self._flip()
-                BatchedSimulator._event_loop(self)
-                return
-            # Exact per-event dispatch, mirroring Simulator.run.
-            event = queue.pop_live()
-            if event is None:
-                raise DeadlockError(self._deadlock_report())
-            if event.time > max_time:
-                raise SimulationError(
-                    f"simulation exceeded {max_time}s"
-                )
-            stats.events += 1
-            self._advance_to(event.time)
-            kind = event.kind
-            if kind is _TASK_FINISH:
-                self._finish_compute(event.payload)
-            elif kind is _COLLECTIVE_FINISH:
-                self._finish_collective(event.payload)
-            elif kind is _PERTURB_BEGIN:
-                self._apply_perturb(event.payload, True)
-            elif kind is _PERTURB_END:
-                self._apply_perturb(event.payload, False)
-            else:
-                self._governor_tick(event.payload)
-            if len(done) >= total:
-                break
-            self._try_launch()
-            self._recompute()
-            self._ensure_ticks()
-
-    def _flip(self) -> None:
-        """Bank all in-flight progress exactly, then go batched.
-
-        The exact replay runs one last time so the flip point carries
-        zero banking error; from here on every dispatch override takes
-        the ``_flipped`` branch.
-        """
-        for entry in self.running.values():
-            IncrementalSimulator._bank_entry(self, entry)
-        for inst in self.instances.values():
-            if inst.active:
-                IncrementalSimulator._bank_instance(self, inst)
-        cum = self._cum_dt
-        for entry in self.running.values():
-            entry.bank_cum = cum
-        for inst in self.instances.values():
-            inst.bank_cum = cum
-        self._dts.clear()
-        self._flipped = True
-        self._adaptive = self.config.adaptive_governor
-        self.stats.auto_flips += 1
-
-
-#: Engine class per accuracy tier (see :mod:`repro.sim.config`).
-_ENGINE_TIERS = {
-    "reference": Simulator,
-    "incremental": IncrementalSimulator,
-    "fast": FastSimulator,
-    "batched": BatchedSimulator,
-    "auto": AutoSimulator,
-}
 
 
 def make_simulator(
@@ -2713,28 +1242,11 @@ def make_simulator(
     cost_model: Optional[CollectiveCostModel] = None,
     prepared: Optional[PreparedSim] = None,
 ) -> Simulator:
-    """Build the engine ``config`` selects (incremental by default).
-
-    ``reference_engine`` wins (the correctness oracle), then
-    ``auto_tier_threshold`` picks the adaptive auto engine,
-    ``fast_contention`` + ``cohort_batching`` the cohort-batched fast
-    tier, ``fast_contention`` alone the unbatched fast tier;
-    everything else runs the bit-exact incremental engine. The event
-    queue backend and the adaptive governor cadence are orthogonal
-    knobs read by all engines from the config itself.
-    """
+    """Build the engine ``config`` selects: the incremental engine, or
+    the reference oracle when ``config.reference_engine`` is set."""
     if config is None:
         config = SimConfig()
-    if config.reference_engine:
-        cls = _ENGINE_TIERS["reference"]
-    elif config.auto_tier_threshold is not None:
-        cls = _ENGINE_TIERS["auto"]
-    elif config.fast_contention and config.cohort_batching:
-        cls = _ENGINE_TIERS["batched"]
-    elif config.fast_contention:
-        cls = _ENGINE_TIERS["fast"]
-    else:
-        cls = _ENGINE_TIERS["incremental"]
+    cls = Simulator if config.reference_engine else IncrementalSimulator
     return cls(node, tasks, config, cost_model=cost_model, prepared=prepared)
 
 

@@ -1,28 +1,15 @@
-"""Event queues for the discrete-event engine.
+"""The event queue of the discrete-event engine.
 
-Two storage backends share one versioned *lazy invalidation* surface:
-
-* :class:`EventQueue` — a binary heap (the default). Rescheduling a
-  finish event does not remove the superseded copy; every
-  ``(kind, payload)`` pair carries a version counter,
-  :meth:`~EventQueue.schedule` bumps it and tags the new event, and
-  :meth:`~EventQueue.pop_live` silently drops tombstoned copies
-  (events whose version has since been superseded) on the way out.
-  This turns the engine's rescheduling churn from O(heap) removals
-  into O(1) bumps, at the cost of dead entries in storage — which
-  :meth:`~EventQueue.compact` reclaims once they outnumber the live
-  ones.
-* :class:`CalendarEventQueue` — a bucketed calendar queue (Brown's
-  classic discrete-event structure): events hash into fixed-width
-  time buckets, and the head is found by scanning bucket indices in
-  order instead of sifting one global heap. The engine keys the
-  bucket width to the governor period, which is the natural spacing
-  of its event population (ticks land one period ahead; finish events
-  cluster within a few periods). Pops come out in exactly the heap's
-  (time, insertion order) sequence — bucket partitioning by
-  ``floor(time / width)`` is monotone in time, so the two backends
-  are bit-for-bit interchangeable and the engine equivalence suite
-  pins that.
+:class:`EventQueue` is a binary heap with *lazy invalidation*.
+Rescheduling a finish event does not remove the superseded copy;
+every ``(kind, payload)`` pair carries a version counter,
+:meth:`~EventQueue.schedule` bumps it and tags the new event, and
+:meth:`~EventQueue.pop_live` silently drops tombstoned copies (events
+whose version has since been superseded) on the way out. This turns
+the engine's rescheduling churn from O(heap) removals into O(1) bumps,
+at the cost of dead entries in the heap — which
+:meth:`~EventQueue.compact` reclaims once they outnumber the live
+ones.
 
 Per-key bookkeeping lives in one *cell* ``[version, copies, live]``
 per ``(kind, payload)`` key — one dict lookup per schedule and per
@@ -40,11 +27,11 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 
-#: Auto-compaction threshold: ``pop_live`` rebuilds storage once it
+#: Auto-compaction threshold: ``pop_live`` rebuilds the heap once it
 #: holds at least this many events and more than half are tombstones.
 #: An *explicit* :meth:`EventQueue.compact` call always rebuilds.
 _COMPACT_MIN_SIZE = 64
@@ -52,9 +39,6 @@ _COMPACT_MIN_SIZE = 64
 #: Hot-path alias; ``0.0 <= t < _INF`` is the fast-path validity test
 #: (NaN fails both comparisons and falls through to the slow path).
 _INF = float("inf")
-
-#: Default calendar bucket width when no governor period is supplied.
-_DEFAULT_BUCKET_WIDTH_S = 2e-3
 
 
 class EventKind(enum.Enum):
@@ -116,12 +100,12 @@ class EventQueue:
       events with lazy invalidation (the engine uses this for finish
       events *and* governor ticks); superseded copies are tombstones
       that ``pop_live`` drops and ``compact`` reclaims.
-
-    Subclasses provide a different physical storage by overriding the
-    ``_store_*`` primitives; all versioned bookkeeping lives here.
     """
 
     def __init__(self) -> None:
+        #: ``(time, insertion counter, event)`` entries; the counter
+        #: breaks same-time ties in FIFO order.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         #: Per-key bookkeeping cell ``[version, copies, live]``:
         #: ``version`` is None for raw push() keys and the current
@@ -134,7 +118,6 @@ class EventQueue:
         self._tombstones = 0
         #: Total tombstones dropped over the queue's lifetime.
         self.stale_dropped = 0
-        self._store_init()
 
     # ------------------------------------------------------------------
     # derived views of the cell table (kept for tests and debugging —
@@ -163,50 +146,6 @@ class EventQueue:
             for key, cell in self._cells.items()
             if cell[_COPIES]
         }
-
-    # ------------------------------------------------------------------
-    # storage primitives (binary heap; overridden by CalendarEventQueue)
-    # ------------------------------------------------------------------
-
-    def _store_init(self) -> None:
-        self._heap: list = []
-
-    def _store_push(self, item: Tuple[float, int, Event]) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _store_pop(self) -> Optional[Tuple[float, int, Event]]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-    def _store_peek(self) -> Optional[Tuple[float, int, Event]]:
-        if not self._heap:
-            return None
-        return self._heap[0]
-
-    def _store_pop_if_time(
-        self, time: float
-    ) -> Optional[Tuple[float, int, Event]]:
-        """Pop the head only if it is scheduled exactly at ``time``.
-
-        One storage walk instead of a peek followed by a pop — the
-        cohort drain calls this once per cohort event.
-        """
-        heap = self._heap
-        if not heap or heap[0][0] != time:
-            return None
-        return heapq.heappop(heap)
-
-    def _store_len(self) -> int:
-        return len(self._heap)
-
-    def _store_items(self) -> Iterable[Tuple[float, int, Event]]:
-        return self._heap
-
-    def _store_rebuild(self, items: List[Tuple[float, int, Event]]) -> None:
-        """Replace storage contents, preserving (time, counter) order."""
-        heapq.heapify(items)
-        self._heap = items
 
     # ------------------------------------------------------------------
     # raw interface
@@ -253,7 +192,7 @@ class EventQueue:
             self._cells[key] = [None, 1, False]
         else:
             cell[_COPIES] += 1
-        self._store_push((event.time, next(self._counter), event))
+        heapq.heappush(self._heap, (event.time, next(self._counter), event))
 
     def _note_removed(self, event: Event) -> bool:
         """Book-keep one copy leaving storage; True if it was stale.
@@ -283,10 +222,9 @@ class EventQueue:
         Tombstoned events are returned too — callers that schedule via
         :meth:`schedule` should use :meth:`pop_live` instead.
         """
-        item = self._store_pop()
-        if item is None:
+        if not self._heap:
             return None
-        event = item[2]
+        event = heapq.heappop(self._heap)[2]
         self._note_removed(event)
         return event
 
@@ -297,17 +235,15 @@ class EventQueue:
         dropped on the way, so the returned wake-up time is never one
         a supersession already invalidated.
         """
-        while True:
-            item = self._store_peek()
-            if item is None:
-                return None
-            event = item[2]
-            if self._is_stale(event):
-                self._store_pop()
-                self._note_removed(event)
-                self.stale_dropped += 1
-                continue
-            return item[0]
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
+            if not self._is_stale(event):
+                return time
+            heapq.heappop(heap)
+            self._note_removed(event)
+            self.stale_dropped += 1
+        return None
 
     # ------------------------------------------------------------------
     # versioned interface (lazy invalidation)
@@ -347,7 +283,7 @@ class EventQueue:
         # tuple.__new__ directly: NamedTuple's generated __new__ is an
         # extra python frame per event on the engine's hottest call.
         event = tuple.__new__(Event, (time, kind, payload, version))
-        self._store_push((time, next(self._counter), event))
+        heapq.heappush(self._heap, (time, next(self._counter), event))
         return event
 
     def cancel(self, kind: EventKind, payload: Any) -> None:
@@ -376,99 +312,17 @@ class EventQueue:
 
     def pop_live(self) -> Optional[Event]:
         """Earliest non-tombstoned event, or None when none remain."""
-        while True:
-            item = self._store_pop()
-            if item is None:
-                return None
-            event = item[2]
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if self._note_removed(event):
                 self.stale_dropped += 1
                 continue
-            size = self._store_len()
+            size = len(heap)
             if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
                 self.compact()
             return event
-
-    def pop_live_cohort(
-        self, out: Optional[List[Event]] = None
-    ) -> Optional[List[Event]]:
-        """Every live event sharing the earliest timestamp, or None.
-
-        The cohort-batched engine processes all state deltas landing on
-        one timestamp together and re-evaluates rates/power once. Only
-        *exactly equal* float times share a cohort — no epsilon — so
-        the pop order (time, then FIFO within a time) is precisely the
-        order repeated :meth:`pop_live` calls would produce. Stale
-        copies encountered while draining the head time are discarded
-        and counted exactly as :meth:`pop_live` would.
-
-        ``out`` is an optional reusable buffer: when given it is
-        cleared and filled instead of allocating a fresh list per
-        cohort (the caller must consume it before the next pop).
-        """
-        # _note_removed is inlined below (twice): this runs once per
-        # engine cohort and the call/tuple overhead is measurable. The
-        # bookkeeping must stay line-for-line equivalent to it.
-        cells = self._cells
-        store_pop = self._store_pop
-        first: Optional[Event] = None
-        while True:
-            item = store_pop()
-            if item is None:
-                break
-            event = item[2]
-            key = (event[1], event[2])
-            cell = cells[key]
-            version = cell[_VERSION]
-            if version is not None and event[3] != version:
-                self._tombstones -= 1
-                stale = True
-            else:
-                cell[_LIVE] = False
-                stale = False
-            cell[_COPIES] -= 1
-            if cell[_COPIES] <= 0 and not cell[_LIVE]:
-                del cells[key]
-            if stale:
-                self.stale_dropped += 1
-                continue
-            first = event
-            break
-        if first is None:
-            return None
-        if out is None:
-            cohort = [first]
-        else:
-            out.clear()
-            out.append(first)
-            cohort = out
-        time = first[0]
-        store_pop_if_time = self._store_pop_if_time
-        while True:
-            item = store_pop_if_time(time)
-            if item is None:
-                break
-            event = item[2]
-            key = (event[1], event[2])
-            cell = cells[key]
-            version = cell[_VERSION]
-            if version is not None and event[3] != version:
-                self._tombstones -= 1
-                stale = True
-            else:
-                cell[_LIVE] = False
-                stale = False
-            cell[_COPIES] -= 1
-            if cell[_COPIES] <= 0 and not cell[_LIVE]:
-                del cells[key]
-            if stale:
-                self.stale_dropped += 1
-                continue
-            cohort.append(event)
-        size = self._store_len()
-        if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
-            self.compact()
-        return cohort
+        return None
 
     def compact(self) -> None:
         """Drop every tombstone from storage in one rebuild.
@@ -481,19 +335,20 @@ class EventQueue:
         afterwards no matter how small the queue is.
         """
         kept: List[Tuple[float, int, Event]] = []
-        for item in self._store_items():
+        for item in self._heap:
             event = item[2]
             if self._is_stale(event):
                 self._note_removed(event)
                 self.stale_dropped += 1
             else:
                 kept.append(item)
-        self._store_rebuild(kept)
+        heapq.heapify(kept)
+        self._heap = kept
 
     @property
     def live_count(self) -> int:
         """Number of non-tombstoned events currently queued."""
-        return self._store_len() - self._tombstones
+        return len(self._heap) - self._tombstones
 
     def check_invariants(self) -> None:
         """Assert the bookkeeping matches storage exactly (test hook).
@@ -502,7 +357,7 @@ class EventQueue:
         derived views) and that no cell survives with no copies left
         in storage.
         """
-        items = list(self._store_items())
+        items = list(self._heap)
         stale = sum(1 for item in items if self._is_stale(item[2]))
         if self._tombstones != stale:
             raise AssertionError(
@@ -546,248 +401,7 @@ class EventQueue:
             raise AssertionError("live_count disagrees with storage")
 
     def __len__(self) -> int:
-        return self._store_len()
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._store_len() > 0
-
-
-class CalendarEventQueue(EventQueue):
-    """Calendar-queue storage behind the :class:`EventQueue` surface.
-
-    Events land in the bucket ``floor(time / bucket_width)``; each
-    bucket is a small heap, and a second heap over the non-empty
-    bucket indices finds the head. Because the index partition is
-    monotone in time, the global pop order is identical to the binary
-    heap's — same times, same FIFO tie-breaks — while pushes and pops
-    only ever sift within one bucket's (usually tiny) population.
-    """
-
-    def __init__(self, bucket_width_s: float = _DEFAULT_BUCKET_WIDTH_S):
-        if not (bucket_width_s > 0.0) or bucket_width_s == float("inf"):
-            raise SimulationError(
-                f"calendar bucket width must be positive and finite, "
-                f"got {bucket_width_s!r}"
-            )
-        self.bucket_width_s = bucket_width_s
-        super().__init__()
-
-    def _store_init(self) -> None:
-        self._buckets: Dict[int, List[Tuple[float, int, Event]]] = {}
-        #: Min-heap of (possibly stale) non-empty bucket indices.
-        self._order: List[int] = []
-        self._queued: set = set()
-        self._count = 0
-
-    def _store_push(self, item: Tuple[float, int, Event]) -> None:
-        index = int(item[0] / self.bucket_width_s)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = bucket = []
-        heapq.heappush(bucket, item)
-        if index not in self._queued:
-            self._queued.add(index)
-            heapq.heappush(self._order, index)
-        self._count += 1
-
-    def _head_bucket(self) -> Optional[List[Tuple[float, int, Event]]]:
-        """First non-empty bucket, dropping exhausted index entries."""
-        while self._order:
-            index = self._order[0]
-            bucket = self._buckets.get(index)
-            if bucket:
-                return bucket
-            heapq.heappop(self._order)
-            self._queued.discard(index)
-            self._buckets.pop(index, None)
-        return None
-
-    def _store_pop(self) -> Optional[Tuple[float, int, Event]]:
-        bucket = self._head_bucket()
-        if bucket is None:
-            return None
-        item = heapq.heappop(bucket)
-        self._count -= 1
-        return item
-
-    def _store_peek(self) -> Optional[Tuple[float, int, Event]]:
-        bucket = self._head_bucket()
-        if bucket is None:
-            return None
-        return bucket[0]
-
-    def _store_pop_if_time(
-        self, time: float
-    ) -> Optional[Tuple[float, int, Event]]:
-        bucket = self._head_bucket()
-        if bucket is None or bucket[0][0] != time:
-            return None
-        item = heapq.heappop(bucket)
-        self._count -= 1
-        return item
-
-    def _store_len(self) -> int:
-        return self._count
-
-    def _store_items(self) -> Iterable[Tuple[float, int, Event]]:
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def _store_rebuild(self, items: List[Tuple[float, int, Event]]) -> None:
-        self._store_init()
-        for item in items:
-            self._store_push(item)
-
-    # ------------------------------------------------------------------
-    # hot-path specializations
-    #
-    # The two methods below re-state their EventQueue versions with the
-    # _store_* indirection inlined: the batched engine funnels every
-    # (re)schedule and every cohort pop through them, and the dispatch
-    # frames alone are measurable at that call rate. The bookkeeping
-    # must stay line-for-line equivalent to the base methods (and to
-    # _note_removed); keep them in sync when touching either side.
-    # ------------------------------------------------------------------
-
-    def schedule(self, time: float, kind: EventKind, payload: Any) -> Event:
-        if not (0.0 <= time < _INF):
-            self._validate_time(time, kind)
-        key = (kind, payload)
-        cells = self._cells
-        cell = cells.get(key)
-        if cell is None:
-            version = 1
-            cells[key] = [1, 1, True]
-        else:
-            version = cell[0]
-            if version is None:
-                raise SimulationError(
-                    f"event key ({kind}, {payload!r}) has raw push() "
-                    f"copies outstanding; it cannot become "
-                    f"version-managed"
-                )
-            version += 1
-            cell[0] = version
-            if cell[2]:
-                self._tombstones += 1
-            else:
-                cell[2] = True
-            cell[1] += 1
-        event = tuple.__new__(Event, (time, kind, payload, version))
-        # _store_push, inlined. The bucket index formula must match it
-        # exactly (raw push() copies land via the base method).
-        index = int(time / self.bucket_width_s)
-        buckets = self._buckets
-        bucket = buckets.get(index)
-        if bucket is None:
-            buckets[index] = bucket = []
-        heapq.heappush(bucket, (time, next(self._counter), event))
-        queued = self._queued
-        if index not in queued:
-            queued.add(index)
-            heapq.heappush(self._order, index)
-        self._count += 1
-        return event
-
-    def pop_live_cohort(
-        self, out: Optional[List[Event]] = None
-    ) -> Optional[List[Event]]:
-        cells = self._cells
-        buckets = self._buckets
-        order = self._order
-        heappop = heapq.heappop
-        first: Optional[Event] = None
-        bucket: Optional[List[Tuple[float, int, Event]]] = None
-        while True:
-            # _head_bucket + _store_pop, inlined.
-            bucket = None
-            while order:
-                index = order[0]
-                bucket = buckets.get(index)
-                if bucket:
-                    break
-                heappop(order)
-                self._queued.discard(index)
-                buckets.pop(index, None)
-            if not bucket:
-                break
-            event = heappop(bucket)[2]
-            self._count -= 1
-            # _note_removed, inlined.
-            key = (event[1], event[2])
-            cell = cells[key]
-            version = cell[0]
-            if version is not None and event[3] != version:
-                self._tombstones -= 1
-                stale = True
-            else:
-                cell[2] = False
-                stale = False
-            cell[1] -= 1
-            if cell[1] <= 0 and not cell[2]:
-                del cells[key]
-            if stale:
-                self.stale_dropped += 1
-                continue
-            first = event
-            break
-        if first is None:
-            return None
-        if out is None:
-            cohort = [first]
-        else:
-            out.clear()
-            out.append(first)
-            cohort = out
-        time = first[0]
-        # Equal floats always share a bucket index, so the same-time
-        # drain never has to look past the bucket the head came from.
-        while bucket and bucket[0][0] == time:
-            event = heappop(bucket)[2]
-            self._count -= 1
-            key = (event[1], event[2])
-            cell = cells[key]
-            version = cell[0]
-            if version is not None and event[3] != version:
-                self._tombstones -= 1
-                stale = True
-            else:
-                cell[2] = False
-                stale = False
-            cell[1] -= 1
-            if cell[1] <= 0 and not cell[2]:
-                del cells[key]
-            if stale:
-                self.stale_dropped += 1
-                continue
-            cohort.append(event)
-        size = self._count
-        if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
-            self.compact()
-        return cohort
-
-
-#: Valid ``SimConfig.event_queue`` selectors.
-EVENT_QUEUE_KINDS = ("heap", "calendar")
-
-
-def make_event_queue(
-    kind: str = "heap",
-    bucket_width_s: Optional[float] = None,
-) -> EventQueue:
-    """Build the configured queue backend.
-
-    ``bucket_width_s`` only matters for the calendar backend; the
-    engine passes its governor period, which matches the natural
-    spacing of the simulation's event population.
-    """
-    if kind == "heap":
-        return EventQueue()
-    if kind == "calendar":
-        if bucket_width_s is None:
-            bucket_width_s = _DEFAULT_BUCKET_WIDTH_S
-        return CalendarEventQueue(bucket_width_s)
-    raise SimulationError(
-        f"unknown event queue kind {kind!r} "
-        f"(known: {', '.join(EVENT_QUEUE_KINDS)})"
-    )
+        return bool(self._heap)

@@ -6,7 +6,7 @@ across power caps, modes and repeat runs — and every simulator
 jittered kernel tables and collective costs from scratch. This module
 hoists all of it into one immutable :class:`PreparedSim`, built once
 per distinct ``(plan, node, sim-relevant config fields)`` and shared
-read-only by every engine tier:
+read-only by both engines:
 
 * **task/stream indexes** — tasks by id, per-stream launch order,
   reverse-dependency and wake-stream maps (validation included, with
@@ -20,8 +20,8 @@ read-only by every engine tier:
   :class:`~repro.hw.power.PowerEvaluator` and
   :class:`~repro.collectives.cost_model.CollectiveCostModel` hit
   across grid cells instead of rebuilding per cell;
-* **hoisted scalars** — calibration factors and power coefficients the
-  fused batched loop binds directly.
+* **hoisted scalars** — memory bandwidths and the calibration factors
+  the per-event rate and power math reads.
 
 Safety argument: every field is pure in the cache key, and nothing in
 the prepared object is mutated after construction (the engines track
@@ -31,9 +31,8 @@ and golden suites pin this, and ``tests/test_sim_prep.py`` checks the
 isolation property directly.
 
 The module also owns :class:`RunArena`, a small per-thread pool for
-the *mutable* per-run containers (per-GPU resident-set dicts, the
-batched tier's SoA columns) so back-to-back runs reuse allocations
-instead of building fresh dicts per cell.
+the *mutable* per-GPU resident-set dicts, so back-to-back runs reuse
+allocations instead of building fresh dicts per cell.
 """
 
 from __future__ import annotations
@@ -47,11 +46,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.collectives.cost_model import CollectiveCost, CollectiveCostModel
 from repro.collectives.library import library_for
 from repro.errors import PlanError
-from repro.hw.datapath import Datapath
 from repro.hw.power import PowerEvaluator
 from repro.hw.system import NodeSpec
 from repro.sim.rates import RateModel
-from repro.sim.soa import SoAStore
 from repro.sim.task import CommTask, ComputeTask, Task
 from repro.workloads.kernels import intern_kernel
 
@@ -128,7 +125,7 @@ def reset_prepared() -> None:
 
     Results never depend on them (every cached value is pure in its
     key), but *timings* do — the engine benchmark calls this between
-    tiers so no tier inherits a cache another tier warmed.
+    engines so neither inherits a cache the other warmed.
     """
     with _LOCK:
         _SHARED_EVALUATORS.clear()
@@ -194,9 +191,8 @@ class PreparedSim:
     #: Reverse-dependency index and per-completion wake sets.
     dependents: Dict[int, List[int]]
     wake_streams: Dict[int, Tuple[Tuple[int, str], ...]]
-    #: Per-task jittered kernel rows:
-    #: (flops, iso, peak_eff, ai, ramp, is_vector, free_util0).
-    compute_table: Dict[int, Tuple[float, float, float, float, float, bool, float]]
+    #: Per-task jittered kernel rows: (flops, iso, peak_eff, ai).
+    compute_table: Dict[int, Tuple[float, float, float, float]]
     #: Per-op jittered collective costs.
     comm_cost: Dict[str, CollectiveCost]
     #: Shared memoizing evaluators for this GPU spec.
@@ -209,17 +205,6 @@ class PreparedSim:
     spin_scale: float
     interference: float
     stall_frac: float
-    #: Power coefficients for the batched tier's fused evaluation;
-    #: ``missing_paths`` defers the batched tier's coefficient check
-    #: to construction time so the exact tiers keep accepting specs
-    #: the batched tier would reject.
-    vec_max: float
-    ten_max: float
-    idle_frac: float
-    hbm_max: float
-    link_max: float
-    tdp: float
-    missing_paths: Tuple[Datapath, ...]
 
 
 def _build_indexes(node: NodeSpec, tasks: Sequence[Task]):
@@ -287,22 +272,18 @@ def _build_tables(
     cost_model: CollectiveCostModel,
     seed: int,
     sigma: float,
-    max_clock: float,
 ):
     """Jittered per-task kernel rows and per-op collective costs.
 
     Pure in the arguments; identical arithmetic (and jitter draws) to
     the tables the engines used to build inline.
     """
-    compute_table: Dict[
-        int, Tuple[float, float, float, float, float, bool, float]
-    ] = {}
+    compute_table: Dict[int, Tuple[float, float, float, float]] = {}
     comm_cost: Dict[str, CollectiveCost] = {}
     # Plans repeat a handful of kernels across hundreds of layer
     # tasks; interning resolves value-equal copies to one canonical
-    # object so the per-identity memo below — and every downstream
-    # KernelSpec-keyed memo — hits across tasks *and* across plans.
-    per_kernel: Dict[int, Tuple[float, float, float, float, bool]] = {}
+    # object so every KernelSpec-keyed memo (``kernel_row`` and those
+    # downstream) hits across tasks *and* across plans.
     jittered = sigma > 0
     if jittered:
         with _LOCK:
@@ -315,20 +296,7 @@ def _build_tables(
     for task in tasks.values():
         if isinstance(task, ComputeTask):
             kernel = intern_kernel(task.kernel)
-            info = per_kernel.get(id(kernel))
-            if info is None:
-                peak_eff, ai, iso, free0 = rates.kernel_row(
-                    kernel, max_clock
-                )
-                info = (
-                    peak_eff,
-                    ai,
-                    iso,
-                    free0,
-                    kernel.path.datapath is Datapath.VECTOR,
-                )
-                per_kernel[id(kernel)] = info
-            peak_eff, ai, iso_base, free_util0, is_vector = info
+            peak_eff, ai, iso_base = rates.kernel_row(kernel)
             if jittered:
                 label = f"c{task.task_id}"
                 factor = memo_get(label)
@@ -340,15 +308,7 @@ def _build_tables(
             else:
                 iso = iso_base
                 flops = kernel.flops
-            compute_table[task.task_id] = (
-                flops,
-                iso,
-                peak_eff,
-                ai,
-                iso / (iso + 50e-6),
-                is_vector,
-                free_util0,
-            )
+            compute_table[task.task_id] = (flops, iso, peak_eff, ai)
         elif isinstance(task, CommTask):
             key_op = task.op.key
             if key_op in comm_cost:
@@ -419,19 +379,7 @@ def prepare(
     rates, power_eval = evaluators_for(gpu)
     by_id, streams, dependents, wake_streams = _build_indexes(node, tasks)
     compute_table, comm_cost = _build_tables(
-        by_id, rates, cost_model, seed, jitter_sigma, max_clock_frac
-    )
-    coeffs = power_eval.coeffs
-    sm_max = coeffs.sm_max_frac
-    needed = {Datapath.VECTOR}
-    for row in compute_table.values():
-        if not row[5]:
-            needed.add(Datapath.TENSOR)
-    missing = tuple(
-        sorted(
-            (p for p in needed if sm_max.get(p) is None),
-            key=lambda p: p.value,
-        )
+        by_id, rates, cost_model, seed, jitter_sigma
     )
     prep = PreparedSim(
         node=node,
@@ -458,13 +406,6 @@ def prepare(
         spin_scale=calibration.spin_sm_scale,
         interference=calibration.interference_factor,
         stall_frac=calibration.stall_power_frac,
-        vec_max=sm_max.get(Datapath.VECTOR, 0.0) or 0.0,
-        ten_max=sm_max.get(Datapath.TENSOR, 0.0) or 0.0,
-        idle_frac=coeffs.idle_frac,
-        hbm_max=coeffs.hbm_max_frac,
-        link_max=coeffs.link_max_frac,
-        tdp=power_eval.tdp_w,
-        missing_paths=missing,
     )
     with _LOCK:
         _PREP_STATS["builds"] += 1
@@ -482,10 +423,9 @@ class RunArena:
     """Per-thread pool of the engines' per-run mutable containers.
 
     A grid sweep constructs thousands of simulators back to back; the
-    per-GPU resident-set dicts and the batched tier's SoA columns are
-    identical in shape every time. The arena hands them out cleared
-    (or value-reset, for the SoA store) and takes them back at
-    ``_finalize``, so steady-state runs allocate none of them.
+    per-GPU resident-set dicts are identical in shape every time. The
+    arena hands them out cleared and takes them back at ``_finalize``,
+    so steady-state runs allocate none of them.
 
     Thread-local by construction — two simulators on different threads
     never share a pooled object, and a simulator returns state only
@@ -498,7 +438,6 @@ class RunArena:
 
     def __init__(self) -> None:
         self._sets: Dict[int, List[tuple]] = {}
-        self._soas: Dict[int, List[SoAStore]] = {}
 
     def acquire_sets(self, num_gpus: int):
         """Three per-GPU dict lists: running_on, active_on, spinning_on."""
@@ -519,32 +458,6 @@ class RunArena:
             for d in dicts:
                 d.clear()
         pool.append(triple)
-
-    def acquire_soa(
-        self, num_gpus: int, max_clock_frac: float, idle_power_w: float
-    ) -> SoAStore:
-        """A value-reset SoA store (bit-identical to a fresh one)."""
-        pool = self._soas.get(num_gpus)
-        if pool:
-            store = pool.pop()
-            for i in range(num_gpus):
-                store.clock[i] = max_clock_frac
-                store.power[i] = idle_power_w
-                store.comm_sm[i] = 0.0
-                store.spin_sm[i] = 0.0
-                store.hbm[i] = 0.0
-                store.link[i] = 0.0
-                store.rate_mul[i] = 1.0
-                store.hbm_mul[i] = 1.0
-                store.link_mul[i] = 1.0
-                store.clock_cap[i] = max_clock_frac
-            return store
-        return SoAStore(num_gpus, max_clock_frac, idle_power_w)
-
-    def release_soa(self, num_gpus: int, store: SoAStore) -> None:
-        pool = self._soas.setdefault(num_gpus, [])
-        if len(pool) < self._MAX_POOL:
-            pool.append(store)
 
 
 _ARENAS = threading.local()

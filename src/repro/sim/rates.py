@@ -112,7 +112,7 @@ class RateModel:
         self._peak_eff: Dict[KernelSpec, float] = {}
         self._iso: Dict[KernelSpec, float] = {}
         self._free_util: Dict[Tuple[KernelSpec, float], float] = {}
-        self._rows: Dict[Tuple[KernelSpec, float], Tuple] = {}
+        self._rows: Dict[KernelSpec, Tuple[float, float, float]] = {}
 
     def _peak_eff_for(self, kernel: KernelSpec) -> float:
         value = self._peak_eff.get(kernel)
@@ -168,79 +168,6 @@ class RateModel:
         util = rate_flops_per_s / peak
         return min(util, sm_fraction if sm_fraction > 0 else 1.0, 1.0)
 
-    @staticmethod
-    def rate_from_params_many(
-        peak_effs,
-        ais,
-        sm_fractions,
-        hbm_rates,
-        clock_fracs,
-        np=None,
-    ):
-        """Batched :meth:`rate_from_params` over parallel arrays.
-
-        Pass a numpy module as ``np`` to vectorize (worthwhile above
-        :data:`repro.sim.soa.VECTOR_MIN` elements); with ``np=None``
-        the pure-python loop runs instead. Both paths perform the same
-        float64 arithmetic in the same association order, so the
-        results are bit-for-bit identical (pinned by the SoA tests).
-        """
-        if np is not None:
-            pe = np.asarray(peak_effs)
-            ai = np.asarray(ais)
-            ceiling = pe * np.asarray(sm_fractions) * np.asarray(clock_fracs)
-            with np.errstate(invalid="ignore"):
-                # inf * 0.0 is NaN; the isinf branch discards it below,
-                # exactly like the scalar early-out for infinite AI.
-                bandwidth = ai * np.asarray(hbm_rates)
-            rate = np.where(
-                np.isinf(ai), ceiling, np.minimum(ceiling, bandwidth)
-            )
-            return np.where(
-                rate <= 0, np.maximum(pe * 1e-4, 1.0), rate
-            ).tolist()
-        rate_from_params = RateModel.rate_from_params
-        return [
-            rate_from_params(
-                peak_effs[i], ais[i], sm_fractions[i],
-                hbm_rates[i], clock_fracs[i],
-            )
-            for i in range(len(peak_effs))
-        ]
-
-    @staticmethod
-    def sm_utilization_from_params_many(
-        peak_effs,
-        rates,
-        sm_fractions,
-        clock_fracs,
-        np=None,
-    ):
-        """Batched :meth:`sm_utilization_from_params` over arrays.
-
-        ``sm_fractions`` may be a single float (broadcast to every
-        element) or a parallel array. Same numpy/pure-python contract
-        as :meth:`rate_from_params_many`.
-        """
-        if np is not None:
-            pe = np.asarray(peak_effs)
-            peak = pe * np.asarray(clock_fracs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                util = np.asarray(rates) / peak
-            sm = np.asarray(sm_fractions)
-            cap = np.where(sm > 0, sm, 1.0)
-            util = np.minimum(np.minimum(util, cap), 1.0)
-            return np.where(peak <= 0, 0.0, util).tolist()
-        if isinstance(sm_fractions, (int, float)):
-            sm_fractions = [sm_fractions] * len(peak_effs)
-        util_from_params = RateModel.sm_utilization_from_params
-        return [
-            util_from_params(
-                peak_effs[i], rates[i], sm_fractions[i], clock_fracs[i]
-            )
-            for i in range(len(peak_effs))
-        ]
-
     def compute_rate(
         self,
         kernel: KernelSpec,
@@ -293,20 +220,17 @@ class RateModel:
         util = rate_flops_per_s / peak
         return min(util, sm_fraction if sm_fraction > 0 else 1.0, 1.0)
 
-    def kernel_row(
-        self, kernel: KernelSpec, clock_frac: float
-    ) -> Tuple[float, float, float, float]:
-        """``(peak_eff, ai, isolated_s, free_util)`` in one memo probe.
+    def kernel_row(self, kernel: KernelSpec) -> Tuple[float, float, float]:
+        """``(peak_eff, ai, isolated_s)`` in one memo probe.
 
-        The prepared-simulation table build needs all four per-kernel
+        The prepared-simulation table build needs all three per-kernel
         invariants at once; resolving them through the individual memos
-        costs three kernel-keyed probes per kernel per plan. This
+        costs two kernel-keyed probes per kernel per plan. This
         combined row is assembled from those same memos on first sight
         (so every float is identical to the piecewise path) and then
         answers in a single lookup.
         """
-        key = (kernel, clock_frac)
-        row = self._rows.get(key)
+        row = self._rows.get(kernel)
         if row is None:
             if len(self._rows) >= self._MAX_FREE_ENTRIES:
                 self._rows.clear()
@@ -314,9 +238,8 @@ class RateModel:
                 self._peak_eff_for(kernel),
                 kernel.arithmetic_intensity,
                 self.isolated_duration(kernel),
-                self.free_utilization(kernel, clock_frac),
             )
-            self._rows[key] = row
+            self._rows[kernel] = row
         return row
 
     def free_utilization(self, kernel: KernelSpec, clock_frac: float) -> float:

@@ -1,7 +1,6 @@
-"""T-series fixture: dispatch chains and SoA column access."""
+"""T-series fixture: dispatch chains."""
 
 from sim.events import EventKind
-from sim.soa import SoAStore
 
 _TASK_FINISH = EventKind.TASK_FINISH
 _GOVERNOR_TICK = EventKind.GOVERNOR_TICK
@@ -10,7 +9,7 @@ _GOVERNOR_TICK = EventKind.GOVERNOR_TICK
 class LeakyEngine:
     def run(self, event):
         kind = event.kind
-        if kind is _TASK_FINISH:  # line 13: T301 (PERTURB_BEGIN missed)
+        if kind is _TASK_FINISH:  # line 12: T301 (PERTURB_BEGIN missed)
             self.finish(event)
         elif kind is EventKind.GOVERNOR_TICK:
             self.tick(event)
@@ -44,14 +43,3 @@ class CatchAllEngine:
             pass
         else:
             pass
-
-
-class ColumnUser:
-    def __init__(self, n):
-        self._soa = SoAStore(n)
-
-    def step(self):
-        store = self._soa
-        store.clock[0] = 1.0
-        store.reset()
-        return store.wattage[0]  # line 55: T305 (no such column)

@@ -136,7 +136,7 @@ def test_report_payload_shape():
 
 
 def test_all_codes_have_descriptions():
-    assert len(CODES) >= 20
+    assert len(CODES) >= 18
     for code, description in CODES.items():
         assert code[0] in "DCTLW"
         assert description.strip()

@@ -1,18 +1,10 @@
-"""Engine accuracy tiers: bit-exact equivalence + the tolerance tier.
+"""Engine equivalence: the incremental engine vs the reference oracle.
 
 The incremental engine's whole contract is that skipping the clean
 (non-dirty) parts of the recompute cannot change anything: records,
 power segments, end time and minimum clock must be *exactly* equal —
 no tolerances — to the full-recompute reference path, under jitter,
-power capping, aggressive governor ticking and ideal mode alike. The
-calendar event queue is part of that bit-exact contract (it pops the
-same event sequence as the heap).
-
-The *fast* tier (``SimConfig.fast()``: additive contention aggregates
-+ adaptive governor ticks + calendar queue) trades bit-exactness for
-throughput; its contract is bounded relative error, pinned here by a
-tolerance-gated version of the same property suite and real-plan
-cases.
+power capping, aggressive governor ticking and ideal mode alike.
 """
 
 import dataclasses
@@ -25,14 +17,7 @@ from repro.hw.datapath import FP16_TENSOR
 from repro.hw.system import make_node
 from repro.parallel.plan import PlanBuilder
 from repro.sim.config import SimConfig
-from repro.sim.engine import (
-    AutoSimulator,
-    BatchedSimulator,
-    FastSimulator,
-    IncrementalSimulator,
-    Simulator,
-    make_simulator,
-)
+from repro.sim.engine import IncrementalSimulator, Simulator, make_simulator
 from repro.sim.rates import (
     RateModel,
     compute_rate,
@@ -81,60 +66,6 @@ def _assert_identical(node, tasks, config):
     return a
 
 
-def _total_energy(result):
-    return sum(
-        seg.energy_j
-        for segments in result.power_segments.values()
-        for seg in segments
-    )
-
-
-def _assert_close(
-    node, tasks, config, rel_tol, abs_floor_s=1e-9, fast_config=None
-):
-    """Reference (exact knobs) vs the fast tier: bounded relative error.
-
-    The fast tier may reorder float accumulations and shift throttle
-    onset by a control period, so equality is relative: end time,
-    per-task start/end times, total energy and the minimum clock must
-    all land within ``rel_tol`` of the reference (times against an
-    absolute floor for microsecond-scale programs). ``fast_config``
-    overrides the tolerance-tier config under test (default: the
-    plain fast tier), so the auto engine rides the same assertions.
-    """
-    ref = Simulator(
-        node,
-        tasks,
-        dataclasses.replace(config, reference_engine=True),
-    )
-    if fast_config is None:
-        fast_config = config.fast()
-    fast = make_simulator(node, tasks, fast_config)
-    assert isinstance(fast, FastSimulator)
-    a = ref.run()
-    b = fast.run()
-    time_tol = max(abs_floor_s, rel_tol * a.end_time_s)
-    assert abs(a.end_time_s - b.end_time_s) <= time_tol
-    assert len(a.records) == len(b.records)
-    by_id = {record.task_id: record for record in b.records}
-    for rec in a.records:
-        other = by_id[rec.task_id]
-        assert (rec.gpu, rec.stream, rec.label) == (
-            other.gpu,
-            other.stream,
-            other.label,
-        )
-        assert abs(rec.start_s - other.start_s) <= time_tol
-        assert abs(rec.end_s - other.end_s) <= time_tol
-    assert abs(a.min_clock_frac_seen - b.min_clock_frac_seen) <= max(
-        0.05, rel_tol
-    )
-    energy_a, energy_b = _total_energy(a), _total_energy(b)
-    if energy_a > 0:
-        assert abs(energy_a - energy_b) <= rel_tol * energy_a + 1e-9
-    return a, b
-
-
 @st.composite
 def random_plans(draw):
     """Small random stream programs: computes, deps, collectives.
@@ -180,10 +111,6 @@ def random_plans(draw):
         # tiny programs, exercising the clock-dirty propagation path.
         governor_period_s=draw(st.sampled_from([2e-6, 2e-3])),
         trace_power=True,
-        # The calendar queue is part of the bit-exact contract: it must
-        # pop the heap's exact event sequence, so it rides the same
-        # no-tolerance suite.
-        event_queue=draw(st.sampled_from(["heap", "calendar"])),
     )
     return NODES[num_gpus], builder.build().tasks, config
 
@@ -291,88 +218,16 @@ def test_incremental_skips_unaffected_gpus():
     assert inc.stats.gpu_rate_passes * 2 < ref.stats.gpu_rate_passes
 
 
-# ----------------------------------------------------------------------
-# calendar queue: bit-exact on real plans
-# ----------------------------------------------------------------------
-
-
-def _real_plan(strategy, num_gpus, power_limit_w=None):
+def test_make_simulator_tier_selection():
     from repro.core.experiment import ExperimentConfig
     from repro.exec.planning import default_planner
 
     cfg = ExperimentConfig(
-        gpu="A100",
-        model="gpt3-xl",
-        batch_size=8,
-        strategy=strategy,
-        num_gpus=num_gpus,
-        jitter_sigma=0.02,
-        power_limit_w=power_limit_w,
+        gpu="A100", model="gpt3-xl", batch_size=8, num_gpus=2
     )
     planner = default_planner()
-    return planner.node_for(cfg), planner.plan_for(cfg, overlap=True), cfg
-
-
-def test_calendar_queue_bit_identical_on_power_capped_plan():
-    node, plan, cfg = _real_plan("fsdp", 2, power_limit_w=250.0)
-    config = dataclasses.replace(
-        cfg.sim_config(seed=3), event_queue="calendar"
-    )
-    result = _assert_identical(node, plan.tasks, config)
-    assert result.min_clock_frac_seen < 1.0
-
-
-def test_calendar_queue_matches_heap_queue_exactly():
-    """Same engine, different queue backend: identical results."""
-    node, plan, cfg = _real_plan("pipeline", 4)
-    base = cfg.sim_config(seed=1)
-    heap = IncrementalSimulator(node, plan.tasks, base).run()
-    calendar = IncrementalSimulator(
-        node, plan.tasks, dataclasses.replace(base, event_queue="calendar")
-    ).run()
-    assert heap.end_time_s == calendar.end_time_s
-    assert heap.records == calendar.records
-    assert heap.power_segments == calendar.power_segments
-
-
-# ----------------------------------------------------------------------
-# fast tier: tolerance-gated equivalence
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=20, deadline=None)
-@given(random_plans())
-def test_random_task_graphs_fast_tier_within_tolerance(plan):
-    node, tasks, config = plan
-    # Tiny microsecond-scale programs with aggressive ticks: allow a
-    # generous bound (a handful of control periods of drift).
-    _assert_close(node, tasks, config, rel_tol=0.10, abs_floor_s=2e-5)
-
-
-def test_fast_tier_power_capped_real_plan_within_tolerance():
-    node, plan, cfg = _real_plan("fsdp", 2, power_limit_w=250.0)
-    config = cfg.sim_config(seed=3)
-    ref, fast = _assert_close(node, plan.tasks, config, rel_tol=0.05)
-    # The cap must actually have bitten under both tiers.
-    assert ref.min_clock_frac_seen < 1.0
-    assert fast.min_clock_frac_seen < 1.0
-
-
-def test_fast_tier_pipeline_real_plan_within_tolerance():
-    node, plan, cfg = _real_plan("pipeline", 4)
-    _assert_close(node, plan.tasks, cfg.sim_config(seed=1), rel_tol=0.05)
-
-
-def test_fast_tier_uses_adaptive_ticks():
-    """Uncapped real plan: the adaptive cadence must actually skip."""
-    node, plan, cfg = _real_plan("fsdp", 2)
-    sim = make_simulator(node, plan.tasks, cfg.sim_config(seed=0).fast())
-    sim.run()
-    assert sim.stats.ticks_skipped > 0
-
-
-def test_make_simulator_tier_selection():
-    node, plan, cfg = _real_plan("fsdp", 2)
+    node = planner.node_for(cfg)
+    plan = planner.plan_for(cfg, overlap=True)
     base = cfg.sim_config(seed=0)
     assert type(make_simulator(node, plan.tasks, base)) is IncrementalSimulator
     assert (
@@ -385,30 +240,6 @@ def test_make_simulator_tier_selection():
         )
         is Simulator
     )
-    assert (
-        type(make_simulator(node, plan.tasks, base.fast()))
-        is BatchedSimulator
-    )
-    assert (
-        type(
-            make_simulator(
-                node,
-                plan.tasks,
-                dataclasses.replace(base.fast(), cohort_batching=False),
-            )
-        )
-        is FastSimulator
-    )
-    assert (
-        type(make_simulator(node, plan.tasks, base.auto()))
-        is AutoSimulator
-    )
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        dataclasses.replace(base, reference_engine=True, fast_contention=True)
-    with pytest.raises(ConfigurationError):
-        dataclasses.replace(base, cohort_batching=True)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -436,207 +267,6 @@ def test_rate_model_matches_module_functions(kernel):
     assert model.free_utilization(kernel, 0.77) == sm_utilization(
         kernel, gpu, free, 1.0, 0.77
     )
-
-
-# ----------------------------------------------------------------------
-# cohort batching: batched vs unbatched fast tier, numpy fallback
-# ----------------------------------------------------------------------
-
-
-def _cohort_heavy_plan(num_gpus=4, waves=6):
-    """Many same-timestamp collective completions per wave.
-
-    With ``jitter_sigma=0`` every collective in a wave has identical
-    cost, so all of them — across all GPUs — finish on exactly the
-    same float timestamp: the maximal cohort shape the batched drain
-    exists for.
-    """
-    builder = PlanBuilder("cohorts")
-    for _ in range(waves):
-        for g in range(num_gpus):
-            builder.add_compute(g, KERNELS[0])
-        for payload in (16 * MB, 16 * MB, 16 * MB):
-            builder.add_collective(
-                CollectiveKind.ALL_REDUCE,
-                payload,
-                list(range(num_gpus)),
-                stream=COMM_STREAM,
-            )
-    return builder.build().tasks
-
-
-def test_cohort_heavy_plan_batched_matches_unbatched():
-    """Batched vs unbatched fast tier on a cohort-heavy plan."""
-    num_gpus = 4
-    node = NODES[num_gpus]
-    tasks = _cohort_heavy_plan(num_gpus)
-    config = SimConfig(
-        jitter_sigma=0.0, governor_period_s=5e-6, trace_power=True
-    ).fast()
-    unbatched = make_simulator(
-        node, tasks, dataclasses.replace(config, cohort_batching=False)
-    )
-    batched = make_simulator(node, tasks, config)
-    assert type(unbatched) is FastSimulator
-    assert type(batched) is BatchedSimulator
-    a = unbatched.run()
-    b = batched.run()
-    # The plan must actually produce multi-event cohorts, or this
-    # exercises nothing (events per cohort strictly > 1 on average).
-    assert batched.stats.cohorts > 0
-    assert batched.stats.events > batched.stats.cohorts
-    # Same tier, same aggregates — only the banking arithmetic differs
-    # (O(1) cumulative vs per-step replay), so the bound is tight.
-    tol = max(1e-9, 1e-6 * a.end_time_s)
-    assert abs(a.end_time_s - b.end_time_s) <= tol
-    assert len(a.records) == len(b.records)
-    by_id = {record.task_id: record for record in b.records}
-    for rec in a.records:
-        other = by_id[rec.task_id]
-        assert abs(rec.start_s - other.start_s) <= tol
-        assert abs(rec.end_s - other.end_s) <= tol
-    energy_a, energy_b = _total_energy(a), _total_energy(b)
-    if energy_a > 0:
-        assert abs(energy_a - energy_b) <= 1e-5 * energy_a
-
-
-def test_batched_numpy_fallback_identical_on_real_plan(monkeypatch):
-    """REPRO_SIM_NO_NUMPY=1 must not change a single float."""
-    pytest.importorskip("numpy")
-    from repro.sim.soa import NO_NUMPY_ENV
-
-    node, plan, cfg = _real_plan("fsdp", 2, power_limit_w=250.0)
-    config = cfg.sim_config(seed=3).fast()
-    monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
-    with_numpy = make_simulator(node, plan.tasks, config).run()
-    monkeypatch.setenv(NO_NUMPY_ENV, "1")
-    fallback = make_simulator(node, plan.tasks, config).run()
-    assert with_numpy.end_time_s == fallback.end_time_s
-    assert with_numpy.records == fallback.records
-    assert with_numpy.power_segments == fallback.power_segments
-    assert (
-        with_numpy.min_clock_frac_seen == fallback.min_clock_frac_seen
-    )
-
-
-# ----------------------------------------------------------------------
-# auto tier: flip within tolerance, unreachable threshold bit-exact
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=15, deadline=None)
-@given(random_plans())
-def test_auto_tier_flip_within_tolerance(plan):
-    """A low flip threshold: results stay inside the tolerance tier."""
-    node, tasks, config = plan
-    _assert_close(
-        node,
-        tasks,
-        config,
-        rel_tol=0.10,
-        abs_floor_s=2e-5,
-        fast_config=config.auto(threshold=2),
-    )
-
-
-def test_auto_tier_flips_and_stays_within_tolerance_on_real_plan():
-    node, plan, cfg = _real_plan("fsdp", 2, power_limit_w=250.0)
-    config = cfg.sim_config(seed=3)
-    auto = make_simulator(node, plan.tasks, config.auto(threshold=4))
-    assert type(auto) is AutoSimulator
-    result = auto.run()
-    # The threshold is low enough that the live population crosses it:
-    # the engine must actually have flipped, exactly once.
-    assert auto.stats.auto_flips == 1
-    ref = Simulator(
-        node,
-        plan.tasks,
-        dataclasses.replace(config, reference_engine=True),
-    ).run()
-    tol = 0.05 * ref.end_time_s
-    assert abs(ref.end_time_s - result.end_time_s) <= tol
-    energy_ref, energy_auto = _total_energy(ref), _total_energy(result)
-    assert abs(energy_ref - energy_auto) <= 0.05 * energy_ref + 1e-9
-
-
-def test_auto_tier_unreachable_threshold_is_bit_exact():
-    """Below the flip point the auto engine IS the exact engine."""
-    node, plan, cfg = _real_plan("fsdp", 2, power_limit_w=250.0)
-    config = cfg.sim_config(seed=3)
-    auto = make_simulator(node, plan.tasks, config.auto(threshold=10**9))
-    exact = IncrementalSimulator(node, plan.tasks, config)
-    a = auto.run()
-    b = exact.run()
-    assert auto.stats.auto_flips == 0
-    assert a.end_time_s == b.end_time_s
-    assert a.records == b.records
-    assert a.power_segments == b.power_segments
-    assert a.min_clock_frac_seen == b.min_clock_frac_seen
-
-
-@settings(max_examples=15, deadline=None)
-@given(random_plans())
-def test_auto_tier_unreachable_threshold_bit_exact_property(plan):
-    node, tasks, config = plan
-    auto = make_simulator(node, tasks, config.auto(threshold=10**9))
-    exact = IncrementalSimulator(node, tasks, config)
-    a = auto.run()
-    b = exact.run()
-    assert auto.stats.auto_flips == 0
-    assert a.end_time_s == b.end_time_s
-    assert a.records == b.records
-    assert a.power_segments == b.power_segments
-
-
-# ----------------------------------------------------------------------
-# per-metric tolerance knobs: ExperimentConfig wiring
-# ----------------------------------------------------------------------
-
-
-def test_experiment_tolerances_gate_the_tolerance_suite():
-    """The configured per-metric bounds are what the suite enforces."""
-    from repro.core.experiment import ExperimentConfig
-
-    cfg = ExperimentConfig(
-        gpu="A100",
-        model="gpt3-xl",
-        batch_size=8,
-        strategy="fsdp",
-        num_gpus=2,
-        jitter_sigma=0.02,
-        power_limit_w=250.0,
-        engine_tier="fast",
-        tolerances={"records": 0.05, "power": 0.05, "energy": 0.05},
-    )
-    assert cfg.tolerance("records") == 0.05
-    assert cfg.tolerance("nonexistent", default=0.25) == 0.25
-    from repro.exec.planning import default_planner
-
-    planner = default_planner()
-    node = planner.node_for(cfg)
-    plan = planner.plan_for(cfg, overlap=True)
-    config = cfg.sim_config(seed=3)
-    exact_cfg = dataclasses.replace(
-        cfg, engine_tier="exact", tolerances=None
-    )
-    ref = Simulator(
-        node,
-        plan.tasks,
-        dataclasses.replace(
-            exact_cfg.sim_config(seed=3), reference_engine=True
-        ),
-    ).run()
-    fast = make_simulator(node, plan.tasks, config).run()
-    time_tol = cfg.tolerance("records") * ref.end_time_s
-    assert abs(ref.end_time_s - fast.end_time_s) <= time_tol
-    energy_ref, energy_fast = _total_energy(ref), _total_energy(fast)
-    assert (
-        abs(energy_ref - energy_fast)
-        <= cfg.tolerance("energy") * energy_ref + 1e-9
-    )
-    avg_ref = energy_ref / ref.end_time_s
-    avg_fast = energy_fast / fast.end_time_s
-    assert abs(avg_ref - avg_fast) <= cfg.tolerance("power") * avg_ref
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,50 @@ def test_cache_key_depends_on_modes():
     two = SimJob(config=CONFIG, modes=TWO_MODES)
     three = SimJob(config=CONFIG)
     assert two.cache_key() != three.cache_key()
+
+
+def test_cache_keys_are_pinned():
+    """Existing on-disk caches and manifests stay valid only while a
+    cell's payload digest is stable; a change that moves these keys
+    must bump ``CACHE_SCHEMA_VERSION`` and re-pin them."""
+    assert SimJob(config=CONFIG, modes=TWO_MODES).cache_key() == (
+        "aab9fce93c46d44bef5c3a8a15e67df68bd93feecf86e1da918e043606443419"
+    )
+    assert SimJob(config=CONFIG).cache_key() == (
+        "9c81394232d5ed7e261b98bb69194629220a5dff55e2f3f645face3a635eacdb"
+    )
+    straggler = CONFIG.with_updates(
+        perturbations=(
+            {"kind": "straggler_rank", "target": "gpu:0", "magnitude": 0.25},
+        )
+    )
+    assert SimJob(config=straggler, modes=TWO_MODES).cache_key() == (
+        "5c433e191b4e26ed1298f965a9c6a7453dc239dfcd7333cae46080d379ec6c41"
+    )
+
+
+def test_one_cell_never_imports_numpy():
+    """numpy is optional: simulating a cell must not import it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import sys\n"
+        "from repro.core.experiment import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(gpu='A100', model='gpt3-xl',\n"
+        "                                batch_size=8, runs=1))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cache_key_folds_in_calibration_overrides():

@@ -8,6 +8,7 @@ from repro.hw.power import (
     DVFS_POWER_EXPONENT,
     GpuActivity,
     GpuPowerCoefficients,
+    PowerEvaluator,
     gpu_power,
 )
 
@@ -87,3 +88,35 @@ def test_invalid_coefficients_rejected():
         GpuPowerCoefficients(idle_frac=1.5)
     with pytest.raises(ConfigurationError):
         GpuPowerCoefficients(hbm_max_frac=-0.1)
+
+
+def test_evaluate_parts_matches_gpu_power():
+    coeffs = GpuPowerCoefficients()
+    evaluator = PowerEvaluator(TDP, coeffs)
+    cases = [
+        GpuActivity(),
+        GpuActivity(
+            sm_util={Datapath.TENSOR: 0.9, Datapath.VECTOR: 0.4},
+            hbm_frac=0.7,
+            link_frac=0.3,
+            clock_frac=0.8,
+        ),
+        # Out-of-range values exercise the clamps.
+        GpuActivity(
+            sm_util={Datapath.VECTOR: 1.7}, hbm_frac=1.4, link_frac=-0.1,
+            clock_frac=1.0,
+        ),
+    ]
+    for activity in cases:
+        expected = gpu_power(TDP, coeffs, activity)
+        assert evaluator.evaluate(activity) == expected
+        assert (
+            evaluator.evaluate_parts(
+                activity.clock_frac,
+                activity.hbm_frac,
+                activity.link_frac,
+                tuple(activity.sm_util.items()),
+            )
+            == expected
+        )
+    assert evaluator.idle_power() == gpu_power(TDP, coeffs, GpuActivity())

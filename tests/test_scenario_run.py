@@ -226,3 +226,83 @@ def test_missing_spec_file_path_reports_file_not_found():
         run_scenario("no/such/dir/sweep.yaml")
     with pytest.raises(ConfigurationError, match="spec file not found"):
         run_scenario("missing.yaml")
+
+
+# ----------------------------------------------------------------------
+# scenario --set plumbing
+# ----------------------------------------------------------------------
+
+
+def test_parse_set_overrides_types():
+    from repro.errors import ConfigurationError
+    from repro.scenario.runner import parse_set_overrides
+
+    overrides = parse_set_overrides(
+        ["gpu=H100", "batch_size=16", "jitter_sigma=0.5",
+         "runs=1", "power_limit_w=null"]
+    )
+    assert overrides == {
+        "gpu": "H100",
+        "batch_size": 16,
+        "jitter_sigma": 0.5,
+        "runs": 1,
+        "power_limit_w": None,
+    }
+    with pytest.raises(ConfigurationError):
+        parse_set_overrides(["no-equals-sign"])
+
+
+def test_with_base_overrides_applies_to_every_cell():
+    from repro.errors import ConfigurationError
+
+    spec = SweepSpec(
+        name="t",
+        base={"gpu": "A100"},
+        axes={"batch_size": [8, 16]},
+    )
+    overridden = spec.with_base_overrides({"runs": 1})
+    jobs = overridden.compile()
+    assert len(jobs) == 2
+    assert all(job.config.runs == 1 for job in jobs)
+    assert spec.spec_hash() != overridden.spec_hash()
+    # Unknown fields and axis-swept fields are rejected loudly.
+    with pytest.raises(ConfigurationError):
+        spec.with_base_overrides({"warp_factor": 9})
+    with pytest.raises(ConfigurationError):
+        spec.with_base_overrides({"batch_size": 4})
+
+
+def test_scenario_run_with_overrides_uses_qualified_manifest(tmp_path):
+    configure(cache=True, cache_dir=str(tmp_path), executor=None)
+    try:
+        report = run_scenario("fig9", overrides={"runs": 2})
+        assert report.name.startswith("fig9@")
+        assert report.cells > 0
+        assert report.manifest is not None
+        assert report.manifest.spec_hash == report.spec.spec_hash()
+        assert all(job.config.runs == 2 for job in report.spec.compile())
+        # Canonical fig9 manifest untouched; the overridden run's
+        # manifest lands under its hash-qualified (sanitized) name.
+        assert not (tmp_path / "manifests" / "fig9.json").exists()
+        assert report.manifest_file is not None
+        assert report.manifest_file.exists()
+        assert report.manifest_file.name != "fig9.json"
+    finally:
+        configure(cache=True, cache_dir=None, executor=None)
+
+
+def test_cli_scenario_show_set(capsys):
+    from repro.cli import main
+
+    assert main(["scenario", "show", "fig9", "--set", "runs=2"]) == 0
+    out = capsys.readouterr().out
+    assert '"runs": 2' in out
+
+
+def test_cli_scenario_show_set_on_specless_artifact_errors(capsys):
+    """show must mirror run: no silent preview without the override."""
+    from repro.cli import main
+
+    assert main(["scenario", "show", "fig8", "--set", "runs=2"]) == 1
+    err = capsys.readouterr().err
+    assert "no sweep spec" in err and "--set" in err

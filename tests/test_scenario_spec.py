@@ -126,8 +126,11 @@ def test_unknown_axis_field_rejected():
 
 
 def test_unknown_base_field_rejected():
-    with pytest.raises(ConfigurationError, match="unknown experiment field"):
-        SweepSpec(base={"gpus": "A100"})
+    for field in ("gpus", "engine_tier"):
+        with pytest.raises(
+            ConfigurationError, match="unknown experiment field"
+        ):
+            SweepSpec(base={field: "A100"})
 
 
 def test_unknown_include_field_rejected():

@@ -111,9 +111,12 @@ def test_json_spec_files_load_too(tmp_path):
 
 def test_unknown_field_in_file_is_rejected(tmp_path):
     path = tmp_path / "bad.yaml"
-    path.write_text("name: bad\nbase:\n  gpus: A100\n")
-    with pytest.raises(ConfigurationError, match="unknown experiment field"):
-        load_spec_file(path)
+    for field in ("gpus: A100", "engine_tier: fast"):
+        path.write_text(f"name: bad\nbase:\n  {field}\n")
+        with pytest.raises(
+            ConfigurationError, match="unknown experiment field"
+        ):
+            load_spec_file(path)
 
 
 def test_unnamed_file_spec_takes_its_stem(tmp_path):

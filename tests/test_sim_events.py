@@ -1,33 +1,19 @@
-"""Tests for the event queue backends.
+"""Tests for the engine's versioned event queue.
 
-Every behavioural test runs against both storage backends — the
-binary heap and the bucketed calendar queue — because they share one
-versioned surface and must be observably interchangeable. A dedicated
-property test additionally drives both backends through identical
-random operation sequences and requires identical outputs.
+A property test drives the queue through random operation sequences
+and checks its tombstone/cell bookkeeping after every step.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import (
-    CalendarEventQueue,
-    Event,
-    EventKind,
-    EventQueue,
-    make_event_queue,
-)
-
-BACKENDS = {
-    "heap": EventQueue,
-    "calendar": lambda: CalendarEventQueue(bucket_width_s=7.0),
-}
+from repro.sim.events import Event, EventKind, EventQueue
 
 
-@pytest.fixture(params=sorted(BACKENDS), name="queue")
-def _queue(request):
-    return BACKENDS[request.param]()
+@pytest.fixture(name="queue")
+def _queue():
+    return EventQueue()
 
 
 def _event(t, payload=0, epoch=0):
@@ -83,17 +69,6 @@ def test_rejects_infinite_time(queue):
         queue.push(_event(float("inf")))
 
 
-def test_make_event_queue_selects_backend():
-    assert type(make_event_queue("heap")) is EventQueue
-    calendar = make_event_queue("calendar", bucket_width_s=0.5)
-    assert isinstance(calendar, CalendarEventQueue)
-    assert calendar.bucket_width_s == 0.5
-    with pytest.raises(SimulationError):
-        make_event_queue("fibonacci")
-    with pytest.raises(SimulationError):
-        CalendarEventQueue(bucket_width_s=0.0)
-
-
 @given(
     st.lists(
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
@@ -102,14 +77,13 @@ def test_make_event_queue_selects_backend():
     )
 )
 def test_pop_sequence_is_sorted(times):
-    for factory in BACKENDS.values():
-        q = factory()
-        for t in times:
-            q.push(_event(t))
-        popped = []
-        while q:
-            popped.append(q.pop().time)
-        assert popped == sorted(times)
+    q = EventQueue()
+    for t in times:
+        q.push(_event(t))
+    popped = []
+    while q:
+        popped.append(q.pop().time)
+    assert popped == sorted(times)
 
 
 # ----------------------------------------------------------------------
@@ -179,20 +153,19 @@ def test_compaction_preserves_order_and_results(queue):
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 100.0)), max_size=60))
 def test_pop_live_returns_only_latest_per_payload(schedules):
-    for factory in BACKENDS.values():
-        q = factory()
-        latest = {}
-        for payload, time in schedules:
-            q.schedule(time, EventKind.TASK_FINISH, payload)
-            latest[payload] = time
-        got = {}
-        while True:
-            event = q.pop_live()
-            if event is None:
-                break
-            assert event.payload not in got
-            got[event.payload] = event.time
-        assert got == latest
+    q = EventQueue()
+    latest = {}
+    for payload, time in schedules:
+        q.schedule(time, EventKind.TASK_FINISH, payload)
+        latest[payload] = time
+    got = {}
+    while True:
+        event = q.pop_live()
+        if event is None:
+            break
+        assert event.payload not in got
+        got[event.payload] = event.time
+    assert got == latest
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +287,7 @@ def test_raw_and_versioned_keys_do_not_mix(queue):
     queue.schedule(1.0, EventKind.TASK_FINISH, 7)
     with pytest.raises(SimulationError):
         queue.push(_event(2.0, 7))
-    queue2 = type(queue)() if type(queue) is EventQueue else CalendarEventQueue()
+    queue2 = EventQueue()
     queue2.push(_event(1.0, 7))
     with pytest.raises(SimulationError):
         queue2.schedule(2.0, EventKind.TASK_FINISH, 7)
@@ -325,7 +298,7 @@ def test_raw_and_versioned_keys_do_not_mix(queue):
 
 
 # ----------------------------------------------------------------------
-# property: random interleavings keep both backends exact and identical
+# property: random interleavings keep the bookkeeping exact
 # ----------------------------------------------------------------------
 
 _OPS = st.lists(
@@ -347,52 +320,34 @@ _OPS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(_OPS)
-def test_random_interleavings_keep_invariants_and_backends_agree(ops):
-    heap = EventQueue()
-    calendar = CalendarEventQueue(bucket_width_s=3.0)
+def test_random_interleavings_keep_invariants(ops):
+    q = EventQueue()
     for op, key, time in ops:
-        results = []
-        for q in (heap, calendar):
-            if op == "schedule":
-                q.schedule(time, EventKind.TASK_FINISH, key)
-                results.append(None)
-            elif op == "cancel":
-                q.cancel(EventKind.TASK_FINISH, key)
-                results.append(None)
-            elif op == "pop_live":
-                event = q.pop_live()
-                results.append(
-                    None
-                    if event is None
-                    else (event.time, event.payload, event.epoch)
+        if op == "schedule":
+            q.schedule(time, EventKind.TASK_FINISH, key)
+        elif op == "cancel":
+            q.cancel(EventKind.TASK_FINISH, key)
+        elif op == "pop_live":
+            q.pop_live()
+        elif op == "pop":
+            q.pop()
+        elif op == "peek":
+            head = q.peek_time()
+            if head is not None:
+                # The peeked time is the next live pop.
+                assert head == min(
+                    item[0] for item in q._heap if not q._is_stale(item[2])
                 )
-            elif op == "pop":
-                event = q.pop()
-                results.append(
-                    None
-                    if event is None
-                    else (event.time, event.payload, event.epoch)
-                )
-            elif op == "peek":
-                results.append(q.peek_time())
-            elif op == "compact":
-                q.compact()
-                results.append(None)
-            q.check_invariants()
-        # The two backends must be observably identical step for step.
-        assert results[0] == results[1]
-        assert heap.live_count == calendar.live_count
-        assert heap.stale_dropped == calendar.stale_dropped
-    # Drain: remaining live sequences must match exactly.
+        elif op == "compact":
+            q.compact()
+        q.check_invariants()
+    # Drain: the rest pops in time order and leaves no bookkeeping.
     drained = []
-    for q in (heap, calendar):
-        out = []
-        while True:
-            event = q.pop_live()
-            if event is None:
-                break
-            out.append((event.time, event.payload, event.epoch))
-        drained.append(out)
-        assert not q._versions
-        assert not q._key_copies
-    assert drained[0] == drained[1]
+    while True:
+        event = q.pop_live()
+        if event is None:
+            break
+        drained.append(event.time)
+    assert drained == sorted(drained)
+    assert not q._versions
+    assert not q._key_copies

@@ -7,8 +7,8 @@ The contract under test is the one that makes cross-cell sharing safe:
   tables, the prep layer's per-kernel rows) hits across plans.
 * ``prepare()`` is memoized on identity + sim-relevant scalars, and
   a :class:`PreparedSim` is immutable in practice: any number of
-  simulator runs (same tier or mixed tiers, sequential or repeated)
-  over one shared instance must produce bit-for-bit the results of
+  simulator runs (same engine or mixed engines, sequential or
+  repeated) over one shared instance must produce bit-for-bit the results of
   fully isolated runs.
 * The per-run arena recycles mutable state between runs without any
   observable carry-over.
@@ -25,11 +25,7 @@ from repro.hw.datapath import FP16_TENSOR, FP32_VECTOR
 from repro.hw.system import make_node
 from repro.parallel.plan import PlanBuilder
 from repro.sim.config import SimConfig
-from repro.sim.engine import (
-    BatchedSimulator,
-    IncrementalSimulator,
-    Simulator,
-)
+from repro.sim.engine import IncrementalSimulator, Simulator
 from repro.sim.prep import prep_stats, prepare, reset_prepared
 from repro.sim.task import COMM_STREAM
 from repro.units import MB
@@ -156,6 +152,26 @@ def test_mismatched_prepared_is_rejected():
         IncrementalSimulator(
             NODE, other, SimConfig(seed=1), prepared=prep
         )
+    # The tables copy calibration factors and the collective costs
+    # derive from them, so a recalibrated node must not reuse them.
+    recalibrated = dataclasses.replace(
+        NODE,
+        calibration=dataclasses.replace(
+            NODE.calibration,
+            spin_sm_scale=0.3,
+            interference_factor=0.2,
+            stall_power_frac=0.5,
+        ),
+    )
+    with pytest.raises(PlanError):
+        IncrementalSimulator(
+            recalibrated, tasks, SimConfig(seed=1), prepared=prep
+        )
+    # Calibrations compare by value: an equal copy is the same node.
+    copied = dataclasses.replace(
+        NODE, calibration=dataclasses.replace(NODE.calibration)
+    )
+    IncrementalSimulator(copied, tasks, SimConfig(seed=1), prepared=prep)
 
 
 # ----------------------------------------------------------------------
@@ -172,16 +188,12 @@ def _observables(result):
     )
 
 
-@pytest.mark.parametrize(
-    "engine_cls", [Simulator, IncrementalSimulator, BatchedSimulator]
-)
+@pytest.mark.parametrize("engine_cls", [Simulator, IncrementalSimulator])
 def test_shared_prepared_matches_isolated_runs(engine_cls):
     tasks = _tasks(rounds=4)
     config = SimConfig(jitter_sigma=0.02, seed=11, governor_period_s=5e-6)
     if engine_cls is Simulator:
         config = dataclasses.replace(config, reference_engine=True)
-    elif engine_cls is BatchedSimulator:
-        config = config.fast()
     # Isolated baseline: fresh prep layer, its own prepared sim.
     reset_prepared()
     baseline = _observables(engine_cls(NODE, tasks, config).run())
@@ -201,27 +213,26 @@ def test_shared_prepared_matches_isolated_runs(engine_cls):
         assert _observables(sim.run()) == baseline
 
 
-def test_prepared_survives_mixed_tiers():
-    """One prepared sim serves exact and batched tiers alternately."""
+def test_prepared_survives_mixed_engines():
+    """One prepared sim serves both engines alternately."""
     tasks = _tasks(rounds=4)
-    exact_cfg = SimConfig(jitter_sigma=0.01, seed=5)
+    config = SimConfig(jitter_sigma=0.01, seed=5)
+    reference_cfg = dataclasses.replace(config, reference_engine=True)
     prep = prepare(
         NODE, tasks, seed=5, jitter_sigma=0.01, max_clock_frac=1.0
     )
-    exact_a = _observables(
-        IncrementalSimulator(NODE, tasks, exact_cfg, prepared=prep).run()
+    first = _observables(
+        IncrementalSimulator(NODE, tasks, config, prepared=prep).run()
     )
-    fast_cfg = exact_cfg.fast()
-    batched = _observables(
-        BatchedSimulator(NODE, tasks, fast_cfg, prepared=prep).run()
+    reference = _observables(
+        Simulator(NODE, tasks, reference_cfg, prepared=prep).run()
     )
-    # The batched run must not have perturbed the shared tables: the
-    # exact tier reproduces its result exactly afterwards.
-    exact_b = _observables(
-        IncrementalSimulator(NODE, tasks, exact_cfg, prepared=prep).run()
+    # Neither run perturbed the shared tables: the incremental engine
+    # reproduces its result exactly afterwards, and both engines agree.
+    again = _observables(
+        IncrementalSimulator(NODE, tasks, config, prepared=prep).run()
     )
-    assert exact_a == exact_b
-    assert batched[1] is not None  # ran to completion
+    assert first == reference == again
 
 
 def test_prepared_tables_are_shared_across_simulators():
