@@ -39,7 +39,6 @@ from repro.core.experiment import (
 )
 from repro.core.modes import ExecutionMode
 from repro.exec import (
-    AsyncExecutor,
     ExecutionService,
     JobOutcome,
     ParallelExecutor,
@@ -72,7 +71,6 @@ from repro.scenario import (
 )
 
 __all__ = [
-    "AsyncExecutor",
     "ComputePath",
     "ConfigurationError",
     "Constraint",

@@ -4,7 +4,8 @@ Subcommands mirror the library's layers:
 
 * ``list-gpus`` / ``list-models`` — the registries (Tables I and II);
 * ``run`` — one experiment cell with full Eq. 1-5 metrics;
-* ``figure N`` — regenerate a paper figure (1, 4-11);
+* ``figure N`` — regenerate a paper figure (1, 4-11); an alias of
+  ``scenario run figN``;
 * ``table N`` — regenerate a paper table (1, 2);
 * ``scenario`` — the declarative sweep API: ``list`` the named paper
   scenarios, ``show`` a spec, ``run`` a scenario (or a JSON/YAML spec
@@ -58,11 +59,10 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         default=None,
-        choices=("serial", "process", "async", "remote"),
+        choices=("serial", "process", "remote"),
         help="how to fan out grid cells (default: process pool when "
-        "--jobs > 1, serial otherwise; async drives an event loop "
-        "with --jobs concurrent worker threads; remote submits cells "
-        "to a fleet coordinator — requires --coordinator)",
+        "--jobs > 1, serial otherwise; remote submits cells to a "
+        "fleet coordinator — requires --coordinator)",
     )
     parser.add_argument(
         "--coordinator",
@@ -246,41 +246,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIGURES = {
-    "1": "fig1",
-    "4": "fig4",
-    "5": "fig5",
-    "6": "fig6",
-    "7": "fig7",
-    "8": "fig8",
-    "9": "fig9",
-    "10": "fig10",
-    "11": "fig11",
-}
+_FIGURES = ("1", "4", "5", "6", "7", "8", "9", "10", "11")
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.scenario.registry import get_scenario
-
-    _configure_execution(args)
-    name = _FIGURES.get(args.number)
-    if name is None:
+    """``figure N`` is ``scenario run figN``."""
+    if args.number not in _FIGURES:
         print(
             f"unknown figure {args.number!r} "
-            f"(available: {', '.join(sorted(_FIGURES, key=int))})",
+            f"(available: {', '.join(_FIGURES)})",
             file=sys.stderr,
         )
         return 2
-    scenario = get_scenario(name)
-    data = scenario.generate(quick=not args.full)
-    print(scenario.render(data))
-    _print_execution_stats()
-    if args.out:
-        from repro.harness.io import write_json
-
-        write_json(args.out, data)
-        print(f"\ndata written to {args.out}")
-    return 0
+    args.name = f"fig{args.number}"
+    return _cmd_scenario_run(args)
 
 
 def _cmd_scenario_list(args: argparse.Namespace) -> int:
@@ -307,14 +286,10 @@ def _cmd_scenario_show(args: argparse.Namespace) -> int:
     from repro.scenario.runner import (
         override_spec,
         parse_set_overrides,
-        resolve_target,
+        resolve_spec,
     )
 
-    scenario, spec = resolve_target(args.name)
-    if scenario is not None:
-        name, spec = scenario.name, scenario.spec(quick=not args.full)
-    else:
-        name = spec.name
+    _, name, spec = resolve_spec(args.name, quick=not args.full)
     # Shared with `scenario run`: previewing a spec-less artifact with
     # --set raises instead of silently dropping the override.
     spec = override_spec(
@@ -756,14 +731,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_args(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
-    fig_parser = sub.add_parser("figure", help="regenerate a paper figure")
+    fig_parser = sub.add_parser(
+        "figure", help="regenerate a paper figure (= scenario run figN)"
+    )
     fig_parser.add_argument("number", help="figure number (1, 4-11)")
     fig_parser.add_argument(
         "--full", action="store_true", help="full paper-scale sweep"
     )
     fig_parser.add_argument("--out", default=None, help="write JSON data here")
     _add_execution_args(fig_parser)
-    fig_parser.set_defaults(func=_cmd_figure)
+    # No --shard/--set/--stats: a figure is the whole, canonical run.
+    fig_parser.set_defaults(func=_cmd_figure, shard=None)
 
     table_parser = sub.add_parser("table", help="regenerate a paper table")
     table_parser.add_argument("number", help="table number (1 or 2)")

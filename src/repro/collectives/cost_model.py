@@ -104,7 +104,7 @@ class CollectiveCostModel:
     every simulation of a node (see :mod:`repro.exec.planning`), and a
     training iteration re-issues the same small set of collectives over
     and over. The memo dict is only mutated under the GIL with
-    deterministic values, so concurrent AsyncExecutor threads at worst
+    deterministic values, so concurrent fleet worker threads at worst
     compute a key twice — never observe a wrong cost.
     """
 

@@ -2,7 +2,7 @@
 
 Defines the three execution scenarios (overlapped / sequential / ideal),
 the metrics of Section IV-D (Eqs. 1-5), memory-feasibility checks, the
-experiment runner with N-run averaging, grid sweeps, and the
+experiment runner with N-run averaging, sweep rows, and the
 matmul-all-reduce microbenchmark of Fig. 8.
 """
 
@@ -15,12 +15,7 @@ from repro.core.experiment import (
     ModeStats,
     run_experiment,
 )
-from repro.core.sweep import (
-    GridRow,
-    grid_configs,
-    grid_spec_from_args,
-    run_grid,
-)
+from repro.core.sweep import GridRow
 from repro.core.microbench import MicrobenchResult, run_microbench
 
 __all__ = [
@@ -34,9 +29,6 @@ __all__ = [
     "OverlapMetrics",
     "check_feasibility",
     "compute_metrics",
-    "grid_configs",
-    "grid_spec_from_args",
     "run_experiment",
-    "run_grid",
     "run_microbench",
 ]

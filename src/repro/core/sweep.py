@@ -1,30 +1,21 @@
-"""Grid sweeps over (GPU, model, batch, strategy) with feasibility cuts.
+"""Sweep rows and their headline aggregates.
 
 Sweeps are *specified* declaratively as
-:class:`~repro.scenario.spec.SweepSpec` objects and *executed* as
-batches of :class:`~repro.exec.job.SimJob` through an
+:class:`~repro.scenario.spec.SweepSpec` objects and *executed* by
+:func:`repro.scenario.runner.run_spec` as batches of
+:class:`~repro.exec.job.SimJob` through an
 :class:`~repro.exec.service.ExecutionService`: cells already in the
 result cache are served without simulating, the rest fan out across
 the configured executor (``--jobs N``), and infeasible cells come back
-as skipped rows rather than exceptions.
-
-:func:`run_grid` survives as a deprecated positional-argument shim over
-the spec path; new code should build a ``SweepSpec`` and call
-:func:`repro.scenario.runner.run_spec`.
+as skipped :class:`GridRow` cells rather than exceptions.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 from repro.core.experiment import ExperimentConfig, ExperimentResult
-from repro.core.modes import ExecutionMode
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec.service import ExecutionService
 
 
 @dataclass
@@ -38,110 +29,6 @@ class GridRow:
     @property
     def ran(self) -> bool:
         return self.result is not None
-
-
-def grid_configs(
-    gpus: Sequence[str],
-    models: Sequence[str],
-    batch_sizes: Sequence[int],
-    strategies: Sequence[str] = ("fsdp",),
-    base: Optional[ExperimentConfig] = None,
-) -> List[ExperimentConfig]:
-    """The cross-product of configs a grid sweep covers.
-
-    ``base`` supplies the non-swept fields (runs, precision, seq_len,
-    power limits, ...); its gpu/model/batch/strategy fields are ignored.
-    """
-    if base is None:
-        base = ExperimentConfig(gpu="H100", model="gpt3-xl", batch_size=8)
-    return [
-        base.with_updates(
-            gpu=gpu, model=model, batch_size=batch, strategy=strategy
-        )
-        for gpu in gpus
-        for strategy in strategies
-        for model in models
-        for batch in batch_sizes
-    ]
-
-
-def grid_spec_from_args(
-    gpus: Sequence[str],
-    models: Sequence[str],
-    batch_sizes: Sequence[int],
-    strategies: Sequence[str] = ("fsdp",),
-    base: Optional[ExperimentConfig] = None,
-    modes: Tuple[ExecutionMode, ...] = (
-        ExecutionMode.OVERLAPPED,
-        ExecutionMode.SEQUENTIAL,
-        ExecutionMode.IDEAL,
-    ),
-) -> "SweepSpec":
-    """The :class:`SweepSpec` equivalent of ``run_grid``'s arguments.
-
-    Axis nesting matches :func:`grid_configs` exactly
-    (gpu -> strategy -> model -> batch), so the compiled jobs are
-    identical to the historical cross-product.
-    """
-    # Function-level import: repro.scenario sits above the core layer.
-    from repro.scenario.spec import SweepSpec
-
-    if base is None:
-        base = ExperimentConfig(gpu="H100", model="gpt3-xl", batch_size=8)
-    swept = ("gpu", "strategy", "model", "batch_size")
-    base_overrides = {
-        f.name: getattr(base, f.name)
-        for f in dataclasses.fields(base)
-        if f.name not in swept
-    }
-    return SweepSpec(
-        name="grid",
-        base=base_overrides,
-        axes=[
-            {"gpu": list(gpus)},
-            {"strategy": list(strategies)},
-            {"model": list(models)},
-            {"batch_size": list(batch_sizes)},
-        ],
-        modes=modes,
-    )
-
-
-def run_grid(
-    gpus: Sequence[str],
-    models: Sequence[str],
-    batch_sizes: Sequence[int],
-    strategies: Sequence[str] = ("fsdp",),
-    base: Optional[ExperimentConfig] = None,
-    modes: Tuple[ExecutionMode, ...] = (
-        ExecutionMode.OVERLAPPED,
-        ExecutionMode.SEQUENTIAL,
-        ExecutionMode.IDEAL,
-    ),
-    service: Optional["ExecutionService"] = None,
-) -> List[GridRow]:
-    """Deprecated positional-argument sweep API.
-
-    Kept as a compatibility shim for downstream callers: it builds the
-    equivalent :class:`~repro.scenario.spec.SweepSpec` and delegates to
-    :func:`repro.scenario.runner.run_spec`, producing bit-identical
-    rows. Jobs still go through ``service`` (default: the process-wide
-    one, which the CLI's ``--jobs``/``--no-cache`` flags configure).
-    """
-    warnings.warn(
-        "run_grid(gpus, models, ...) is deprecated; build a "
-        "repro.scenario.SweepSpec and use repro.scenario.run_spec "
-        "(or a registered scenario) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Function-level import: repro.scenario sits above the core layer.
-    from repro.scenario.runner import run_spec
-
-    spec = grid_spec_from_args(
-        gpus, models, batch_sizes, strategies, base, modes
-    )
-    return run_spec(spec, service=service)
 
 
 def feasible_rows(rows: Iterable[GridRow]) -> List[GridRow]:

@@ -14,8 +14,7 @@ job-based service:
   were already simulated;
 * :mod:`repro.exec.executors` — pluggable executors behind one
   interface: :class:`SerialExecutor`, a process-pool backed
-  :class:`ParallelExecutor` (``--jobs N``), an asyncio-driven
-  :class:`AsyncExecutor` (``--executor async``) and a fleet-dispatch
+  :class:`ParallelExecutor` (``--jobs N``) and a fleet-dispatch
   :class:`RemoteExecutor` (``--executor remote --coordinator URL``);
 * :mod:`repro.exec.shard` — :class:`ShardPlan`, the deterministic
   round-robin partition (sorted cache keys) that splits a compiled job
@@ -33,7 +32,6 @@ from repro.exec.job import JobOutcome, SimJob
 from repro.exec.planning import Planner, default_planner, reset_default_planner
 from repro.exec.cache import ResultCache
 from repro.exec.executors import (
-    AsyncExecutor,
     Executor,
     ParallelExecutor,
     RemoteExecutor,
@@ -49,7 +47,6 @@ from repro.exec.service import (
 )
 
 __all__ = [
-    "AsyncExecutor",
     "ExecutionService",
     "Executor",
     "JobOutcome",

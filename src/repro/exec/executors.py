@@ -1,12 +1,10 @@
 """Pluggable job executors.
 
-One interface, four implementations:
+One interface, three implementations:
 
 * :class:`SerialExecutor` runs jobs in-process, in order;
 * :class:`ParallelExecutor` fans out over a
   :class:`concurrent.futures.ProcessPoolExecutor` (``--jobs N``);
-* :class:`AsyncExecutor` drives the batch from an asyncio event loop,
-  offloading each job to a worker thread (``--executor async``);
 * :class:`RemoteExecutor` submits the batch to a fleet coordinator
   (``--executor remote --coordinator URL``) and collects the outcome
   payloads as remote workers land them in the coordinator's cache.
@@ -21,7 +19,6 @@ config, the executors are bit-for-bit interchangeable.
 from __future__ import annotations
 
 import abc
-import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
@@ -99,59 +96,6 @@ class ParallelExecutor(Executor):
             return list(pool.map(execute_job, jobs))
 
 
-class AsyncExecutor(Executor):
-    """Event-loop driven execution with per-job thread offload.
-
-    Each job runs in a worker thread via :func:`asyncio.to_thread`, so
-    the loop stays free to interleave I/O-bound work (remote backends,
-    progress reporting) with the simulation batch; ``max_concurrency``
-    bounds the in-flight jobs. The simulator is pure Python, so unlike
-    :class:`ParallelExecutor` this gives no CPU parallelism — its value
-    is the asyncio submission surface, which a future remote/RPC
-    executor can share unchanged.
-
-    The batch entry point is synchronous (it owns its own event loop),
-    keeping the :class:`Executor` interface identical for all three
-    implementations; :meth:`run_async` is the awaitable form for
-    callers that already run a loop.
-    """
-
-    def __init__(self, max_concurrency: Optional[int] = None):
-        super().__init__()
-        if max_concurrency is not None and max_concurrency < 1:
-            raise ConfigurationError("max_concurrency must be >= 1")
-        self.max_concurrency = max_concurrency
-
-    async def _gather(self, jobs: Sequence[SimJob]) -> List[JobOutcome]:
-        semaphore = (
-            asyncio.Semaphore(self.max_concurrency)
-            if self.max_concurrency is not None
-            else None
-        )
-
-        async def one(job: SimJob) -> JobOutcome:
-            if semaphore is None:
-                return await asyncio.to_thread(execute_job, job)
-            async with semaphore:
-                return await asyncio.to_thread(execute_job, job)
-
-        # gather preserves argument order, so outcomes line up with
-        # submission order no matter which thread finishes first.
-        return list(await asyncio.gather(*(one(job) for job in jobs)))
-
-    async def run_async(self, jobs: Sequence[SimJob]) -> List[JobOutcome]:
-        """Awaitable batch execution (with the same accounting)."""
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        outcomes = await self._gather(jobs)
-        self.jobs_executed += len(jobs)
-        return outcomes
-
-    def _run_batch(self, jobs: Sequence[SimJob]) -> List[JobOutcome]:
-        return asyncio.run(self._gather(jobs))
-
-
 class RemoteExecutor(Executor):
     """Dispatch the batch to a fleet coordinator's task queue.
 
@@ -163,10 +107,6 @@ class RemoteExecutor(Executor):
     tasks carry canonical job payloads and workers serialize with the
     cache's own functions, results are bit-for-bit what a local
     executor produces.
-
-    ``run``/``run_async`` mirror :class:`AsyncExecutor`'s surface, so
-    the service (and any asyncio caller) treats remote fan-out as just
-    another executor kind.
     """
 
     def __init__(
@@ -250,7 +190,3 @@ class RemoteExecutor(Executor):
                 )
             )
         return outcomes
-
-    async def run_async(self, jobs: Sequence[SimJob]) -> List[JobOutcome]:
-        """Awaitable batch submission (same accounting as ``run``)."""
-        return await asyncio.to_thread(self.run, list(jobs))

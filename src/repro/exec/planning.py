@@ -92,10 +92,10 @@ class Planner:
         self.cost_model_builds = 0
         self.prepared_hits = 0
         self.prepared_builds = 0
-        # The AsyncExecutor runs jobs on concurrent threads against the
-        # process-wide planner, so cache lookup/insert/evict must be
-        # atomic (the eviction loop in particular would double-pop
-        # under a race). Reentrant: plan_for calls node_for.
+        # Fleet worker threads of one process run jobs concurrently
+        # against the process-wide planner, so cache lookup/insert/evict
+        # must be atomic (the eviction loop in particular would
+        # double-pop under a race). Reentrant: plan_for calls node_for.
         self._lock = threading.RLock()
 
     def node_for(self, config) -> NodeSpec:
@@ -242,7 +242,7 @@ def default_planner() -> Planner:
     """The process-wide shared planner."""
     global _default_planner
     if _default_planner is None:
-        # Locked: concurrent AsyncExecutor threads hitting a cold
+        # Locked: concurrent fleet worker threads hitting a cold
         # planner must all end up sharing one instance, or the losing
         # thread quietly memoizes into a private copy.
         with _default_planner_lock:

@@ -3,9 +3,10 @@
 An :class:`ExecutionService` resolves each submitted job against the
 result cache, fans the misses out through its executor, stores the
 fresh outcomes and stitches everything back together in submission
-order. The process-wide default service is what the sweep, figure and
-analysis layers use implicitly; the CLI reconfigures it via
-``--jobs`` / ``--no-cache`` / ``--cache-dir``.
+order. The process-wide default service is what the scenario runner,
+the figure generators and the analyses use implicitly; the CLI
+reconfigures it via ``--jobs`` / ``--executor`` / ``--no-cache`` /
+``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.core.modes import ExecutionMode
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.executors import (
-    AsyncExecutor,
     Executor,
     ParallelExecutor,
     RemoteExecutor,
@@ -32,7 +32,7 @@ JOBS_ENV = "REPRO_JOBS"
 #: Executor kinds ``--executor`` / :func:`configure` accept. ``None``
 #: (auto) picks the process pool when ``jobs > 1``, serial otherwise;
 #: ``remote`` needs a coordinator URL (``--coordinator``).
-EXECUTOR_KINDS = ("serial", "process", "async", "remote")
+EXECUTOR_KINDS = ("serial", "process", "remote")
 
 
 @dataclass
@@ -148,8 +148,7 @@ class ExecutionSettings:
     cache: bool = True
     cache_dir: Optional[str] = None
     #: One of :data:`EXECUTOR_KINDS`, or ``None`` for the jobs-driven
-    #: auto choice. ``--jobs N`` doubles as the concurrency bound for
-    #: the async executor.
+    #: auto choice.
     executor: Optional[str] = None
     #: Fleet coordinator URL; required by (and only used with) the
     #: ``remote`` executor kind.
@@ -168,8 +167,6 @@ class ExecutionSettings:
             return SerialExecutor()
         if self.executor == "process":
             return ParallelExecutor(max_workers=self.jobs)
-        if self.executor == "async":
-            return AsyncExecutor(max_concurrency=self.jobs)
         if self.executor == "remote":
             if not self.coordinator:
                 raise ConfigurationError(

@@ -74,18 +74,10 @@ class FleetPlan:
 
 def compile_fleet_plan(target: str, quick: bool = True) -> FleetPlan:
     """Resolve and compile a scenario target into a :class:`FleetPlan`."""
-    from repro.scenario.runner import resolve_target
+    from repro.scenario.runner import require_spec, resolve_spec
 
-    scenario, file_spec = resolve_target(target)
-    spec = file_spec if scenario is None else scenario.spec(quick=quick)
-    name = scenario.name if scenario is not None else (
-        file_spec.name or target
-    )
-    if spec is None:
-        raise ConfigurationError(
-            f"scenario {name!r} has no sweep spec (it does not run "
-            f"through the job service) and cannot be served to a fleet"
-        )
+    _, name, spec = resolve_spec(target, quick=quick)
+    spec = require_spec(name, spec, "cannot be served to a fleet")
     jobs = spec.compile()
     jobs_by_key: "Dict[str, SimJob]" = {}
     job_keys: List[str] = []
@@ -184,8 +176,21 @@ class FleetCoordinator:
         self._thread.start()
 
     def stop(self) -> None:
+        """Tell polling workers to exit, then shut the server down.
+
+        Serves ``drained`` for one worker wait plus slack (two poll
+        intervals), so idle workers leave at once instead of backing
+        off against a vanished coordinator.
+        """
+        self._shutdown(linger=2 * self.poll_interval)
+
+    def _shutdown(self, linger: float) -> None:
+        """Flip leases to ``drained``, keep serving ``linger`` s, stop."""
+        with self._state_lock:
+            self._draining = True
         if self._thread is None:
             return
+        time.sleep(linger)
         self._server.shutdown()
         self._thread.join(timeout=5.0)
         self._server.server_close()
@@ -198,12 +203,13 @@ class FleetCoordinator:
     ) -> bool:
         """Block until the queue drains; returns ``True`` on success.
 
-        Reaps expired leases each tick. On drain, flips the lease
+        Reaps expired leases each tick. On drain, finalizes the
+        manifest when every task completed, then flips the lease
         endpoint to ``drained`` (so polling workers exit cleanly),
-        finalizes the manifest when every task completed, keeps serving
-        for ``grace`` seconds, then stops. ``False`` means the queue
-        drained with dead-lettered tasks (or ``timeout`` expired) — no
-        manifest is written and the failures stay reported in status.
+        keeps serving for ``grace`` seconds, and stops. ``False`` means
+        the queue drained with dead-lettered tasks (or ``timeout``
+        expired) — no manifest is written and the failures stay
+        reported in status.
         """
         deadline = None if timeout is None else time.monotonic() + timeout  # repro: allow[D101] serve-loop deadline, not simulated state
         while True:
@@ -211,19 +217,13 @@ class FleetCoordinator:
             if self.queue.drained:
                 break
             if deadline is not None and time.monotonic() > deadline:  # repro: allow[D101] serve-loop deadline
-                with self._state_lock:
-                    self._draining = True
-                time.sleep(grace)
-                self.stop()
+                self._shutdown(linger=grace)
                 return False
             time.sleep(self.poll_interval)
-        with self._state_lock:
-            self._draining = True
         ok = self.queue.succeeded
         if ok:
             self.finalize()
-        time.sleep(grace)
-        self.stop()
+        self._shutdown(linger=grace)
         return ok
 
     # ------------------------------------------------------------------
@@ -311,7 +311,7 @@ class FleetCoordinator:
             "state": "task",
             "lease": lease.lease_id,
             "deadline_s": self.queue.lease_timeout,
-            "heartbeat_s": max(0.5, self.queue.lease_timeout / 3.0),
+            "heartbeat_s": self.queue.lease_timeout / 3.0,
             "task": task.to_payload(),
         }
         if batched:

@@ -11,8 +11,8 @@ three ways, matching the paper's workflow; it is memoised per
 The cells themselves go through the execution service
 (:mod:`repro.exec`) and therefore through whichever executor the CLI
 configured: with ``--jobs N`` they fan out across worker processes,
-``--executor async`` drives them from an event loop, ``scenario run
---shard i/N`` runs one deterministic slice per machine, and with the
+``--executor remote`` hands them to a fleet coordinator, ``scenario
+run --shard i/N`` runs one deterministic slice per machine, and with the
 result cache warm (in memory or on disk via ``--cache-dir``)
 regenerating a figure performs zero new simulations.
 """

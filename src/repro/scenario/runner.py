@@ -152,20 +152,24 @@ class ScenarioRunReport:
     merged_manifest_file: Optional[Path] = None
 
 
-def resolve_target(
-    target: str,
-) -> "tuple[Optional[Scenario], Optional[SweepSpec]]":
-    """(registered scenario, file spec) — exactly one is non-None.
+def resolve_spec(
+    target: str, quick: bool = True
+) -> "tuple[Optional[Scenario], str, Optional[SweepSpec]]":
+    """(registered scenario, name, spec) for a scenario name or file.
 
-    Shared by ``scenario show`` and ``scenario run``: a registered name
-    wins; otherwise an existing path loads as a spec file; otherwise
-    the unknown-scenario error (naming the known scenarios) propagates.
+    Shared by every verb that takes a scenario target: a registered
+    name wins and brings its spec at ``quick`` fidelity (``None`` for
+    an artifact that does not run through the job service); otherwise
+    an existing path loads as a spec file, whose loader always names
+    it; otherwise the unknown-scenario error (naming the known
+    scenarios) propagates.
     """
     try:
-        return get_scenario(target), None
+        scenario = get_scenario(target)
     except UnknownSpecError:
         if os.path.exists(target):
-            return None, load_spec_file(target)
+            spec = load_spec_file(target)
+            return None, spec.name, spec
         if os.sep in target or target.endswith((".yaml", ".yml", ".json")):
             # Clearly meant as a path: a registry listing would only
             # mislead.
@@ -173,6 +177,19 @@ def resolve_target(
                 f"spec file not found: {target}"
             ) from None
         raise
+    return scenario, scenario.name, scenario.spec(quick=quick)
+
+
+def require_spec(
+    name: str, spec: Optional[SweepSpec], action: str
+) -> SweepSpec:
+    """``spec``, or the error for spec-only work on a spec-less artifact."""
+    if spec is None:
+        raise ConfigurationError(
+            f"scenario {name!r} has no sweep spec (it does not run "
+            f"through the job service) and {action}"
+        )
+    return spec
 
 
 def parse_set_overrides(pairs: Optional[List[str]]) -> "dict[str, Any]":
@@ -214,11 +231,7 @@ def override_spec(
     """
     if not overrides:
         return spec
-    if spec is None:
-        raise ConfigurationError(
-            f"scenario {name!r} has no sweep spec (it does not run "
-            f"through the job service); --set cannot override it"
-        )
+    spec = require_spec(name, spec, "--set cannot override it")
     return spec.with_base_overrides(overrides)
 
 
@@ -248,12 +261,8 @@ def run_scenario(
     the last outstanding shard, the shard manifests auto-merge into
     the canonical manifest.
     """
-    scenario, file_spec = resolve_target(target)
+    scenario, name, spec = resolve_spec(target, quick=quick)
     service = default_service()
-    spec = file_spec if scenario is None else scenario.spec(quick=quick)
-    name = scenario.name if scenario is not None else (
-        file_spec.name or Path(target).stem
-    )
     if overrides:
         spec = override_spec(name, spec, overrides)
         # An overridden sweep is a different experiment: its rows come
@@ -264,11 +273,7 @@ def run_scenario(
         name = f"{name}@{spec.spec_hash()[:8]}"
         scenario = None
     if shard is not None:
-        if spec is None:
-            raise ConfigurationError(
-                f"scenario {name!r} has no sweep spec (it does not run "
-                f"through the job service) and cannot be sharded"
-            )
+        spec = require_spec(name, spec, "cannot be sharded")
         return _run_shard(name, spec, shard, service)
 
     cache_dir = service.cache.directory if service.cache is not None else None
@@ -570,16 +575,8 @@ def scenario_status(
     manifests is used. Compiles the spec (at ``quick`` fidelity) but
     never simulates — the cache is only probed for key presence.
     """
-    scenario, file_spec = resolve_target(target)
-    spec = file_spec if scenario is None else scenario.spec(quick=quick)
-    name = scenario.name if scenario is not None else (
-        file_spec.name or Path(target).stem
-    )
-    if spec is None:
-        raise ConfigurationError(
-            f"scenario {name!r} has no sweep spec (it does not run "
-            f"through the job service) and has no shard/cache status"
-        )
+    _, name, spec = resolve_spec(target, quick=quick)
+    spec = require_spec(name, spec, "has no shard/cache status")
     service = default_service()
     cache = service.cache
     cache_dir = cache.directory if cache is not None else None
@@ -675,16 +672,8 @@ def merge_scenario(target: str, quick: bool = True) -> ScenarioMergeReport:
     pairwise-disjoint key sets whose union is exactly the compiled
     list. Raises :class:`~repro.errors.ShardMergeError` otherwise.
     """
-    scenario, file_spec = resolve_target(target)
-    spec = file_spec if scenario is None else scenario.spec(quick=quick)
-    name = scenario.name if scenario is not None else (
-        file_spec.name or Path(target).stem
-    )
-    if spec is None:
-        raise ConfigurationError(
-            f"scenario {name!r} has no sweep spec (it does not run "
-            f"through the job service) and cannot be sharded or merged"
-        )
+    _, name, spec = resolve_spec(target, quick=quick)
+    spec = require_spec(name, spec, "cannot be sharded or merged")
     service = default_service()
     cache_dir = service.cache.directory if service.cache is not None else None
     if cache_dir is None:

@@ -150,8 +150,7 @@ def coerce_field(name: str, value: Any) -> Any:
     return value
 
 
-#: Baseline for the fields ExperimentConfig itself does not default
-#: (the same anchor cell :func:`repro.core.sweep.grid_configs` uses).
+#: Baseline for the fields ExperimentConfig itself does not default.
 DEFAULT_CELL: Mapping[str, Any] = {
     "gpu": "H100",
     "model": "gpt3-xl",

@@ -35,17 +35,18 @@ def test_scenario_run_accepts_shard_and_executor_flags():
             "--shard",
             "1/4",
             "--executor",
-            "async",
+            "process",
             "--jobs",
             "2",
         ]
     )
     assert args.shard == "1/4"
-    assert args.executor == "async"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["scenario", "run", "fig9", "--executor", "threads"]
-        )
+    assert args.executor == "process"
+    for kind in ("threads", "async"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["scenario", "run", "fig9", "--executor", kind]
+            )
 
 
 def test_run_defaults():
@@ -81,6 +82,22 @@ def test_table_rejects_unknown(capsys):
 
 def test_figure_rejects_unknown(capsys):
     assert main(["figure", "3"]) == 2  # Fig. 3 is a diagram, not data
+
+
+def test_figure_is_an_alias_of_scenario_run(tmp_path, capsys):
+    from repro.exec.service import reset_default_service
+
+    figure_dir, scenario_dir = tmp_path / "figure", tmp_path / "scenario"
+    try:
+        assert main(["figure", "9", "--cache-dir", str(figure_dir)]) == 0
+        figure_out = capsys.readouterr().out
+        assert main(
+            ["scenario", "run", "fig9", "--cache-dir", str(scenario_dir)]
+        ) == 0
+        assert capsys.readouterr().out == figure_out
+        assert (figure_dir / "manifests" / "fig9.json").exists()
+    finally:
+        reset_default_service()
 
 
 def test_unknown_gpu_is_reported_as_error(capsys):

@@ -1,26 +1,23 @@
-"""Tests for grid sweeps."""
+"""Tests for sweep rows and their aggregates."""
 
 import pytest
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.modes import ExecutionMode
-from repro.core.sweep import feasible_rows, run_grid, summarize_slowdowns
+from repro.core.sweep import feasible_rows, summarize_slowdowns
+from repro.scenario.runner import run_spec
+from repro.scenario.spec import SweepSpec
 
 MODES = (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_grid(
-        gpus=("A100",),
-        models=("gpt3-xl", "gpt3-13b"),
-        batch_sizes=(8,),
-        strategies=("fsdp",),
-        base=ExperimentConfig(
-            gpu="A100", model="gpt3-xl", batch_size=8, runs=1
-        ),
+    spec = SweepSpec(
+        base={"gpu": "A100", "batch_size": 8, "strategy": "fsdp", "runs": 1},
+        axes=[{"model": ["gpt3-xl", "gpt3-13b"]}],
         modes=MODES,
     )
+    return run_spec(spec)
 
 
 def test_grid_covers_every_cell(grid):

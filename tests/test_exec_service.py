@@ -1,23 +1,19 @@
 """Executor equivalence and caching guarantees of the execution service.
 
-The acceptance grid is the issue's: 2 GPUs x 2 models x 2 batches with
-3-run averaging. Serial, parallel and async executors must agree
-bit-for-bit, and a warm-cache rerun must perform zero new simulations
-(observed via the executor-level job counter) under every executor.
+The acceptance grid is 2 GPUs x 2 models x 2 batches with 3-run
+averaging. Serial and parallel executors must agree bit-for-bit, and a
+warm-cache rerun must perform zero new simulations (observed via the
+executor-level job counter) under every executor.
 """
 
 import pytest
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.modes import ExecutionMode
-from repro.core.sweep import grid_configs, run_grid, summarize_slowdowns
+from repro.core.sweep import summarize_slowdowns
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
-from repro.exec.executors import (
-    AsyncExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-)
+from repro.exec.executors import ParallelExecutor, SerialExecutor
 from repro.exec.job import SimJob
 from repro.exec.service import (
     ExecutionService,
@@ -25,13 +21,17 @@ from repro.exec.service import (
     default_service,
     reset_default_service,
 )
+from repro.scenario.runner import run_spec
+from repro.scenario.spec import SweepSpec
 
 MODES = (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
-GRID = dict(
-    gpus=("A100", "H100"),
-    models=("gpt3-xl", "gpt3-2.7b"),
-    batch_sizes=(8, 16),
-    base=ExperimentConfig(gpu="A100", model="gpt3-xl", batch_size=8, runs=3),
+GRID = SweepSpec(
+    base={"runs": 3},
+    axes=[
+        {"gpu": ["A100", "H100"]},
+        {"model": ["gpt3-xl", "gpt3-2.7b"]},
+        {"batch_size": [8, 16]},
+    ],
     modes=MODES,
 )
 
@@ -43,19 +43,13 @@ def serial_service():
 
 @pytest.fixture(scope="module")
 def serial_rows(serial_service):
-    return run_grid(service=serial_service, **GRID)
+    return run_spec(GRID, service=serial_service)
 
 
 @pytest.fixture(scope="module")
 def parallel_rows():
     service = ExecutionService(ParallelExecutor(max_workers=4), ResultCache())
-    return run_grid(service=service, **GRID)
-
-
-@pytest.fixture(scope="module")
-def async_rows():
-    service = ExecutionService(AsyncExecutor(max_concurrency=4), ResultCache())
-    return run_grid(service=service, **GRID)
+    return run_spec(GRID, service=service)
 
 
 def test_grid_covers_every_cell(serial_rows):
@@ -80,13 +74,9 @@ def test_parallel_matches_serial_bit_for_bit(serial_rows, parallel_rows):
     _assert_rows_identical(serial_rows, parallel_rows)
 
 
-def test_async_matches_serial_bit_for_bit(serial_rows, async_rows):
-    _assert_rows_identical(serial_rows, async_rows)
-
-
 def test_warm_cache_rerun_simulates_nothing(serial_service, serial_rows):
     executed_before = serial_service.executor.jobs_executed
-    rerun = run_grid(service=serial_service, **GRID)
+    rerun = run_spec(GRID, service=serial_service)
     assert serial_service.executor.jobs_executed == executed_before
     for original, cached in zip(serial_rows, rerun):
         if original.ran:
@@ -98,7 +88,6 @@ def test_warm_cache_rerun_simulates_nothing(serial_service, serial_rows):
 EXECUTOR_FACTORIES = {
     "serial": SerialExecutor,
     "process": lambda: ParallelExecutor(max_workers=2),
-    "async": lambda: AsyncExecutor(max_concurrency=2),
 }
 
 
@@ -128,8 +117,9 @@ def test_warm_rerun_accounting_under_every_executor(make_executor):
 
 
 def test_planner_survives_concurrent_eviction_pressure():
-    """The shared planner is thread-safe under AsyncExecutor fan-out.
+    """The shared planner is thread-safe under fleet worker threads.
 
+    Fleet workers running as threads of one process share its planner.
     A tiny plan cache plus more distinct keys than slots forces the
     FIFO eviction loop on every build; racing threads used to
     double-pop and raise KeyError out of the batch.
@@ -163,40 +153,13 @@ def test_planner_survives_concurrent_eviction_pressure():
     assert errors == []
 
 
-def test_async_executor_rejects_bad_concurrency():
-    with pytest.raises(ConfigurationError):
-        AsyncExecutor(max_concurrency=0)
-
-
 def test_settings_reject_unknown_executor_kind():
     from repro.exec.service import ExecutionSettings
 
-    settings = ExecutionSettings(executor="threads", jobs=8)
-    with pytest.raises(ConfigurationError, match="unknown executor"):
-        settings.build_executor()
-    assert isinstance(
-        ExecutionSettings(executor="async", jobs=2).build_executor(),
-        AsyncExecutor,
-    )
-
-
-def test_async_executor_run_async_entry_point():
-    """The awaitable form returns ordered outcomes and accounts jobs."""
-    import asyncio
-
-    executor = AsyncExecutor(max_concurrency=2)
-    jobs = [
-        SimJob(
-            config=ExperimentConfig(
-                gpu="A100", model="gpt3-xl", batch_size=batch, runs=1
-            ),
-            modes=MODES,
-        )
-        for batch in (8, 16)
-    ]
-    outcomes = asyncio.run(executor.run_async(jobs))
-    assert [o.job for o in outcomes] == jobs
-    assert executor.jobs_executed == 2
+    for kind in ("threads", "async"):
+        settings = ExecutionSettings(executor=kind, jobs=8)
+        with pytest.raises(ConfigurationError, match="unknown executor"):
+            settings.build_executor()
 
 
 def test_duplicate_jobs_in_one_batch_simulate_once():
@@ -219,16 +182,15 @@ def test_cacheless_service_always_simulates():
 
 def test_summarize_slowdowns_on_all_infeasible_grid():
     service = ExecutionService(SerialExecutor(), ResultCache())
-    rows = run_grid(
-        gpus=("A100",),
-        models=("gpt3-13b", "llama2-13b"),
-        batch_sizes=(8, 16),
-        base=ExperimentConfig(
-            gpu="A100", model="gpt3-xl", batch_size=8, runs=1
-        ),
+    spec = SweepSpec(
+        base={"gpu": "A100", "runs": 1},
+        axes=[
+            {"model": ["gpt3-13b", "llama2-13b"]},
+            {"batch_size": [8, 16]},
+        ],
         modes=MODES,
-        service=service,
     )
+    rows = run_spec(spec, service=service)
     assert all(not row.ran for row in rows)
     summary = summarize_slowdowns(rows)
     assert summary == {
@@ -240,25 +202,8 @@ def test_summarize_slowdowns_on_all_infeasible_grid():
     }
     # Infeasibility is cached too: the rerun submits nothing.
     executed = service.executor.jobs_executed
-    run_grid(
-        gpus=("A100",),
-        models=("gpt3-13b", "llama2-13b"),
-        batch_sizes=(8, 16),
-        base=ExperimentConfig(
-            gpu="A100", model="gpt3-xl", batch_size=8, runs=1
-        ),
-        modes=MODES,
-        service=service,
-    )
+    run_spec(spec, service=service)
     assert service.executor.jobs_executed == executed
-
-
-def test_grid_configs_orders_cells_deterministically():
-    configs = grid_configs(
-        gpus=("A100", "H100"), models=("gpt3-xl",), batch_sizes=(8, 16)
-    )
-    labels = [(c.gpu, c.batch_size) for c in configs]
-    assert labels == [("A100", 8), ("A100", 16), ("H100", 8), ("H100", 16)]
 
 
 def test_disk_cache_survives_service_restart(tmp_path):

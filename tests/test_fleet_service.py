@@ -211,9 +211,10 @@ def test_remote_executor_matches_serial_outcomes(tmp_path):
         ]
         assert all(not o.from_cache for o in outcomes)
     finally:
-        coordinator.stop()  # workers see the vanished coordinator and exit
+        coordinator.stop()  # workers are told "drained" and exit
         for thread in threads:
             thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def test_remote_executor_requires_a_coordinator_url():
@@ -361,6 +362,17 @@ def test_heartbeat_thread_survives_transient_errors(monkeypatch):
     assert drained.wait(10.0)  # survived both transients to the end
     thread.join(timeout=10.0)
     assert not thread.is_alive()
+
+
+def test_heartbeat_interval_is_a_third_of_the_lease_timeout(tmp_path):
+    """No floor: a short lease keeps two heartbeats of slack."""
+    coordinator = FleetCoordinator(
+        cache=ResultCache(tmp_path), lease_timeout=0.75
+    )
+    coordinator.queue.add(task_from_job(_job(8), "h"))
+    body = coordinator.handle_lease({"worker": "w"})
+    assert body["state"] == "task"
+    assert body["heartbeat_s"] == 0.25
 
 
 def test_wait_response_carries_backoff_hint(tmp_path):

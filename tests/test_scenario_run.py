@@ -1,4 +1,4 @@
-"""Registry completeness, scenario runs, manifests, and the run_grid shim.
+"""Registry completeness, scenario runs and manifests.
 
 The acceptance criteria of the scenario API redesign:
 
@@ -12,9 +12,6 @@ import json
 
 import pytest
 
-from repro.core.experiment import ExperimentConfig
-from repro.core.modes import ExecutionMode
-from repro.core.sweep import run_grid
 from repro.errors import UnknownSpecError
 from repro.exec.service import configure, default_service, reset_default_service
 from repro.scenario import (
@@ -137,38 +134,6 @@ def test_file_spec_runs_and_only_new_cells_simulate(tmp_path):
         assert second.previously_completed == 1
     finally:
         reset_default_service()
-
-
-def test_run_grid_shim_warns_and_matches_spec_path():
-    base = ExperimentConfig(gpu="A100", model="gpt3-xl", batch_size=8, runs=1)
-    modes = (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
-    with pytest.warns(DeprecationWarning, match="run_grid"):
-        legacy = run_grid(
-            gpus=("A100",),
-            models=("gpt3-xl",),
-            batch_sizes=(8, 16),
-            base=base,
-            modes=modes,
-        )
-    spec = SweepSpec(
-        base={"runs": 1},
-        axes=[
-            {"gpu": ["A100"]},
-            {"strategy": ["fsdp"]},
-            {"model": ["gpt3-xl"]},
-            {"batch_size": [8, 16]},
-        ],
-        modes=modes,
-    )
-    direct = run_spec(spec)
-    assert [row.config for row in legacy] == [row.config for row in direct]
-    for legacy_row, direct_row in zip(legacy, direct):
-        assert legacy_row.ran == direct_row.ran
-        if legacy_row.ran:
-            assert (
-                legacy_row.result.metrics.compute_slowdown
-                == direct_row.result.metrics.compute_slowdown
-            )
 
 
 def test_infeasible_cells_come_back_skipped():
