@@ -18,9 +18,11 @@ oracle) and ``incremental`` (the bit-exact default).
 ``--profile`` wraps each engine's single-cell run in cProfile and
 prints the top 20 functions by cumulative time, for hot-path work.
 
-``--verify`` instead runs one grid cell end-to-end under both engines
-and exits nonzero unless the full result payloads are byte-identical
-(the CI equivalence gate).
+``--verify`` instead runs the gate cells end-to-end under both
+engines and exits nonzero unless every cell's full result payloads are
+byte-identical (the CI equivalence gate): one quick-grid cell and
+Fig. 9's most throttled cell (100 W cap), where the DVFS governor
+moves the clock on most power updates.
 
 Timed sections run with cyclic GC suspended (the ``timeit`` module's
 convention, applied identically to both engines): collection scheduling
@@ -72,14 +74,27 @@ SINGLE_CELL = ExperimentConfig(
     jitter_sigma=0.02,
 )
 
-#: The cell the CI equivalence gate checks (one quick-grid cell).
-VERIFY_CELL = ExperimentConfig(
-    gpu="A100",
-    model="gpt3-xl",
-    batch_size=8,
-    strategy="fsdp",
-    jitter_sigma=0.02,
-    runs=1,
+#: The cells the CI equivalence gate checks: one quick-grid cell, and
+#: Fig. 9's 100 W cell — the most throttled one, where the incremental
+#: engine's inline free-running utilisation replaces the reference's
+#: per-clock memo on nearly every update.
+VERIFY_CELLS = (
+    ExperimentConfig(
+        gpu="A100",
+        model="gpt3-xl",
+        batch_size=8,
+        strategy="fsdp",
+        jitter_sigma=0.02,
+        runs=1,
+    ),
+    ExperimentConfig(
+        gpu="A100",
+        model="gpt3-2.7b",
+        batch_size=8,
+        strategy="fsdp",
+        power_limit_w=100.0,
+        runs=1,
+    ),
 )
 
 
@@ -254,8 +269,14 @@ def bench_grid() -> dict:
 
 
 def verify_equivalence() -> bool:
-    """Run one grid cell under both engines; True iff bit-identical."""
-    job = SimJob(config=VERIFY_CELL)
+    """Run every gate cell under both engines; True iff all identical."""
+    results = [_verify_cell(config) for config in VERIFY_CELLS]
+    return all(results)
+
+
+def _verify_cell(config: ExperimentConfig) -> bool:
+    """Run one cell under both engines; True iff bit-identical."""
+    job = SimJob(config=config)
     payloads = {}
     for engine in ENGINES:
         with _engine_env(engine):
@@ -266,7 +287,7 @@ def verify_equivalence() -> bool:
             return False
         payloads[engine] = result_to_payload(outcome.result)
     identical = payloads["reference"] == payloads["incremental"]
-    cell = VERIFY_CELL.describe()
+    cell = config.describe()
     if identical:
         print(f"engine equivalence OK: {cell} is bit-identical under "
               f"reference and incremental engines")
@@ -307,8 +328,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="assert reference/incremental equivalence on one grid "
-        "cell instead of benchmarking; exit 1 on divergence",
+        help="assert reference/incremental equivalence on the gate "
+        "cells instead of benchmarking; exit 1 on divergence",
     )
     parser.add_argument(
         "--profile",

@@ -44,10 +44,11 @@ class GpuPowerCoefficients:
 
     Attributes:
         idle_frac: board power with no kernels resident.
-        sm_max_frac: full-utilisation SM power by datapath. Tensor/matrix
-            units draw more power than vector units at full tilt, which
-            is what makes specialized datapaths raise peak power for
-            large workloads (Fig. 11).
+        sm_max_frac: full-utilisation SM power by datapath, one entry
+            per :class:`Datapath` member. Tensor/matrix units draw more
+            power than vector units at full tilt, which is what makes
+            specialized datapaths raise peak power for large workloads
+            (Fig. 11).
         hbm_max_frac: HBM subsystem at 100% bandwidth utilisation.
         link_max_frac: NVLink/Infinity-Fabric PHYs at 100% utilisation.
     """
@@ -66,6 +67,14 @@ class GpuPowerCoefficients:
             if frac <= 0:
                 raise ConfigurationError(
                     f"sm_max_frac[{path}] must be positive"
+                )
+        for path in Datapath:
+            # Every board runs collectives (vector pipes) and may run
+            # tensor kernels; the incremental engine reads both
+            # coefficients up front.
+            if path not in self.sm_max_frac:
+                raise ConfigurationError(
+                    f"no SM power coefficient for {path}"
                 )
         if self.hbm_max_frac < 0 or self.link_max_frac < 0:
             raise ConfigurationError("power fractions must be >= 0")
@@ -117,13 +126,16 @@ def gpu_power(tdp_w: float, coeffs: GpuPowerCoefficients, activity: GpuActivity)
 class PowerEvaluator:
     """Memoizing :func:`gpu_power` front-end for one board.
 
-    The engine evaluates power on every state change, but between
-    governor ticks most GPUs cycle through a handful of recurring
-    activity snapshots (same resident kernels, same collectives, same
-    clock). Keying the cache on the full activity tuple — including the
-    *insertion order* of the per-datapath utilisations, so two
-    orderings of the same dict never share a float-summation order —
-    keeps the memoized value bit-for-bit equal to a fresh evaluation.
+    The reference engine evaluates power through this on every state
+    change; between governor ticks most GPUs cycle through a handful
+    of recurring activity snapshots (same resident kernels, same
+    collectives, same clock). Keying the cache on the full activity
+    tuple — including the *insertion order* of the per-datapath
+    utilisations, so two orderings of the same dict never share a
+    float-summation order — keeps the memoized value bit-for-bit equal
+    to a fresh evaluation. The incremental engine evaluates the same
+    formula inline (under a power cap the clock moves on most updates,
+    so the key rarely repeats) and shares only :meth:`clock_term`.
     """
 
     _MAX_ENTRIES = 4096
@@ -136,8 +148,6 @@ class PowerEvaluator:
         #: pow() is the single most expensive primitive in the power
         #: formula, and DVFS revisits the same clock fractions.
         self._clock_pow: dict = {}
-        self.hits = 0
-        self.misses = 0
 
     def evaluate(self, activity: GpuActivity) -> float:
         """Board power for ``activity``; identical to :func:`gpu_power`."""
@@ -187,9 +197,6 @@ class PowerEvaluator:
             )
             power = self.tdp_w * power_frac
             self._cache[key] = power
-            self.misses += 1
-        else:
-            self.hits += 1
         return power
 
     def clock_term(self, clock_frac: float) -> float:

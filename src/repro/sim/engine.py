@@ -22,7 +22,13 @@ results (the equivalence suite pins this):
   per-step float arithmetic exactly; per-GPU float accumulations
   iterate memberships in creation order for the same reason. Stale
   finish events are tombstoned in the queue (lazy invalidation)
-  instead of eagerly rescheduled.
+  instead of eagerly rescheduled. Its drain is fused: one pass per
+  dirty GPU derives the kernel rates, the free-running utilisation
+  and the power terms in a single loop and evaluates the board power
+  formula directly, and the event loop runs its hot handlers inline.
+  The fused code keeps the reference's float operations, their order
+  and their summation primitive (``sum()`` vs ``+=``), which is what
+  makes it exact rather than close.
 
 There is no approximate engine: the paper's findings are few-percent
 differences between simulated modes, so every production run is
@@ -30,10 +36,12 @@ bit-exact to the oracle.
 
 Invariant per-task quantities — jittered work and isolated durations,
 collective cost-model lookups, jitter factors — are hoisted into
-tables built once per simulation; power evaluations and roofline peaks
-are memoized on the state they depend on (see
-:class:`~repro.hw.power.PowerEvaluator` /
-:class:`~repro.sim.rates.RateModel`).
+tables built once per simulation. The reference engine memoizes power
+evaluations and free-running utilisations on the state they depend on
+(see :class:`~repro.hw.power.PowerEvaluator` /
+:class:`~repro.sim.rates.RateModel`); the incremental engine computes
+both inline, because under a power cap the clock moves on most
+updates and those memos mostly miss.
 """
 
 from __future__ import annotations
@@ -71,6 +79,15 @@ _SPIN_VECTOR_UTIL = 0.4
 #: (start_s, task_id) over TaskRecord's tuple layout — the result-sort
 #: key, evaluated once per record.
 _RECORD_SORT_KEY = operator.itemgetter(6, 0)
+
+#: Hot-loop aliases (module globals, read without attribute walks).
+_INF = float("inf")
+_TASK_FINISH = EventKind.TASK_FINISH
+_COLLECTIVE_FINISH = EventKind.COLLECTIVE_FINISH
+_GOVERNOR_TICK = EventKind.GOVERNOR_TICK
+_PERTURB_BEGIN = EventKind.PERTURB_BEGIN
+_PERTURB_END = EventKind.PERTURB_END
+
 
 def reset_shared_evaluators() -> None:
     """Drop the process-wide prep-layer memos (evaluators, prepared
@@ -115,6 +132,8 @@ class _RunningCompute:
     #: Per-clock free-running utilisation, resolved through the shared
     #: RateModel memo on first use (values are identical; this cache
     #: only skips the kernel-keyed hashing on the power hot path).
+    #: Reference engine only: the incremental engine's fused pass
+    #: computes the value inline.
     free_util_cache: Dict[float, float] = field(default_factory=dict)
 
 
@@ -136,8 +155,9 @@ class Simulator:
 
     This base class is the *reference* engine: every event triggers a
     full recompute of all rates, aggregates and power. Subclasses hook
-    the state transitions (launch, post, start, finish, clock change)
-    to maintain incremental indices; the hooks are no-ops here.
+    the collective and clock transitions (instance created, rank
+    posted, instance started/finished, task done, clock change) to
+    maintain incremental indices; the hooks are no-ops here.
     """
 
     def __init__(
@@ -298,12 +318,6 @@ class Simulator:
     # incremental hooks (no-ops in the reference engine)
     # ------------------------------------------------------------------
 
-    def _on_compute_launched(self, entry: _RunningCompute) -> None:
-        pass
-
-    def _on_compute_finished(self, entry: _RunningCompute) -> None:
-        pass
-
     def _on_instance_created(self, inst: CollectiveInstance) -> None:
         pass
 
@@ -329,9 +343,6 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Execute all tasks; returns the populated result."""
         self._open_segments()
-        self._try_launch()
-        self._recompute()
-        self._ensure_ticks()
         # The drain allocates no reference cycles, so generational
         # collection scans during it are pure overhead. Restore the
         # caller's setting even on simulation errors.
@@ -347,6 +358,9 @@ class Simulator:
 
     def _run_loop(self) -> None:
         total = len(self.tasks)
+        self._try_launch()
+        self._recompute()
+        self._ensure_ticks()
         while len(self.done) < total:
             event = self.queue.pop_live()
             if event is None:
@@ -469,7 +483,6 @@ class Simulator:
             task, work, 1.0, iso, self.time, peak_eff, ai, task.task_id
         )
         self.running[task.task_id] = entry
-        self._on_compute_launched(entry)
 
     def _post_comm(self, task: CommTask) -> None:
         op = task.op
@@ -513,7 +526,6 @@ class Simulator:
                 entry.isolated_s,
             )
         )
-        self._on_compute_finished(entry)
         self._on_task_done(task)
 
     def _finish_collective(self, key: str) -> None:
@@ -666,7 +678,6 @@ class Simulator:
             if rate_mul != 1.0:
                 new_rate *= rate_mul
             if new_rate != entry.rate or not entry.scheduled:
-                self._bank_entry(entry)
                 entry.rate = new_rate
                 entry.scheduled = True
                 finish = self.time + entry.work_remaining / new_rate
@@ -674,14 +685,6 @@ class Simulator:
                     finish, EventKind.TASK_FINISH, entry.tid
                 )
         self._update_power(gpu_index, entries, insts, spinning, clock)
-
-    def _bank_entry(self, entry: _RunningCompute) -> None:
-        """Bring an entry's banked progress up to ``self.time``.
-
-        The reference engine banks eagerly in :meth:`_advance_to`, so
-        this is a no-op here; the incremental engine overrides it with
-        the lazy time-step replay.
-        """
 
     def _update_power(
         self,
@@ -986,12 +989,19 @@ class IncrementalSimulator(Simulator):
     unchanged — the reference engine would recompute identical floats
     and push no events — so skipping it cannot alter the results.
 
-    Progress banking is lazy: :meth:`_advance_to` appends each positive
+    Progress banking is lazy: the event loop appends each positive
     time step to a log, and an entry/instance replays its missed steps
     (with the per-step ``max(0, w - r*dt)`` clamp) only when its rate
     changes or its remaining work is read. The replay performs exactly
     the reference engine's per-event arithmetic, which is what keeps
     the two engines bit-for-bit identical rather than merely close.
+
+    The drain is fused in two places (see :meth:`_make_gpu_pass` and
+    :meth:`_run_loop`): one pass per dirty GPU derives its rates and
+    board power together, and the event loop runs the hot handlers
+    inline on local bindings. Both keep every float operation of the
+    reference's per-step methods, in the same order and with the same
+    summation primitive.
     """
 
     def __init__(
@@ -1028,11 +1038,11 @@ class IncrementalSimulator(Simulator):
         self._active_inst_count = 0
         #: Streams whose head may have become launchable.
         self._launch_candidates: Set[Tuple[int, str]] = set(self.streams)
-        #: Stream ordering plus the reverse-dependency / wake-stream
-        #: indexes, all read-only from the prep layer.
+        #: Stream ordering plus the wake-stream index, read-only from
+        #: the prep layer.
         self._stream_order = self.prepared.stream_order
-        self._dependents = self.prepared.dependents
         self._wake_streams = self.prepared.wake_streams
+        self._gpu_pass = self._make_gpu_pass()
 
     def _finalize(self) -> SimulationResult:
         result = super()._finalize()
@@ -1049,31 +1059,6 @@ class IncrementalSimulator(Simulator):
     # lazy banking
     # ------------------------------------------------------------------
 
-    def _advance_to(self, t: float) -> None:
-        if t < self.time - 1e-12:
-            raise SimulationError("event time went backwards")
-        t = max(t, self.time)
-        if t > self.time:
-            self._dts.append(t - self.time)
-        self.time = t
-
-    def _bank_entry(self, entry: _RunningCompute) -> None:
-        dts = self._dts
-        n = len(dts)
-        i = entry.bank_idx
-        if i < n:
-            w = entry.work_remaining
-            r = entry.rate
-            # Same per-step arithmetic as the eager path; the branch is
-            # max(0.0, .) without the builtin call.
-            while i < n:
-                w -= r * dts[i]
-                if w < 0.0:
-                    w = 0.0
-                i += 1
-            entry.work_remaining = w
-            entry.bank_idx = n
-
     def _bank_instance(self, inst: CollectiveInstance) -> None:
         dts = self._dts
         n = len(dts)
@@ -1081,6 +1066,8 @@ class IncrementalSimulator(Simulator):
         if i < n:
             w = inst.work_remaining
             r = inst.rate
+            # Same per-step arithmetic as the eager path; the branch is
+            # max(0.0, .) without the builtin call.
             while i < n:
                 w -= r * dts[i]
                 if w < 0.0:
@@ -1093,17 +1080,6 @@ class IncrementalSimulator(Simulator):
     # ------------------------------------------------------------------
     # dirty tracking hooks
     # ------------------------------------------------------------------
-
-    def _on_compute_launched(self, entry: _RunningCompute) -> None:
-        entry.bank_idx = len(self._dts)
-        gpu = entry.task.gpu
-        self._running_on[gpu][entry.tid] = entry
-        self._dirty_gpus.add(gpu)
-
-    def _on_compute_finished(self, entry: _RunningCompute) -> None:
-        gpu = entry.task.gpu
-        self._running_on[gpu].pop(entry.tid, None)
-        self._dirty_gpus.add(gpu)
 
     def _on_instance_created(self, inst: CollectiveInstance) -> None:
         self._insts_by_seq[inst.seq] = inst
@@ -1147,57 +1123,154 @@ class IncrementalSimulator(Simulator):
         return bool(self.running) or self._active_inst_count > 0
 
     # ------------------------------------------------------------------
-    # launching / recompute
+    # main loop
     # ------------------------------------------------------------------
 
-    def _try_launch(self) -> None:
-        # Launching a task never *enables* another launch (only task
-        # completion satisfies deps or exposes a new head), so one pass
-        # over the candidate streams — in the reference engine's stream
-        # order — launches exactly what its full fixpoint scan would.
-        candidates = self._launch_candidates
-        streams = self.streams
-        stream_pos = self._stream_pos
+    def _run_loop(self) -> None:
+        """The reference loop with its hot steps inlined.
+
+        Same step order as :meth:`Simulator._run_loop` — launch,
+        recompute, tick upkeep, then pop and dispatch one event — with
+        the loop state bound to locals and four steps written out in
+        place: the time advance (a positive step goes on the replay
+        tape), the ``TASK_FINISH`` handler (:meth:`_finish_compute`
+        plus the dirty/wake bookkeeping), stream-head launching and the
+        :meth:`_ensure_ticks` fast path. Collective finishes, governor
+        ticks and perturbation boundaries keep their shared handlers,
+        which read ``self.time``; it is rebound whenever time moves.
+
+        Launching a task never *enables* another launch (only task
+        completion satisfies deps or exposes a new head), so one pass
+        over the candidate streams — in the reference engine's stream
+        order — launches exactly what its full fixpoint scan would.
+        The run's first launch goes through the same block, as the
+        loop body's first step.
+        """
+        queue_pop = self.queue.pop_live
+        max_time = self.config.max_sim_time_s
+        dts = self._dts
         running = self.running
+        running_on = self._running_on
         waiting = self._waiting
         comm_started = self._comm_started
-        done = self.done
+        streams = self.streams
+        stream_pos = self._stream_pos
+        stream_rank = self._stream_order.__getitem__
         tasks = self.tasks
-        while candidates:
-            if len(candidates) == 1:
-                batch = list(candidates)
-            else:
-                batch = sorted(
-                    candidates, key=self._stream_order.__getitem__
-                )
-            candidates.clear()
-            for key in batch:
-                # _maybe_launch_head, inlined (one call per candidate
-                # stream per completion adds up).
-                order = streams[key]
-                pos = stream_pos[key]
-                if pos >= len(order):
-                    continue
-                tid = order[pos]
-                if (
-                    tid in running
-                    or tid in waiting
-                    or tid in comm_started
-                ):
-                    continue
-                task = tasks[tid]
-                if not task.deps <= done:
-                    continue
-                if isinstance(task, ComputeTask):
-                    self._launch_compute(task)
-                elif isinstance(task, CommTask):
-                    self._post_comm(task)
-                else:  # pragma: no cover - defensive
-                    raise PlanError(
-                        f"unknown task type for {task.label}"
+        done = self.done
+        records = self.records
+        compute_table = self._compute_table
+        candidates = self._launch_candidates
+        wake_streams = self._wake_streams
+        dirty_gpus = self._dirty_gpus
+        recompute = self._recompute
+        governed = len(self._governors)
+        total = len(tasks)
+        now = self.time
+        events = 0
+        try:
+            while True:
+                while candidates:
+                    if len(candidates) == 1:
+                        batch = list(candidates)
+                    else:
+                        batch = sorted(candidates, key=stream_rank)
+                    candidates.clear()
+                    for key in batch:
+                        order = streams[key]
+                        pos = stream_pos[key]
+                        if pos >= len(order):
+                            continue
+                        tid = order[pos]
+                        if (
+                            tid in running
+                            or tid in waiting
+                            or tid in comm_started
+                        ):
+                            continue
+                        task = tasks[tid]
+                        if not task.deps <= done:
+                            continue
+                        if isinstance(task, ComputeTask):
+                            # _launch_compute; rate=1.0 is a placeholder
+                            # the first recompute overwrites.
+                            work, iso, peak_eff, ai = compute_table[tid]
+                            entry = _RunningCompute(
+                                task, work, 1.0, iso, now, peak_eff, ai,
+                                tid, False, len(dts),
+                            )
+                            running[tid] = entry
+                            gpu = task.gpu
+                            running_on[gpu][tid] = entry
+                            dirty_gpus.add(gpu)
+                        elif isinstance(task, CommTask):
+                            self._post_comm(task)
+                        else:  # pragma: no cover - defensive
+                            raise PlanError(
+                                f"unknown task type for {task.label}"
+                            )
+                recompute()
+                if governed and self._ticks_outstanding < governed:
+                    self._ensure_ticks()
+
+                event = queue_pop()
+                if event is None:
+                    raise DeadlockError(self._deadlock_report())
+                t, kind, payload, _ = event
+                if t > max_time:
+                    raise SimulationError(
+                        f"simulation exceeded {max_time}s"
                     )
+                events += 1
+                if t > now:
+                    dts.append(t - now)
+                    now = t
+                    self.time = t
+                elif t < now - 1e-12:
+                    raise SimulationError("event time went backwards")
+
+                if kind is _TASK_FINISH:
+                    entry = running.pop(payload)
+                    task = entry.task
+                    gpu = task.gpu
+                    key = (gpu, task.stream)
+                    order = streams[key]
+                    pos = stream_pos[key]
+                    if pos >= len(order) or order[pos] != payload:
+                        self._pop_head(key, payload)  # raises
+                    stream_pos[key] = pos + 1
+                    done.add(payload)
+                    records.append(
+                        TaskRecord(
+                            payload,
+                            gpu,
+                            task.stream,
+                            task.label,
+                            task.category,
+                            task.phase,
+                            entry.started_at,
+                            now,
+                            entry.isolated_s,
+                        )
+                    )
+                    del running_on[gpu][payload]
+                    dirty_gpus.add(gpu)
+                    candidates.update(wake_streams[payload])
+                elif kind is _COLLECTIVE_FINISH:
+                    self._finish_collective(payload)
+                elif kind is _GOVERNOR_TICK:
+                    self._governor_tick(payload)
+                elif kind is _PERTURB_BEGIN:
+                    self._apply_perturb(payload, True)
+                elif kind is _PERTURB_END:
+                    self._apply_perturb(payload, False)
+                if len(done) >= total:
+                    break
+        finally:
+            self.stats.events += events
 
     def _recompute(self) -> None:
+        now = self.time
         if self._dirty_insts:
             # Creation order == the reference engine's global
             # instances-dict order, so same-time finish events are
@@ -1211,28 +1284,312 @@ class IncrementalSimulator(Simulator):
                 if new_rate != inst.rate:
                     self._bank_instance(inst)
                     inst.rate = new_rate
-                    finish = self.time + inst.work_remaining / max(
+                    finish = now + inst.work_remaining / max(
                         new_rate, 1e-12
                     )
                     self.queue.schedule(
-                        finish, EventKind.COLLECTIVE_FINISH, inst.op.key
+                        finish, _COLLECTIVE_FINISH, inst.op.key
                     )
                     # The instance's HBM/link draw scales with its
                     # rate; every participant's contention changed.
                     self._dirty_gpus.update(inst.op.participants)
             self._dirty_insts.clear()
 
-        if self._dirty_gpus:
-            for gpu_index in sorted(self._dirty_gpus):
-                active = self._active_on[gpu_index]
-                spinning = self._spinning_on[gpu_index]
-                self._recompute_gpu(
-                    gpu_index,
-                    list(self._running_on[gpu_index].values()),
-                    [active[s] for s in sorted(active)],
-                    [spinning[s] for s in sorted(spinning)],
+        dirty = self._dirty_gpus
+        if dirty:
+            gpu_pass = self._gpu_pass
+            for gpu_index in sorted(dirty):
+                gpu_pass(gpu_index, now)
+            dirty.clear()
+
+    def _make_gpu_pass(self):
+        """Build the fused rate + power pass for one dirty GPU.
+
+        ``gpu_pass(gpu_index, now)`` does the work of the reference's
+        :meth:`_recompute_gpu` → :meth:`_update_power` →
+        :meth:`PowerEvaluator.evaluate_parts` →
+        :meth:`_maybe_roll_segment` chain in one loop over the GPU's
+        running kernels. Per kernel it derives the rate (a finish is
+        pushed only on change, after replaying the missed steps of the
+        time-step tape at the old rate), the free-running utilisation
+        (:meth:`RateModel.free_utilization`'s arithmetic, computed
+        inline: under a power cap the clock moves on most updates, so
+        a per-(kernel, clock) memo mostly misses) and the SM and HBM
+        power terms. It then evaluates the board power formula
+        directly and rolls the power segment.
+
+        Why it is bit-for-bit the reference:
+
+        * every sum runs in the reference's order — kernels in launch
+          order, collectives in creation (``seq``) order — and with
+          its primitive: the builtin ``sum()`` for the contention
+          availability, ``+=`` for the power terms (on Python ≥3.12
+          ``sum()`` of floats is compensated, so the two differ);
+        * ``min``/``max`` clamps become branches that pick the same
+          float for every non-NaN input;
+        * the SM power term is summed vector then tensor, where the
+          reference sums in datapath first-seen order. That is free
+          only because :class:`Datapath` has two members: for the
+          non-negative terms, ``0.0 + a + b`` equals ``a + b`` equals
+          ``b + a`` in IEEE arithmetic, and an absent datapath
+          contributes an exact ``0.0``;
+        * the power memo is keyed on the exact inputs, so evaluating
+          the formula fresh returns the float it would have cached.
+
+        A closure over identity-stable state (containers mutated in
+        place, never rebound), not a method: that removes a few dozen
+        ``self`` attribute walks per call. It must not capture ``self``
+        — the simulator holds the closure, so a back-reference would
+        keep every finished simulator alive until the next cyclic GC —
+        which is why ``now`` is an argument.
+        """
+        stats = self.stats
+        clock_of = self._clock
+        running_on = self._running_on
+        active_on = self._active_on
+        spinning_on = self._spinning_on
+        dts = self._dts
+        schedule = self.queue.schedule
+        contention = self.config.contention_enabled
+        max_clock = self.config.max_clock_frac
+        hbm_eff = self._hbm_eff
+        hbm_floor = _MIN_HBM_FRACTION * hbm_eff
+        interference_keep = 1.0 - self._interference
+        spin_scale = self._spin_scale
+        stall_frac = self._stall_frac
+        perturbed = self._perturbed
+        perturb_rate = self._perturb_rate
+        perturb_hbm = self._perturb_hbm
+        perturb_cap = self._perturb_cap
+        free_utilization = self._rates.free_utilization
+        free_bw = self._rates.gpu.memory.effective_bandwidth
+        power_eval = self._power_eval
+        clock_term = power_eval.clock_term
+        coeffs = power_eval.coeffs
+        tdp_w = power_eval.tdp_w
+        idle_frac = coeffs.idle_frac
+        vector_max = coeffs.sm_max_frac[Datapath.VECTOR]
+        tensor_max = coeffs.sm_max_frac[Datapath.TENSOR]
+        hbm_max = coeffs.hbm_max_frac
+        link_max = coeffs.link_max_frac
+        hbm_bw = self._hbm_bw
+        power_now = self._power_now
+        segment_open = self._segment_open
+        segments = self._segments
+        vector = Datapath.VECTOR
+
+        def gpu_pass(gpu_index: int, now: float) -> None:
+            stats.gpu_rate_passes += 1
+            clock = clock_of[gpu_index]
+            # Resident collectives in creation order (the reference's
+            # global instances-dict order).
+            active = active_on[gpu_index]
+            if active:
+                insts = [active[s] for s in sorted(active)]
+                comm_sms = [inst.cost.sm_fraction for inst in insts]
+                demands = [inst.hbm_demand_now() for inst in insts]
+            else:
+                insts = comm_sms = demands = ()
+            spinning = spinning_on[gpu_index]
+            if spinning:
+                spin_sms = [
+                    spinning[s].cost.sm_fraction for s in sorted(spinning)
+                ]
+            else:
+                spin_sms = ()
+
+            # Availability left by the collectives (_recompute_gpu).
+            if not contention:
+                # The paper's ideal mode: no interference, clock at
+                # the cap.
+                sm_avail = 1.0
+                hbm_avail = hbm_eff
+                eff_clock = max_clock
+            elif insts or spin_sms:
+                total_sm = sum(comm_sms) + spin_scale * sum(spin_sms)
+                if total_sm > _MAX_COMM_SM:
+                    total_sm = _MAX_COMM_SM
+                sm_avail = 1.0 - total_sm
+                if sm_avail < _MIN_SM_FRACTION:
+                    sm_avail = _MIN_SM_FRACTION
+                hbm_avail = hbm_eff - sum(demands)
+                if hbm_avail < hbm_floor:
+                    hbm_avail = hbm_floor
+                if insts:
+                    hbm_avail *= interference_keep
+                eff_clock = clock
+            else:
+                # Nothing resident: the floors cannot bind.
+                sm_avail = 1.0
+                hbm_avail = hbm_eff
+                eff_clock = clock
+            if perturbed:
+                rate_mul = perturb_rate[gpu_index]
+                hbm_mul = perturb_hbm[gpu_index]
+                if hbm_mul != 1.0:
+                    hbm_avail *= hbm_mul
+                cap = perturb_cap[gpu_index]
+                if eff_clock > cap:
+                    # Only reachable in ideal mode, which bypasses the
+                    # (already capped) per-GPU clock.
+                    eff_clock = cap
+            else:
+                rate_mul = 1.0
+
+            vector_util = 0.0
+            tensor_util = 0.0
+            hbm_used = 0.0
+            running = running_on[gpu_index]
+            n = len(running)
+            if n:
+                sm_share = sm_avail / n
+                hbm_share = hbm_avail / n
+                steps = len(dts)
+                for entry in running.values():
+                    peak_eff = entry.peak_eff
+                    ai = entry.ai
+                    # RateModel.rate_from_params.
+                    rate = peak_eff * sm_share * eff_clock
+                    if ai != _INF:
+                        bw_rate = ai * hbm_share
+                        if bw_rate < rate:
+                            rate = bw_rate
+                    if rate <= 0.0:
+                        rate = peak_eff * 1e-4
+                        if rate < 1.0:
+                            rate = 1.0
+                    # The straggler derate applies after the roofline
+                    # floor, so the rate stays positive.
+                    if rate_mul != 1.0:
+                        rate *= rate_mul
+                    if rate != entry.rate or not entry.scheduled:
+                        # Bank the steps missed since the last change
+                        # at the old rate (the replay tape).
+                        i = entry.bank_idx
+                        if i < steps:
+                            w = entry.work_remaining
+                            old = entry.rate
+                            while i < steps:
+                                w -= old * dts[i]
+                                if w < 0.0:
+                                    w = 0.0
+                                i += 1
+                            entry.work_remaining = w
+                            entry.bank_idx = steps
+                        entry.rate = rate
+                        entry.scheduled = True
+                        schedule(
+                            now + entry.work_remaining / rate,
+                            _TASK_FINISH,
+                            entry.tid,
+                        )
+
+                    # _update_power's kernel terms.
+                    peak = peak_eff * clock
+                    if peak > 0.0:
+                        # RateModel.sm_utilization_from_params at
+                        # sm_fraction=1.0.
+                        util = rate / peak
+                        if util > 1.0:
+                            util = 1.0
+                        # RateModel.free_utilization: the same
+                        # roofline with the whole GPU at this clock.
+                        free_rate = peak
+                        if ai != _INF:
+                            bw_rate = ai * free_bw
+                            if bw_rate < free_rate:
+                                free_rate = bw_rate
+                        if free_rate <= 0.0:
+                            free_rate = peak_eff * 1e-4
+                            if free_rate < 1.0:
+                                free_rate = 1.0
+                        free_util = free_rate / peak
+                        if free_util > 1.0:
+                            free_util = 1.0
+                    else:
+                        util = 0.0
+                        free_util = free_utilization(entry.task.kernel, clock)
+                    # Contention-stalled warps keep toggling (see
+                    # _update_power).
+                    if free_util > util:
+                        util += stall_frac * (free_util - util)
+                    iso = entry.isolated_s
+                    util *= iso / (iso + 50e-6)
+                    if entry.task.kernel.path.datapath is vector:
+                        vector_util += util
+                    else:
+                        tensor_util += util
+                    if ai != _INF and ai > 0:
+                        hbm_used += rate / ai
+            link_frac = 0.0
+            for inst, demand, sm_fraction in zip(insts, demands, comm_sms):
+                hbm_used += demand
+                link_frac += inst.link_fraction_now()
+                # Channel copy loops run on the vector pipes.
+                vector_util += _COMM_VECTOR_UTIL * sm_fraction
+            for sm_fraction in spin_sms:
+                # Busy-polling channels draw some vector power.
+                vector_util += _SPIN_VECTOR_UTIL * sm_fraction
+
+            # PowerEvaluator.evaluate_parts, clamps as branches.
+            if vector_util > 1.0:
+                vector_util = 1.0
+            elif vector_util < 0.0:
+                vector_util = 0.0
+            if tensor_util > 1.0:
+                tensor_util = 1.0
+            elif tensor_util < 0.0:
+                tensor_util = 0.0
+            hbm_frac = hbm_used / hbm_bw
+            if hbm_frac > 1.0:
+                hbm_frac = 1.0
+            elif hbm_frac < 0.0:
+                hbm_frac = 0.0
+            if link_frac > 1.0:
+                link_frac = 1.0
+            elif link_frac < 0.0:
+                link_frac = 0.0
+            power = tdp_w * (
+                idle_frac
+                + (vector_max * vector_util + tensor_max * tensor_util)
+                * clock_term(clock)
+                + hbm_max * hbm_frac
+                + link_max * link_frac
+            )
+            power_now[gpu_index] = power
+
+            # _maybe_roll_segment.
+            current = segment_open.get(gpu_index)
+            if current is None:
+                return
+            compute_active = n > 0
+            comm_active = bool(insts)
+            start_s, cur_power, cur_compute, cur_comm, cur_clock = current
+            if (
+                cur_compute == compute_active
+                and cur_comm == comm_active
+                and abs(cur_power - power) < 1e-6
+                and abs(cur_clock - clock) < 1e-9
+            ):
+                return
+            if now > start_s:
+                # tuple.__new__: PowerSegment adds no validation, and
+                # the namedtuple's generated __new__ is a python frame
+                # per roll (nearly every pass under a power cap).
+                segments[gpu_index].append(
+                    tuple.__new__(
+                        PowerSegment,
+                        (
+                            gpu_index, start_s, now, cur_power,
+                            cur_compute, cur_comm, cur_clock,
+                        ),
+                    )
                 )
-            self._dirty_gpus.clear()
+            segment_open[gpu_index] = (
+                now, power, compute_active, comm_active, clock,
+            )
+
+        return gpu_pass
 
 
 def make_simulator(

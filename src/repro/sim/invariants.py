@@ -6,6 +6,8 @@ reproduction; these checks let tests (and suspicious users) verify any
 must hold regardless of workload, strategy or configuration:
 
 * every record lies inside ``[0, end_time]``;
+* every task finishes exactly once: one record per task, and no
+  record for a task the plan does not contain;
 * records on one (gpu, stream) never overlap (CUDA stream semantics);
 * explicit dependencies are honoured (no task starts before its deps
   finish);
@@ -65,6 +67,28 @@ def check_stream_serialization(result: SimulationResult) -> None:
                     f"stream {key}: {b.label} starts at {b.start_s} before "
                     f"{a.label} ends at {a.end_s}"
                 )
+
+
+def check_tasks_finish_once(
+    result: SimulationResult, tasks: Sequence[Task]
+) -> None:
+    """Every task has exactly one record, and every record a task."""
+    known = {task.task_id for task in tasks}
+    finished = set()
+    for record in result.records:
+        if record.task_id not in known:
+            raise InvariantViolation(
+                f"record {record.label} has unknown task id "
+                f"{record.task_id}"
+            )
+        if record.task_id in finished:
+            raise InvariantViolation(
+                f"task {record.label} finished more than once"
+            )
+        finished.add(record.task_id)
+    for task in tasks:
+        if task.task_id not in finished:
+            raise InvariantViolation(f"task {task.label} never finished")
 
 
 def check_dependencies(
@@ -150,4 +174,6 @@ def check_all(
     check_no_superluminal_kernels(result)
     check_power_segments(result, tdp_w=tdp_w)
     if tasks is not None:
-        check_dependencies(result, list(tasks))
+        tasks = list(tasks)
+        check_tasks_finish_once(result, tasks)
+        check_dependencies(result, tasks)

@@ -18,6 +18,7 @@ from repro.hw.system import make_node
 from repro.parallel.plan import PlanBuilder
 from repro.sim.config import SimConfig
 from repro.sim.engine import IncrementalSimulator, Simulator, make_simulator
+from repro.sim.invariants import check_all
 from repro.sim.rates import (
     RateModel,
     compute_rate,
@@ -59,6 +60,11 @@ def _assert_identical(node, tasks, config):
     assert a.records == b.records
     assert a.power_segments == b.power_segments
     assert a.min_clock_frac_seen == b.min_clock_frac_seen
+    # Same event sequence, not just the same outcome: every push the
+    # reference makes, the incremental engine makes too.
+    assert inc.stats.events == ref.stats.events
+    assert inc.stats.stale_events == ref.stats.stale_events
+    check_all(b, tasks, node.gpu.tdp_w)
     # The incremental engine must actually be incremental, not a
     # re-spelling of the full pass: on multi-GPU plans it may touch at
     # most as many (gpu, event) pairs as the reference.

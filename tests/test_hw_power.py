@@ -88,6 +88,10 @@ def test_invalid_coefficients_rejected():
         GpuPowerCoefficients(idle_frac=1.5)
     with pytest.raises(ConfigurationError):
         GpuPowerCoefficients(hbm_max_frac=-0.1)
+    # The engine reads both SM coefficients when it builds its power
+    # pass; a partial table fails at construction, not mid-run.
+    with pytest.raises(ConfigurationError, match="no SM power coefficient"):
+        GpuPowerCoefficients(sm_max_frac={Datapath.VECTOR: 0.78})
 
 
 def test_evaluate_parts_matches_gpu_power():

@@ -188,3 +188,39 @@ def test_max_sim_time_guard():
         builder.add_compute(0, big)
     with pytest.raises(SimulationError):
         simulate(NODE, builder.build().tasks, SimConfig(max_sim_time_s=1e-4))
+
+
+def test_finished_incremental_simulator_is_freed_without_cyclic_gc():
+    """A run leaves no reference cycle through the simulator.
+
+    The incremental engine holds closures over its per-run state; one
+    that captured the simulator itself would form a cycle, and every
+    finished simulator would then stay alive until the next cyclic
+    collection (a memory cost across a sweep of thousands of cells).
+    """
+    import gc
+    import weakref
+
+    from repro.sim.engine import IncrementalSimulator
+
+    builder = PlanBuilder("capped")
+    for _ in range(3):
+        for g in range(2):
+            builder.add_compute(g, KERNEL)
+        builder.add_collective(
+            CollectiveKind.ALL_REDUCE, 64 * MB, [0, 1], stream=COMM_STREAM
+        )
+    tasks = builder.build().tasks
+    config = SimConfig(power_limit_w=150.0, governor_period_s=5e-6)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = IncrementalSimulator(make_node("A100", 2), tasks, config)
+        result = sim.run()
+        assert result.min_clock_frac_seen < 1.0  # the cap bit
+        alive = weakref.ref(sim)
+        del sim
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()

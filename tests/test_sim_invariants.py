@@ -19,6 +19,7 @@ from repro.sim.invariants import (
     check_power_segments,
     check_records_within_horizon,
     check_stream_serialization,
+    check_tasks_finish_once,
 )
 from repro.sim.result import PowerSegment, SimulationResult, TaskRecord
 from repro.sim.task import TaskCategory
@@ -122,6 +123,45 @@ def test_detects_unmet_dependency():
     )
     with pytest.raises(InvariantViolation, match="before dep"):
         check_dependencies(result, [t0, t1])
+
+
+def _compute_tasks(n):
+    from repro.hw.datapath import FP16_TENSOR
+    from repro.sim.task import ComputeTask
+    from repro.workloads.kernels import gemm_kernel
+
+    kernel = gemm_kernel("k", 64, 64, 64, FP16_TENSOR)
+    return [
+        ComputeTask(task_id=i, gpu=0, stream="s", label=f"t{i}", kernel=kernel)
+        for i in range(n)
+    ]
+
+
+def test_detects_task_finishing_twice():
+    tasks = _compute_tasks(2)
+    result = _result(
+        [_record(0, 0.0, 1.0), _record(1, 1.0, 2.0), _record(1, 2.0, 3.0)]
+    )
+    with pytest.raises(InvariantViolation, match="more than once"):
+        check_tasks_finish_once(result, tasks)
+    # check_dependencies indexes records by task id, so on its own it
+    # would keep one of the duplicates and pass; check_all must not.
+    with pytest.raises(InvariantViolation, match="more than once"):
+        check_all(result, tasks=tasks)
+
+
+def test_detects_record_for_unknown_task():
+    tasks = _compute_tasks(1)
+    result = _result([_record(0, 0.0, 1.0), _record(7, 1.0, 2.0)])
+    with pytest.raises(InvariantViolation, match="unknown task id 7"):
+        check_tasks_finish_once(result, tasks)
+
+
+def test_detects_task_that_never_finished():
+    tasks = _compute_tasks(2)
+    result = _result([_record(0, 0.0, 1.0)])
+    with pytest.raises(InvariantViolation, match="t1 never finished"):
+        check_tasks_finish_once(result, tasks)
 
 
 def _segment(start, end, power):

@@ -21,6 +21,7 @@ from repro.hw.system import make_node
 from repro.parallel.plan import PlanBuilder
 from repro.sim.config import SimConfig
 from repro.sim.engine import IncrementalSimulator, Simulator
+from repro.sim.invariants import check_all
 from repro.sim.perturb import (
     PERTURBATION_KINDS,
     PerturbationSpec,
@@ -136,6 +137,9 @@ def _assert_identical(node, tasks, config):
     assert a.records == b.records
     assert a.power_segments == b.power_segments
     assert a.min_clock_frac_seen == b.min_clock_frac_seen
+    assert inc.stats.events == ref.stats.events
+    assert inc.stats.stale_events == ref.stats.stale_events
+    check_all(b, tasks, node.gpu.tdp_w)
     return a
 
 
