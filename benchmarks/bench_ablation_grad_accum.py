@@ -34,14 +34,14 @@ def _sweep():
             TrainingShape(batch_size=TOTAL_BATCH),
             grad_accum_steps=accum,
         )
-        result = simulate(NODE, plan.tasks, CONFIG)
+        result = simulate(NODE, plan, CONFIG)
         separate = build_fsdp_plan(
             NODE,
             MODEL,
             TrainingShape(batch_size=TOTAL_BATCH // accum),
             grad_accum_steps=1,
         )
-        t_separate = simulate(NODE, separate.tasks, CONFIG).end_time_s * accum
+        t_separate = simulate(NODE, separate, CONFIG).end_time_s * accum
         rows.append(
             {
                 "accum": accum,

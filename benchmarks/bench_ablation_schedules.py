@@ -29,7 +29,7 @@ def _sweep():
         for schedule in ("gpipe", "1f1b"):
             plan = build_pipeline_plan(NODE, MODEL, shape, schedule=schedule)
             result = simulate(
-                NODE, plan.tasks, SimConfig(trace_power=False, jitter_sigma=0.0)
+                NODE, plan, SimConfig(trace_power=False, jitter_sigma=0.0)
             )
             feas = check_feasibility(
                 NODE, MODEL, shape, "pipeline", pipeline_schedule=schedule

@@ -20,9 +20,9 @@ prints the top 20 functions by cumulative time, for hot-path work.
 
 ``--verify`` instead runs the gate cells end-to-end under both
 engines and exits nonzero unless every cell's full result payloads are
-byte-identical (the CI equivalence gate): one quick-grid cell and
-Fig. 9's most throttled cell (100 W cap), where the DVFS governor
-moves the clock on most power updates.
+byte-identical (the CI equivalence gate): an FSDP and a pipeline
+quick-grid cell, and Fig. 9's most throttled cell (100 W cap), where
+the DVFS governor moves the clock on most power updates.
 
 Timed sections run with cyclic GC suspended (the ``timeit`` module's
 convention, applied identically to both engines): collection scheduling
@@ -74,8 +74,10 @@ SINGLE_CELL = ExperimentConfig(
     jitter_sigma=0.02,
 )
 
-#: The cells the CI equivalence gate checks: one quick-grid cell, and
-#: Fig. 9's 100 W cell — the most throttled one, where the incremental
+#: The cells the CI equivalence gate checks: one FSDP and one pipeline
+#: quick-grid cell (the pipeline builder posts its point-to-point
+#: transfers rank by rank, at different stream positions), and Fig.
+#: 9's 100 W cell — the most throttled one, where the incremental
 #: engine's inline free-running utilisation replaces the reference's
 #: per-clock memo on nearly every update.
 VERIFY_CELLS = (
@@ -84,6 +86,14 @@ VERIFY_CELLS = (
         model="gpt3-xl",
         batch_size=8,
         strategy="fsdp",
+        jitter_sigma=0.02,
+        runs=1,
+    ),
+    ExperimentConfig(
+        gpu="A100",
+        model="gpt3-xl",
+        batch_size=8,
+        strategy="pipeline",
         jitter_sigma=0.02,
         runs=1,
     ),
@@ -159,9 +169,7 @@ def bench_single_cell(repeats: int, profile: bool = False) -> dict:
         with _paused_gc():
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                sim = make_simulator(
-                    node, plan.tasks, config, cost_model=cost_model
-                )
+                sim = make_simulator(node, plan, config, cost_model=cost_model)
                 t1 = time.perf_counter()
                 sim.run()
                 elapsed = time.perf_counter() - t1
@@ -172,7 +180,7 @@ def bench_single_cell(repeats: int, profile: bool = False) -> dict:
                 # --quick runs once; add one untimed-run construction
                 # so the warm-setup series exists in every record.
                 t0 = time.perf_counter()
-                make_simulator(node, plan.tasks, config, cost_model=cost_model)
+                make_simulator(node, plan, config, cost_model=cost_model)
                 setup_times.append(time.perf_counter() - t0)
         prep_after = prep_stats()
         setup_cold = setup_times[0]
@@ -207,7 +215,7 @@ def _profile_engine(engine, node, plan, config, cost_model) -> None:
     import cProfile
     import pstats
 
-    sim = make_simulator(node, plan.tasks, config, cost_model=cost_model)
+    sim = make_simulator(node, plan, config, cost_model=cost_model)
     profiler = cProfile.Profile()
     profiler.enable()
     sim.run()

@@ -62,7 +62,7 @@ def main() -> None:
         plan = build_expert_parallel_plan(
             node, spec, shape, overlap=overlap, num_chunks=chunks
         )
-        result = simulate(node, plan.tasks, SimConfig())
+        result = simulate(node, plan, SimConfig())
         summary = summarize(result)
         comm = summary.comm(0)
         if baseline_e2e is None:

@@ -37,7 +37,7 @@ def main() -> None:
     plan = build_plan(
         node, config.model_spec(), config.shape(), config.strategy, overlap=True
     )
-    result = simulate(node, plan.tasks, config.sim_config(seed=0))
+    result = simulate(node, plan, config.sim_config(seed=0))
 
     print(f"simulated {plan.name}: {len(result.records)} kernel records, "
           f"iteration {result.end_time_s * 1e3:.1f} ms")

@@ -662,7 +662,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         config.strategy,
         overlap=not args.sequential,
     )
-    result = simulate(node, plan.tasks, config.sim_config(seed=args.seed))
+    result = simulate(node, plan, config.sim_config(seed=args.seed))
     write_chrome_trace(result, args.out)
     print(
         f"{plan.name}: {len(result.records)} records over "

@@ -279,7 +279,7 @@ def run_experiment(
             prep = planner.prepared_for(config, overlap, seed)
             result = simulate(
                 node,
-                plans[overlap].tasks,
+                plans[overlap],
                 sim_config,
                 cost_model=cost_model,
                 prepared=prep,

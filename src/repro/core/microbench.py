@@ -136,7 +136,7 @@ def run_microbench(
     measurements = {}
     for with_comm in (True, False):
         plan = _build_plan(node, n, repeats, with_comm, path, allreduce_bytes)
-        result = simulate(node, plan.tasks, config)
+        result = simulate(node, plan, config)
         gemm_time = result.total_time(TaskCategory.COMPUTE)
         segments = result.power_segments.get(0, [])
         trace = sampler.sample(segments)

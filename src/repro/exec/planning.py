@@ -14,8 +14,8 @@ kernel tables, collective costs) so repeat runs and sibling modes of a
 cell skip all pure simulator setup.
 
 The cached objects are treated as immutable by the simulator (task
-progress is tracked in per-run bookkeeping, never on the tasks
-themselves), which is what makes sharing them safe.
+progress is tracked in per-run bookkeeping, never in the plan's
+columns), which is what makes sharing them safe.
 
 This module deliberately avoids importing :mod:`repro.core.experiment`
 — configs are duck-typed on the ``ExperimentConfig`` fields — so the
@@ -63,11 +63,11 @@ def _plan_key(config, overlap: bool) -> _PlanKey:
 class Planner:
     """Memoizing factory for nodes, plans, cost models and prepared sims.
 
-    ``max_plans`` bounds the plan and prepared-sim caches (plans are
-    the big objects: one task list per layer per microbatch);
-    calibration sweeps mint a distinct key per sweep point, so without
-    a bound a long sensitivity session would retain every object ever
-    built. Eviction is LRU-on-access: long sweeps revisit their hot
+    ``max_plans`` bounds the plan and prepared-sim caches (these are
+    the big objects: columns with one slot per task, ~3,000 tasks for
+    a quick-grid plan); calibration sweeps mint a distinct key per
+    sweep point, so without a bound a long sensitivity session would
+    retain every object ever built. Eviction is LRU-on-access: long sweeps revisit their hot
     plans (repeat runs, sibling modes, the power-cap axis) and those
     must survive a parade of one-shot keys.
 
@@ -186,7 +186,7 @@ class Planner:
         cost_model = self.cost_model_for(config)
         prep = prepare(
             node,
-            plan.tasks,
+            plan,
             seed=seed,
             jitter_sigma=config.jitter_sigma,
             max_clock_frac=config.max_clock_frac,

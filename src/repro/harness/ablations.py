@@ -50,8 +50,8 @@ def run_contention_ablation(
         node = make_node(gpu, 4, calibration=calibration)
         plan_ov = build_plan(node, model, shape, strategy, overlap=True)
         plan_seq = build_plan(node, model, shape, strategy, overlap=False)
-        r_ov = simulate(node, plan_ov.tasks, SimConfig(trace_power=False))
-        r_seq = simulate(node, plan_seq.tasks, SimConfig(trace_power=False))
+        r_ov = simulate(node, plan_ov, SimConfig(trace_power=False))
+        r_seq = simulate(node, plan_seq, SimConfig(trace_power=False))
         c_ov = r_ov.total_time(TaskCategory.COMPUTE)
         c_seq = r_seq.total_time(TaskCategory.COMPUTE)
         rows.append(

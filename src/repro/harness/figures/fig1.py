@@ -36,7 +36,7 @@ def _overlap_cell(
     model = get_model(model_name)
     shape = TrainingShape(batch_size=batch)
     plan = build_plan(node, model, shape, strategy, overlap=True)
-    result = simulate(node, plan.tasks, SimConfig(trace_power=False))
+    result = simulate(node, plan, SimConfig(trace_power=False))
     profile = summarize(result)
     overlapped_s = sum(
         profile.compute(g).overlapped_time_s for g in range(num_gpus)

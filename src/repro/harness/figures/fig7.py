@@ -32,7 +32,7 @@ def generate(
     model = get_model(model_name)
     shape = TrainingShape(batch_size=batch)
     plan = build_plan(node, model, shape, "fsdp", overlap=True)
-    result = simulate(node, plan.tasks, SimConfig(jitter_sigma=0.02, seed=7))
+    result = simulate(node, plan, SimConfig(jitter_sigma=0.02, seed=7))
     segments = result.power_segments[0]
     trace = amd_smi_fast_sampler().sample(segments)
     tdp = node.gpu.tdp_w

@@ -137,6 +137,11 @@ def build_pipeline_plan(
             kernels.extend(build_layer_backward(model, micro_shape, layer))
         return kernels
 
+    # Every microbatch of a stage runs the same kernels: build each
+    # stage's lists once per plan.
+    stage_forward = [forward_kernels(stage) for stage in range(num_stages)]
+    stage_backward = [backward_kernels(stage) for stage in range(num_stages)]
+
     orders: Dict[int, List[ScheduleStep]] = {}
     for stage in range(num_stages):
         order = build_order(schedule, num_stages, num_micro, stage)
@@ -181,7 +186,7 @@ def build_pipeline_plan(
 
     #: Recvs posted ahead of a send (Megatron's fused
     #: send_backward_recv_forward / send_forward_recv_backward):
-    #: (stage, phase, micro) -> CommTask id.
+    #: (stage, phase, micro) -> recv task id.
     prefetched_recv: Dict[object, int] = {}
 
     def _emit_recv(stage: int, step: ScheduleStep) -> int:
@@ -240,7 +245,7 @@ def build_pipeline_plan(
             # produced the activations; enqueue our recv just-in-time.
             deps = [_consume_recv(stage, step)]
         ids = _emit_kernels(
-            builder, stage, forward_kernels(stage), deps, phase="forward"
+            builder, stage, stage_forward[stage], deps, phase="forward"
         )
         fwd_last[stage][micro] = ids["last"]
         last_step_task[stage] = ids["last"]
@@ -271,7 +276,7 @@ def build_pipeline_plan(
         if stage < num_stages - 1:
             deps.append(_consume_recv(stage, step))
         ids = _emit_kernels(
-            builder, stage, backward_kernels(stage), deps, phase="backward"
+            builder, stage, stage_backward[stage], deps, phase="backward"
         )
         bwd_last[stage][micro] = ids["last"]
         last_step_task[stage] = ids["last"]

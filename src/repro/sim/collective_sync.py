@@ -8,14 +8,13 @@ from typing import Dict, Optional
 from repro.collectives.cost_model import CollectiveCost
 from repro.collectives.primitives import CollectiveOp
 from repro.errors import SimulationError
-from repro.sim.task import CommTask
 
 
 @dataclass
 class CollectiveInstance:
     """Runtime state of one collective across its ranks.
 
-    A collective *starts* when every participating rank's CommTask has
+    A collective *starts* when every participating rank's task has
     reached the head of its stream with dependencies satisfied (the
     NCCL rendezvous). Progress is then tracked once for the whole
     group; all rank tasks complete together.
@@ -23,7 +22,8 @@ class CollectiveInstance:
 
     op: CollectiveOp
     cost: CollectiveCost
-    posted: Dict[int, CommTask] = field(default_factory=dict)
+    #: Arrived ranks: gpu -> the rank task's row in the plan.
+    posted: Dict[int, int] = field(default_factory=dict)
     post_times: Dict[int, float] = field(default_factory=dict)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -38,14 +38,14 @@ class CollectiveInstance:
     #: instance's progress has been banked (incremental engine only).
     bank_idx: int = 0
 
-    def post(self, task: CommTask, now: float) -> None:
-        """Register one rank's arrival at the collective."""
-        if task.gpu in self.posted:
+    def post(self, gpu: int, task: int, now: float) -> None:
+        """Register rank ``gpu``'s arrival with its task (a plan row)."""
+        if gpu in self.posted:
             raise SimulationError(
-                f"collective {self.op.key}: rank {task.gpu} posted twice"
+                f"collective {self.op.key}: rank {gpu} posted twice"
             )
-        self.posted[task.gpu] = task
-        self.post_times[task.gpu] = now
+        self.posted[gpu] = task
+        self.post_times[gpu] = now
 
     @property
     def ready(self) -> bool:

@@ -1,7 +1,8 @@
 """The discrete-event simulation engine.
 
-Executes a set of :class:`~repro.sim.task.Task` objects (per-GPU stream
-programs) on a :class:`~repro.hw.system.NodeSpec`. Tasks are fluids:
+Executes an :class:`~repro.parallel.plan.ExecutionPlan` (per-GPU stream
+programs, read column-wise by plan row) on a
+:class:`~repro.hw.system.NodeSpec`. Tasks are fluids:
 each holds remaining work and a current rate; events bank progress,
 apply the state change, launch newly unblocked stream heads, update
 rates from the contention model and (re)schedule finish events.
@@ -35,8 +36,9 @@ differences between simulated modes, so every production run is
 bit-exact to the oracle.
 
 Invariant per-task quantities — jittered work and isolated durations,
-collective cost-model lookups, jitter factors — are hoisted into
-tables built once per simulation. The reference engine memoizes power
+collective cost-model lookups, jitter factors — are hoisted into the
+prepared-simulation tables (:mod:`repro.sim.prep`), built once per
+plan and config. The reference engine memoizes power
 evaluations and free-running utilisations on the state they depend on
 (see :class:`~repro.hw.power.PowerEvaluator` /
 :class:`~repro.sim.rates.RateModel`); the incremental engine computes
@@ -49,7 +51,7 @@ from __future__ import annotations
 import gc
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.collectives.cost_model import CollectiveCostModel
 from repro.errors import DeadlockError, PlanError, SimulationError
@@ -62,8 +64,11 @@ from repro.sim.events import EventKind, EventQueue
 from repro.sim.prep import PreparedSim, prepare, reset_prepared, run_arena
 from repro.sim.rates import RateModel
 from repro.sim.result import PowerSegment, SimulationResult, TaskRecord
-from repro.sim.task import CommTask, ComputeTask, Task
-from repro.workloads.kernels import reset_kernel_intern
+from repro.sim.task import TaskCategory
+from repro.workloads.kernels import KernelSpec, reset_kernel_intern
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
+    from repro.parallel.plan import ExecutionPlan
 
 #: Floors preventing full starvation (real kernels always trickle).
 _MIN_SM_FRACTION = 0.05
@@ -87,6 +92,8 @@ _COLLECTIVE_FINISH = EventKind.COLLECTIVE_FINISH
 _GOVERNOR_TICK = EventKind.GOVERNOR_TICK
 _PERTURB_BEGIN = EventKind.PERTURB_BEGIN
 _PERTURB_END = EventKind.PERTURB_END
+_COMPUTE = TaskCategory.COMPUTE
+_COMM = TaskCategory.COMM
 
 
 def reset_shared_evaluators() -> None:
@@ -110,7 +117,7 @@ class _RunningCompute:
     instance ``__dict__`` lookup.
     """
 
-    task: ComputeTask
+    kernel: KernelSpec
     work_remaining: float
     rate: float
     isolated_s: float
@@ -120,9 +127,9 @@ class _RunningCompute:
     #: hashes the kernel table.
     peak_eff: float = 0.0
     ai: float = float("inf")
-    #: The task's id, denormalized so finish (re)scheduling — once per
-    #: rate change per entry — skips the task attribute walk.
-    tid: int = -1
+    #: The task's plan row: the finish event's payload and the index
+    #: into the plan's columns.
+    row: int = -1
     #: Whether a finish event has ever been scheduled (the first rate
     #: assignment must push even if the placeholder rate matches).
     scheduled: bool = False
@@ -163,7 +170,7 @@ class Simulator:
     def __init__(
         self,
         node: NodeSpec,
-        tasks: Sequence[Task],
+        plan: ExecutionPlan,
         config: Optional[SimConfig] = None,
         cost_model: Optional[CollectiveCostModel] = None,
         prepared: Optional[PreparedSim] = None,
@@ -179,14 +186,14 @@ class Simulator:
         if prepared is None:
             prepared = prepare(
                 node,
-                tasks,
+                plan,
                 seed=config.seed,
                 jitter_sigma=config.jitter_sigma,
                 max_clock_frac=config.max_clock_frac,
                 cost_model=cost_model,
             )
         elif (
-            prepared.tasks_src is not tasks
+            prepared.plan is not plan
             or prepared.gpu is not node.gpu
             or (cost_model is not None and prepared.cost_model is not cost_model)
             or prepared.seed != config.seed
@@ -198,21 +205,26 @@ class Simulator:
             or prepared.node.calibration != node.calibration
         ):
             raise PlanError(
-                "prepared simulation does not match (node, tasks, config)"
+                "prepared simulation does not match (node, plan, config)"
             )
         self.prepared = prepared
         self.cost_model = prepared.cost_model
         self.stats = EngineStats()
 
-        # Read-only indexes from the prep layer; only the cursor dict
-        # and completion set are per-run.
-        self.tasks: Dict[int, Task] = prepared.tasks
-        self.streams: Dict[Tuple[int, str], List[int]] = prepared.streams
-        self._stream_pos: Dict[Tuple[int, str], int] = dict.fromkeys(
-            prepared.stream_keys, 0
-        )
+        # Read-only columns and indexes, by plan row and stream index,
+        # from the plan and the prep layer; only the stream cursors and
+        # the completion set (of rows) are per-run.
+        plan = prepared.plan
+        self.plan = plan
+        self._num_tasks = plan.num_tasks
+        self._gpus = plan.gpus
+        self._stream_of = plan.stream_ids
+        self._refs = plan.refs
+        self._categories = plan.categories
+        self.streams: Tuple[Tuple[int, ...], ...] = prepared.streams
+        self._stream_pos: List[int] = [0] * len(prepared.streams)
+        self._deps = prepared.deps
         self.done: set = set()
-        self._tasks_src = tasks
 
         self.time = 0.0
         self.queue = EventQueue()
@@ -226,7 +238,11 @@ class Simulator:
         # tables, all read-only from the prep layer.
         self._rates = prepared.rates
         self._power_eval = prepared.power_eval
-        self._compute_table = prepared.compute_table
+        self._work = prepared.work
+        self._isolated = prepared.isolated
+        self._kernels = prepared.kernels
+        self._peak_eff = prepared.peak_eff
+        self._ai = prepared.ai
         self._comm_cost = prepared.comm_cost
         # Hot-path invariants hoisted out of attribute chains.
         self._hbm_eff = prepared.hbm_eff
@@ -321,7 +337,7 @@ class Simulator:
     def _on_instance_created(self, inst: CollectiveInstance) -> None:
         pass
 
-    def _on_comm_posted(self, task: CommTask, inst: CollectiveInstance) -> None:
+    def _on_comm_posted(self, gpu: int, inst: CollectiveInstance) -> None:
         pass
 
     def _on_instance_started(self, inst: CollectiveInstance) -> None:
@@ -330,7 +346,7 @@ class Simulator:
     def _on_collective_finished(self, inst: CollectiveInstance) -> None:
         pass
 
-    def _on_task_done(self, task: Task) -> None:
+    def _on_task_done(self, row: int) -> None:
         pass
 
     def _on_clock_changed(self, gpu_index: int) -> None:
@@ -357,7 +373,7 @@ class Simulator:
         return self._finalize()
 
     def _run_loop(self) -> None:
-        total = len(self.tasks)
+        total = self._num_tasks
         self._try_launch()
         self._recompute()
         self._ensure_ticks()
@@ -422,134 +438,139 @@ class Simulator:
     # launching
     # ------------------------------------------------------------------
 
-    def _head(self, key: Tuple[int, str]) -> Optional[int]:
-        order = self.streams[key]
-        pos = self._stream_pos[key]
+    def _head(self, sid: int) -> Optional[int]:
+        order = self.streams[sid]
+        pos = self._stream_pos[sid]
         if pos >= len(order):
             return None
         return order[pos]
 
-    def _pop_head(self, key: Tuple[int, str], expected: int) -> None:
+    def _pop_head(self, sid: int, expected: int) -> None:
         # _head, inlined (called once per task completion).
-        order = self.streams[key]
-        pos = self._stream_pos[key]
+        order = self.streams[sid]
+        pos = self._stream_pos[sid]
         head = order[pos] if pos < len(order) else None
         if head != expected:
+            ids = self.plan.task_ids
             raise SimulationError(
-                f"stream {key}: completing task {expected} but head is {head}"
+                f"stream {self.plan.stream_keys[sid]}: completing task "
+                f"{ids[expected]} but head is "
+                f"{None if head is None else ids[head]}"
             )
-        self._stream_pos[key] = pos + 1
+        self._stream_pos[sid] = pos + 1
 
-    def _deps_met(self, task: Task) -> bool:
-        return task.deps <= self.done
-
-    def _maybe_launch_head(self, key: Tuple[int, str]) -> bool:
+    def _maybe_launch_head(self, sid: int) -> bool:
         """Launch/post the head of one stream if it is runnable."""
         # _head, inlined (this runs for every candidate stream on
         # every completion).
-        order = self.streams[key]
-        pos = self._stream_pos[key]
+        order = self.streams[sid]
+        pos = self._stream_pos[sid]
         if pos >= len(order):
             return False
-        tid = order[pos]
-        if tid in self.running or tid in self._waiting:
+        row = order[pos]
+        if row in self.running or row in self._waiting:
             return False
-        if tid in self._comm_started:
+        if row in self._comm_started:
             return False
-        task = self.tasks[tid]
-        if not task.deps <= self.done:
+        if not self.done.issuperset(self._deps[row]):
             return False
-        if isinstance(task, ComputeTask):
-            self._launch_compute(task)
-        elif isinstance(task, CommTask):
-            self._post_comm(task)
-        else:  # pragma: no cover - defensive
-            raise PlanError(f"unknown task type for {task.label}")
+        if self._categories[row] is _COMPUTE:
+            self._launch_compute(row)
+        else:
+            self._post_comm(row)
         return True
 
     def _try_launch(self) -> None:
         progressed = True
         while progressed:
             progressed = False
-            for key in self.streams:
-                if self._maybe_launch_head(key):
+            for sid in range(len(self.streams)):
+                if self._maybe_launch_head(sid):
                     progressed = True
 
-    def _launch_compute(self, task: ComputeTask) -> None:
-        work, iso, peak_eff, ai = self._compute_table[task.task_id]
+    def _launch_compute(self, row: int) -> None:
+        ref = self._refs[row]
         # Positional: rate=1.0 is a placeholder the first recompute
         # overwrites.
         entry = _RunningCompute(
-            task, work, 1.0, iso, self.time, peak_eff, ai, task.task_id
+            self._kernels[ref],
+            self._work[row],
+            1.0,
+            self._isolated[row],
+            self.time,
+            self._peak_eff[ref],
+            self._ai[ref],
+            row,
         )
-        self.running[task.task_id] = entry
+        self.running[row] = entry
 
-    def _post_comm(self, task: CommTask) -> None:
-        op = task.op
+    def _post_comm(self, row: int) -> None:
+        ref = self._refs[row]
+        op = self.plan.ops[ref]
         inst = self.instances.get(op.key)
         if inst is None:
             inst = CollectiveInstance(
-                op=op, cost=self._comm_cost[op.key], seq=self._inst_seq
+                op=op, cost=self._comm_cost[ref], seq=self._inst_seq
             )
             self._inst_seq += 1
             self.instances[op.key] = inst
             self._on_instance_created(inst)
-        inst.post(task, self.time)
-        self._waiting.add(task.task_id)
-        self._on_comm_posted(task, inst)
+        gpu = self._gpus[row]
+        inst.post(gpu, row, self.time)
+        self._waiting.add(row)
+        self._on_comm_posted(gpu, inst)
         if inst.ready:
             inst.start(self.time)
-            for rank_task in inst.posted.values():
-                self._waiting.discard(rank_task.task_id)
-                self._comm_started.add(rank_task.task_id)
+            for rank_row in inst.posted.values():
+                self._waiting.discard(rank_row)
+                self._comm_started.add(rank_row)
             self._on_instance_started(inst)
 
     # ------------------------------------------------------------------
     # finishing
     # ------------------------------------------------------------------
 
-    def _finish_compute(self, tid: int) -> None:
-        entry = self.running.pop(tid)
-        task = entry.task
-        self._pop_head((task.gpu, task.stream), tid)
-        self.done.add(tid)
-        self.records.append(
-            TaskRecord(
-                tid,
-                task.gpu,
-                task.stream,
-                task.label,
-                task.category,
-                task.phase,
-                entry.started_at,
-                self.time,
-                entry.isolated_s,
-            )
+    def _record(
+        self,
+        row: int,
+        category: TaskCategory,
+        started: float,
+        isolated_s: float,
+    ) -> TaskRecord:
+        plan = self.plan
+        return TaskRecord(
+            plan.task_ids[row],
+            self._gpus[row],
+            self.prepared.stream_names[self._stream_of[row]],
+            plan.labels[row],
+            category,
+            plan.phases[row],
+            started,
+            self.time,
+            isolated_s,
         )
-        self._on_task_done(task)
+
+    def _finish_compute(self, row: int) -> None:
+        entry = self.running.pop(row)
+        self._pop_head(self._stream_of[row], row)
+        self.done.add(row)
+        self.records.append(
+            self._record(row, _COMPUTE, entry.started_at, entry.isolated_s)
+        )
+        self._on_task_done(row)
 
     def _finish_collective(self, key: str) -> None:
         inst = self.instances[key]
         inst.finish(self.time)
         started = inst.started_at if inst.started_at is not None else self.time
-        for task in inst.posted.values():
-            self._pop_head((task.gpu, task.stream), task.task_id)
-            self._comm_started.discard(task.task_id)
-            self.done.add(task.task_id)
+        for row in inst.posted.values():
+            self._pop_head(self._stream_of[row], row)
+            self._comm_started.discard(row)
+            self.done.add(row)
             self.records.append(
-                TaskRecord(
-                    task.task_id,
-                    task.gpu,
-                    task.stream,
-                    task.label,
-                    task.category,
-                    task.phase,
-                    started,
-                    self.time,
-                    inst.cost.duration_s,
-                )
+                self._record(row, _COMM, started, inst.cost.duration_s)
             )
-            self._on_task_done(task)
+            self._on_task_done(row)
         self._on_collective_finished(inst)
 
     # ------------------------------------------------------------------
@@ -611,7 +632,9 @@ class Simulator:
         # Pass 2: compute rates under contention from active collectives.
         per_gpu_running: Dict[int, List[_RunningCompute]] = {}
         for entry in self.running.values():
-            per_gpu_running.setdefault(entry.task.gpu, []).append(entry)
+            per_gpu_running.setdefault(self._gpus[entry.row], []).append(
+                entry
+            )
 
         for gpu_index in range(self.node.num_gpus):
             self._recompute_gpu(
@@ -682,7 +705,7 @@ class Simulator:
                 entry.scheduled = True
                 finish = self.time + entry.work_remaining / new_rate
                 self.queue.schedule(
-                    finish, EventKind.TASK_FINISH, entry.tid
+                    finish, EventKind.TASK_FINISH, entry.row
                 )
         self._update_power(gpu_index, entries, insts, spinning, clock)
 
@@ -715,9 +738,7 @@ class Simulator:
             # utilisation is already low).
             free_util = entry.free_util_cache.get(clock)
             if free_util is None:
-                free_util = self._rates.free_utilization(
-                    entry.task.kernel, clock
-                )
+                free_util = self._rates.free_utilization(entry.kernel, clock)
                 entry.free_util_cache[clock] = free_util
             if free_util > util:
                 util += stall_frac * (free_util - util)
@@ -725,7 +746,7 @@ class Simulator:
             # and drain clip the average draw (that is why small models
             # sit well below TDP on real boards).
             util *= entry.isolated_s / (entry.isolated_s + 50e-6)
-            path = entry.task.kernel.path.datapath
+            path = entry.kernel.path.datapath
             sm_util[path] = sm_util.get(path, 0.0) + util
             ai = entry.ai
             if ai != float("inf") and ai > 0:
@@ -958,13 +979,14 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _deadlock_report(self) -> str:
+        labels = self.plan.labels
         unfinished = [
-            t.label for tid, t in self.tasks.items() if tid not in self.done
+            label for row, label in enumerate(labels) if row not in self.done
         ]
         heads = {
-            key: self.tasks[self._head(key)].label
-            for key in self.streams
-            if self._head(key) is not None
+            self.plan.stream_keys[sid]: labels[self._head(sid)]
+            for sid in range(len(self.streams))
+            if self._head(sid) is not None
         }
         waiting_collectives = {
             key: sorted(inst.posted)
@@ -1007,13 +1029,13 @@ class IncrementalSimulator(Simulator):
     def __init__(
         self,
         node: NodeSpec,
-        tasks: Sequence[Task],
+        plan: ExecutionPlan,
         config: Optional[SimConfig] = None,
         cost_model: Optional[CollectiveCostModel] = None,
         prepared: Optional[PreparedSim] = None,
     ):
         super().__init__(
-            node, tasks, config, cost_model=cost_model, prepared=prepared
+            node, plan, config, cost_model=cost_model, prepared=prepared
         )
         num_gpus = node.num_gpus
         #: Global log of positive time steps (the replay tape).
@@ -1036,11 +1058,9 @@ class IncrementalSimulator(Simulator):
         self._active_on: List[Dict[int, CollectiveInstance]] = triple[1]
         self._spinning_on: List[Dict[int, CollectiveInstance]] = triple[2]
         self._active_inst_count = 0
-        #: Streams whose head may have become launchable.
-        self._launch_candidates: Set[Tuple[int, str]] = set(self.streams)
-        #: Stream ordering plus the wake-stream index, read-only from
-        #: the prep layer.
-        self._stream_order = self.prepared.stream_order
+        #: Streams (by index) whose head may have become launchable.
+        self._launch_candidates: Set[int] = set(range(len(self.streams)))
+        #: The wake-stream index, read-only from the prep layer.
         self._wake_streams = self.prepared.wake_streams
         self._gpu_pass = self._make_gpu_pass()
 
@@ -1084,11 +1104,11 @@ class IncrementalSimulator(Simulator):
     def _on_instance_created(self, inst: CollectiveInstance) -> None:
         self._insts_by_seq[inst.seq] = inst
 
-    def _on_comm_posted(self, task: CommTask, inst: CollectiveInstance) -> None:
+    def _on_comm_posted(self, gpu: int, inst: CollectiveInstance) -> None:
         # The instance busy-polls this rank's SMs until the rendezvous
         # completes; its spin footprint appears on this GPU only.
-        self._spinning_on[task.gpu][inst.seq] = inst
-        self._dirty_gpus.add(task.gpu)
+        self._spinning_on[gpu][inst.seq] = inst
+        self._dirty_gpus.add(gpu)
 
     def _on_instance_started(self, inst: CollectiveInstance) -> None:
         inst.bank_idx = len(self._dts)
@@ -1110,8 +1130,8 @@ class IncrementalSimulator(Simulator):
         self._insts_by_seq.pop(seq, None)
         self._active_inst_count -= 1
 
-    def _on_task_done(self, task: Task) -> None:
-        self._launch_candidates.update(self._wake_streams[task.task_id])
+    def _on_task_done(self, row: int) -> None:
+        self._launch_candidates.update(self._wake_streams[row])
 
     def _on_clock_changed(self, gpu_index: int) -> None:
         self._dirty_gpus.add(gpu_index)
@@ -1155,60 +1175,70 @@ class IncrementalSimulator(Simulator):
         comm_started = self._comm_started
         streams = self.streams
         stream_pos = self._stream_pos
-        stream_rank = self._stream_order.__getitem__
-        tasks = self.tasks
+        stream_of = self._stream_of
+        stream_names = self.prepared.stream_names
+        gpus = self._gpus
+        refs = self._refs
+        categories = self._categories
+        deps_of = self._deps
+        task_ids = self.plan.task_ids
+        labels = self.plan.labels
+        phases = self.plan.phases
+        work_of = self._work
+        isolated_of = self._isolated
+        kernels = self._kernels
+        peak_eff_of = self._peak_eff
+        ai_of = self._ai
         done = self.done
+        deps_met = done.issuperset
         records = self.records
-        compute_table = self._compute_table
         candidates = self._launch_candidates
         wake_streams = self._wake_streams
         dirty_gpus = self._dirty_gpus
         recompute = self._recompute
         governed = len(self._governors)
-        total = len(tasks)
+        total = self._num_tasks
         now = self.time
         events = 0
         try:
             while True:
                 while candidates:
+                    # Stream indices are the reference's stream order.
                     if len(candidates) == 1:
                         batch = list(candidates)
                     else:
-                        batch = sorted(candidates, key=stream_rank)
+                        batch = sorted(candidates)
                     candidates.clear()
-                    for key in batch:
-                        order = streams[key]
-                        pos = stream_pos[key]
+                    for sid in batch:
+                        order = streams[sid]
+                        pos = stream_pos[sid]
                         if pos >= len(order):
                             continue
-                        tid = order[pos]
+                        row = order[pos]
                         if (
-                            tid in running
-                            or tid in waiting
-                            or tid in comm_started
+                            row in running
+                            or row in waiting
+                            or row in comm_started
                         ):
                             continue
-                        task = tasks[tid]
-                        if not task.deps <= done:
+                        deps = deps_of[row]
+                        if deps and not deps_met(deps):
                             continue
-                        if isinstance(task, ComputeTask):
+                        if categories[row] is _COMPUTE:
                             # _launch_compute; rate=1.0 is a placeholder
                             # the first recompute overwrites.
-                            work, iso, peak_eff, ai = compute_table[tid]
+                            ref = refs[row]
                             entry = _RunningCompute(
-                                task, work, 1.0, iso, now, peak_eff, ai,
-                                tid, False, len(dts),
+                                kernels[ref], work_of[row], 1.0,
+                                isolated_of[row], now, peak_eff_of[ref],
+                                ai_of[ref], row, False, len(dts),
                             )
-                            running[tid] = entry
-                            gpu = task.gpu
-                            running_on[gpu][tid] = entry
+                            running[row] = entry
+                            gpu = gpus[row]
+                            running_on[gpu][row] = entry
                             dirty_gpus.add(gpu)
-                        elif isinstance(task, CommTask):
-                            self._post_comm(task)
-                        else:  # pragma: no cover - defensive
-                            raise PlanError(
-                                f"unknown task type for {task.label}"
-                            )
+                        else:
+                            self._post_comm(row)
                 recompute()
                 if governed and self._ticks_outstanding < governed:
                     self._ensure_ticks()
@@ -1231,23 +1261,22 @@ class IncrementalSimulator(Simulator):
 
                 if kind is _TASK_FINISH:
                     entry = running.pop(payload)
-                    task = entry.task
-                    gpu = task.gpu
-                    key = (gpu, task.stream)
-                    order = streams[key]
-                    pos = stream_pos[key]
+                    gpu = gpus[payload]
+                    sid = stream_of[payload]
+                    order = streams[sid]
+                    pos = stream_pos[sid]
                     if pos >= len(order) or order[pos] != payload:
-                        self._pop_head(key, payload)  # raises
-                    stream_pos[key] = pos + 1
+                        self._pop_head(sid, payload)  # raises
+                    stream_pos[sid] = pos + 1
                     done.add(payload)
                     records.append(
                         TaskRecord(
-                            payload,
+                            task_ids[payload],
                             gpu,
-                            task.stream,
-                            task.label,
-                            task.category,
-                            task.phase,
+                            stream_names[sid],
+                            labels[payload],
+                            _COMPUTE,
+                            phases[payload],
                             entry.started_at,
                             now,
                             entry.isolated_s,
@@ -1481,7 +1510,7 @@ class IncrementalSimulator(Simulator):
                         schedule(
                             now + entry.work_remaining / rate,
                             _TASK_FINISH,
-                            entry.tid,
+                            entry.row,
                         )
 
                     # _update_power's kernel terms.
@@ -1508,14 +1537,14 @@ class IncrementalSimulator(Simulator):
                             free_util = 1.0
                     else:
                         util = 0.0
-                        free_util = free_utilization(entry.task.kernel, clock)
+                        free_util = free_utilization(entry.kernel, clock)
                     # Contention-stalled warps keep toggling (see
                     # _update_power).
                     if free_util > util:
                         util += stall_frac * (free_util - util)
                     iso = entry.isolated_s
                     util *= iso / (iso + 50e-6)
-                    if entry.task.kernel.path.datapath is vector:
+                    if entry.kernel.path.datapath is vector:
                         vector_util += util
                     else:
                         tensor_util += util
@@ -1594,7 +1623,7 @@ class IncrementalSimulator(Simulator):
 
 def make_simulator(
     node: NodeSpec,
-    tasks: Sequence[Task],
+    plan: ExecutionPlan,
     config: Optional[SimConfig] = None,
     cost_model: Optional[CollectiveCostModel] = None,
     prepared: Optional[PreparedSim] = None,
@@ -1604,12 +1633,12 @@ def make_simulator(
     if config is None:
         config = SimConfig()
     cls = Simulator if config.reference_engine else IncrementalSimulator
-    return cls(node, tasks, config, cost_model=cost_model, prepared=prepared)
+    return cls(node, plan, config, cost_model=cost_model, prepared=prepared)
 
 
 def simulate(
     node: NodeSpec,
-    tasks: Sequence[Task],
+    plan: ExecutionPlan,
     config: Optional[SimConfig] = None,
     cost_model: Optional[CollectiveCostModel] = None,
     prepared: Optional[PreparedSim] = None,
@@ -1619,10 +1648,11 @@ def simulate(
     ``cost_model`` lets callers share one memoized
     :class:`CollectiveCostModel` across many simulations of the same
     node (see :mod:`repro.exec.planning`); it is stateless, so sharing
-    cannot change results. ``prepared`` short-circuits all pure setup
-    with a pre-built (planner-cached) :class:`~repro.sim.prep
-    .PreparedSim` for the same (node, tasks, config).
+    cannot change results. ``prepared``
+    short-circuits all pure setup with a pre-built (planner-cached)
+    :class:`~repro.sim.prep.PreparedSim` for the same (node, plan,
+    config).
     """
     return make_simulator(
-        node, tasks, config, cost_model=cost_model, prepared=prepared
+        node, plan, config, cost_model=cost_model, prepared=prepared
     ).run()

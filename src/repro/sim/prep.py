@@ -8,14 +8,16 @@ hoists all of it into one immutable :class:`PreparedSim`, built once
 per distinct ``(plan, node, sim-relevant config fields)`` and shared
 read-only by both engines:
 
-* **task/stream indexes** — tasks by id, per-stream launch order,
-  reverse-dependency and wake-stream maps (validation included, with
-  the same :class:`~repro.errors.PlanError` semantics the engines had);
-* **kernel parameter tables** — per-task jittered work / isolated
-  durations with pre-resolved roofline parameters, and per-op jittered
-  collective costs. Kernels are routed through the process-wide
+* **stream and dependency indexes** — per-stream launch order,
+  dependency rows and wake-stream sets, read from the plan's columns
+  (the plan validated itself once, at build; only the check that needs
+  the node — every GPU index in range — runs here);
+* **kernel parameter tables** — per-row jittered work / isolated
+  durations, per-kernel roofline parameters, and per-op jittered
+  collective costs. A plan's kernels went through the process-wide
   hash-consing intern table (:func:`repro.workloads.kernels
-  .intern_kernel`) so the identity-keyed memo dicts inside
+  .intern_kernel`) when its builder appended them, so the
+  identity-keyed memo dicts inside
   :class:`~repro.sim.rates.RateModel`,
   :class:`~repro.hw.power.PowerEvaluator` and
   :class:`~repro.collectives.cost_model.CollectiveCostModel` hit
@@ -41,7 +43,7 @@ import math
 import threading
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.collectives.cost_model import CollectiveCost, CollectiveCostModel
 from repro.collectives.library import library_for
@@ -49,16 +51,22 @@ from repro.errors import PlanError
 from repro.hw.power import PowerEvaluator
 from repro.hw.system import NodeSpec
 from repro.sim.rates import RateModel
-from repro.sim.task import CommTask, ComputeTask, Task
-from repro.workloads.kernels import intern_kernel
+from repro.sim.task import TaskCategory
+from repro.workloads.kernels import KernelSpec
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
+    from repro.parallel.plan import ExecutionPlan
+
+_COMPUTE = TaskCategory.COMPUTE
 
 #: Process-wide memoized evaluators per GPU spec object. RateModel and
 #: PowerEvaluator are pure in the (immutable) spec, so sharing them
 #: across simulations cannot change results — it just keeps their
 #: roofline/power memo tables warm across runs and cells. Keyed by
 #: id() with the spec kept alive in the value. Creation is
-#: lock-guarded for the async executor's thread fan-out; the memo
-#: *lookups* inside the shared objects stay unguarded on purpose —
+#: lock-guarded because fleet worker threads of one process share
+#: these; the memo *lookups* inside the shared objects stay unguarded
+#: on purpose —
 #: every cached value is a pure function of its key, so concurrent
 #: writers can only store identical floats.
 _SHARED_EVALUATORS: Dict[int, Tuple[object, RateModel, PowerEvaluator]] = {}
@@ -73,16 +81,17 @@ _PREP_CACHE_MAX = 256
 _PREP_STATS = {"hits": 0, "builds": 0}
 
 #: Default cost models per node object (identity-keyed, node kept
-#: alive): lets ``Simulator(node, tasks, config)`` calls without an
+#: alive): lets ``Simulator(node, plan, config)`` calls without an
 #: explicit cost model share one prepared sim per node.
 _DEFAULT_COST_MODELS: Dict[int, Tuple[NodeSpec, CollectiveCostModel]] = {}
 
-#: Jitter factors keyed (seed, sigma) -> {label: factor}. The factor
-#: is pure in (label, seed, sigma), so grid cells that share a task
-#: layout reuse each other's draws. Inner dicts are capped; a benign
-#: race (two threads computing the same label) converges to the same
-#: deterministic value.
-_JITTER_MEMO: Dict[Tuple[int, float], Dict[str, float]] = {}
+#: Jitter factors keyed (seed, sigma) -> {key: factor}; the key is a
+#: compute task's id (drawn for the label ``c{id}``) or a collective's
+#: label ``k{op.key}``. The factor is pure in (label, seed, sigma), so
+#: grid cells that share a task layout reuse each other's draws. Inner
+#: dicts are capped; a benign race (two threads computing the same
+#: label) converges to the same deterministic value.
+_JITTER_MEMO: Dict[Tuple[int, float], Dict[object, float]] = {}
 _JITTER_MEMO_MAX = 1 << 20
 
 
@@ -168,33 +177,45 @@ def _lognormal_factor(key: str, seed: int, sigma: float) -> float:
 class PreparedSim:
     """Everything a simulator needs that is pure in (plan, node, config).
 
-    Immutable by convention and construction: the contained dicts are
+    Immutable by convention and construction: the contained tables are
     never written after :func:`prepare` returns (the engines track all
     run progress in per-run cursors), so one instance is safely shared
     by any number of concurrent simulations.
+
+    Per-task data is indexed by plan *row* and read from the plan's
+    columns or from the tuples here; the prepared sim holds ints,
+    floats, strings and tuples of them, and no per-task object.
     """
 
     node: NodeSpec
     gpu: object
     cost_model: CollectiveCostModel
-    #: The caller's task sequence (identity is part of the cache key).
-    tasks_src: Sequence[Task]
+    #: The plan the tables index (its identity is part of the cache
+    #: key).
+    plan: ExecutionPlan
     seed: int
     jitter_sigma: float
     max_clock_frac: float
     num_gpus: int
-    #: Validated task/stream indexes (read-only).
-    tasks: Dict[int, Task]
-    streams: Dict[Tuple[int, str], List[int]]
-    stream_keys: Tuple[Tuple[int, str], ...]
-    stream_order: Dict[Tuple[int, str], int]
-    #: Reverse-dependency index and per-completion wake sets.
-    dependents: Dict[int, List[int]]
-    wake_streams: Dict[int, Tuple[Tuple[int, str], ...]]
-    #: Per-task jittered kernel rows: (flops, iso, peak_eff, ai).
-    compute_table: Dict[int, Tuple[float, float, float, float]]
-    #: Per-op jittered collective costs.
-    comm_cost: Dict[str, CollectiveCost]
+    #: Per stream (plan ``stream_keys`` order): its rows in program
+    #: order, and its name.
+    streams: Tuple[Tuple[int, ...], ...]
+    stream_names: Tuple[str, ...]
+    #: Per row: dependency rows, and the streams whose heads its
+    #: completion may unblock.
+    deps: Tuple[Tuple[int, ...], ...]
+    wake_streams: Tuple[Tuple[int, ...], ...]
+    #: Per row (None for collective ranks): jittered FLOPs and
+    #: isolated duration.
+    work: Tuple[Optional[float], ...]
+    isolated: Tuple[Optional[float], ...]
+    #: Per plan kernel: the interned spec and its roofline parameters
+    #: (peak x efficiency, arithmetic intensity).
+    kernels: Tuple[KernelSpec, ...]
+    peak_eff: Tuple[float, ...]
+    ai: Tuple[float, ...]
+    #: Per plan op: the jittered collective cost.
+    comm_cost: Tuple[CollectiveCost, ...]
     #: Shared memoizing evaluators for this GPU spec.
     rates: RateModel
     power_eval: PowerEvaluator
@@ -207,83 +228,75 @@ class PreparedSim:
     stall_frac: float
 
 
-def _build_indexes(node: NodeSpec, tasks: Sequence[Task]):
-    """Validate the plan and build every task/stream index.
+def _build_indexes(node: NodeSpec, plan: ExecutionPlan):
+    """Per-stream row lists, dependency rows and wake sets.
 
-    Same checks and :class:`PlanError` messages as the engines'
-    original ``_validate_and_index``.
+    Checks only what needs the node (every GPU index in range) and
+    what an unvalidated, ingested row set can get wrong (duplicate
+    ids, unknown dependencies, via :meth:`ExecutionPlan.dep_rows`);
+    :meth:`ExecutionPlan.validate` covers the rest.
     """
-    if not tasks:
+    gpus = plan.gpus
+    if not gpus:
         raise PlanError("no tasks to simulate")
     num_gpus = node.num_gpus
-    by_id: Dict[int, Task] = {}
-    streams: Dict[Tuple[int, str], List[int]] = {}
-    for task in tasks:
-        if task.task_id in by_id:
-            raise PlanError(f"duplicate task id {task.task_id}")
-        if task.gpu >= num_gpus:
-            raise PlanError(
-                f"task {task.label}: gpu {task.gpu} out of range for "
-                f"{num_gpus}-GPU node"
-            )
-        by_id[task.task_id] = task
-        key = (task.gpu, task.stream)
-        streams.setdefault(key, []).append(task.task_id)
-    known = set(by_id)
-    for task in tasks:
-        missing = task.deps - known
-        if missing:
-            raise PlanError(
-                f"task {task.label}: unknown deps {sorted(missing)}"
-            )
+    if max(gpus) >= num_gpus:
+        row = next(r for r, gpu in enumerate(gpus) if gpu >= num_gpus)
+        raise PlanError(
+            f"task {plan.labels[row]}: gpu {gpus[row]} out of range for "
+            f"{num_gpus}-GPU node"
+        )
+    deps = plan.dep_rows()
+    stream_ids = plan.stream_ids
+    stream_rows: List[List[int]] = [[] for _ in plan.stream_keys]
+    for row, sid in enumerate(stream_ids):
+        stream_rows[sid].append(row)
+    # A row wakes its own stream (its successor becomes the head) plus
+    # its dependents' streams. The consumer only set-unions these
+    # tuples, so member order is free; rows without dependents share
+    # one tuple per stream.
+    own = [(sid,) for sid in range(len(stream_rows))]
+    wake = [own[sid] for sid in stream_ids]
     dependents: Dict[int, List[int]] = {}
-    for task in by_id.values():
-        for dep in task.deps:
-            dependents.setdefault(dep, []).append(task.task_id)
-    wake_streams: Dict[int, Tuple[Tuple[int, str], ...]] = {}
-    deps_get = dependents.get
-    for task in by_id.values():
-        own = (task.gpu, task.stream)
-        waiters = deps_get(task.task_id)
-        # The wake set is tiny (own stream plus usually zero or one
-        # dependent's); build the common shapes without a set. The
-        # consumer only ever set-unions these tuples, so member order
-        # is free — dedup is what matters.
-        if not waiters:
-            wake_streams[task.task_id] = (own,)
-        elif len(waiters) == 1:
-            dependent = by_id[waiters[0]]
-            other = (dependent.gpu, dependent.stream)
-            wake_streams[task.task_id] = (
-                (own,) if other == own else (own, other)
-            )
+    for row, row_deps in enumerate(deps):
+        for dep in row_deps:
+            dependents.setdefault(dep, []).append(row)
+    for row, waiters in dependents.items():
+        mine = stream_ids[row]
+        if len(waiters) == 1:
+            other = stream_ids[waiters[0]]
+            if other != mine:
+                wake[row] = (mine, other)
         else:
-            wake = {own}
-            for tid in waiters:
-                dependent = by_id[tid]
-                wake.add((dependent.gpu, dependent.stream))
-            wake_streams[task.task_id] = tuple(wake)
-    return by_id, streams, dependents, wake_streams
+            woken = {mine}
+            woken.update(stream_ids[w] for w in waiters)
+            wake[row] = tuple(woken)
+    return (
+        tuple(map(tuple, stream_rows)),
+        tuple(deps),
+        tuple(wake),
+    )
 
 
 def _build_tables(
-    tasks: Dict[int, Task],
+    plan: ExecutionPlan,
     rates: RateModel,
     cost_model: CollectiveCostModel,
     seed: int,
     sigma: float,
 ):
-    """Jittered per-task kernel rows and per-op collective costs.
+    """Jittered per-row kernel columns and per-op collective costs.
 
     Pure in the arguments; identical arithmetic (and jitter draws) to
-    the tables the engines used to build inline.
+    the tables the engines used to build inline. A compute row's
+    jitter is drawn for the label ``c{task_id}``, a collective's for
+    ``k{op.key}``.
     """
-    compute_table: Dict[int, Tuple[float, float, float, float]] = {}
-    comm_cost: Dict[str, CollectiveCost] = {}
-    # Plans repeat a handful of kernels across hundreds of layer
-    # tasks; interning resolves value-equal copies to one canonical
-    # object so every KernelSpec-keyed memo (``kernel_row`` and those
-    # downstream) hits across tasks *and* across plans.
+    # The plan's kernels are interned (by PlanBuilder), so every
+    # KernelSpec-keyed memo (``kernel_row`` and those downstream) hits
+    # across plans.
+    kernels = tuple(plan.kernels)
+    kernel_rows = [rates.kernel_row(kernel) for kernel in kernels]
     jittered = sigma > 0
     if jittered:
         with _LOCK:
@@ -293,50 +306,63 @@ def _build_tables(
     else:
         factor_memo = {}
     memo_get = factor_memo.get
-    for task in tasks.values():
-        if isinstance(task, ComputeTask):
-            kernel = intern_kernel(task.kernel)
-            peak_eff, ai, iso_base = rates.kernel_row(kernel)
-            if jittered:
-                label = f"c{task.task_id}"
-                factor = memo_get(label)
-                if factor is None:
-                    factor = _lognormal_factor(label, seed, sigma)
-                    factor_memo[label] = factor
-                iso = iso_base * factor
-                flops = kernel.flops * factor
-            else:
-                iso = iso_base
-                flops = kernel.flops
-            compute_table[task.task_id] = (flops, iso, peak_eff, ai)
-        elif isinstance(task, CommTask):
-            key_op = task.op.key
-            if key_op in comm_cost:
-                continue
-            cost = cost_model.cost(task.op)
-            if jittered:
-                label = f"k{key_op}"
-                factor = memo_get(label)
-                if factor is None:
-                    factor = _lognormal_factor(label, seed, sigma)
-                    factor_memo[label] = factor
-            else:
-                factor = 1.0
-            if factor != 1.0:
-                # Jitter stretches the duration; the same bytes over a
-                # longer window means proportionally less HBM pressure.
-                cost = replace(
-                    cost,
-                    duration_s=cost.duration_s * factor,
-                    hbm_bytes_per_s=cost.hbm_bytes_per_s / factor,
-                )
-            comm_cost[key_op] = cost
-    return compute_table, comm_cost
+    n = plan.num_tasks
+    work: List[Optional[float]] = [None] * n
+    isolated: List[Optional[float]] = [None] * n
+    refs = plan.refs
+    task_ids = plan.task_ids
+    for row, category in enumerate(plan.categories):
+        if category is not _COMPUTE:
+            continue
+        ref = refs[row]
+        iso_base = kernel_rows[ref][2]
+        flops = kernels[ref].flops
+        if jittered:
+            # The memo keys compute draws by task id (an int never
+            # equals a collective's string label).
+            tid = task_ids[row]
+            factor = memo_get(tid)
+            if factor is None:
+                factor = _lognormal_factor(f"c{tid}", seed, sigma)
+                factor_memo[tid] = factor
+            isolated[row] = iso_base * factor
+            work[row] = flops * factor
+        else:
+            isolated[row] = iso_base
+            work[row] = flops
+    comm_cost: List[CollectiveCost] = []
+    for op in plan.ops:
+        cost = cost_model.cost(op)
+        if jittered:
+            label = f"k{op.key}"
+            factor = memo_get(label)
+            if factor is None:
+                factor = _lognormal_factor(label, seed, sigma)
+                factor_memo[label] = factor
+        else:
+            factor = 1.0
+        if factor != 1.0:
+            # Jitter stretches the duration; the same bytes over a
+            # longer window means proportionally less HBM pressure.
+            cost = replace(
+                cost,
+                duration_s=cost.duration_s * factor,
+                hbm_bytes_per_s=cost.hbm_bytes_per_s / factor,
+            )
+        comm_cost.append(cost)
+    return (
+        kernels,
+        tuple(row[0] for row in kernel_rows),
+        tuple(row[1] for row in kernel_rows),
+        tuple(work),
+        tuple(isolated),
+        tuple(comm_cost),
+    )
 
 
 def prepare(
     node: NodeSpec,
-    tasks: Sequence[Task],
+    plan: ExecutionPlan,
     *,
     seed: int = 0,
     jitter_sigma: float = 0.0,
@@ -346,16 +372,15 @@ def prepare(
     """Build (or fetch) the :class:`PreparedSim` for one plan+node+config.
 
     Cached process-wide, keyed by the identity of the pure inputs
-    (task list, GPU spec, calibration, cost model) plus the
-    sim-relevant config scalars — the same key discipline the old
-    per-table caches used, consolidated into one entry.
+    (plan, GPU spec, calibration, cost model) plus the sim-relevant
+    config scalars.
     """
     if cost_model is None:
         cost_model = default_cost_model(node)
     gpu = node.gpu
     calibration = node.calibration
     key = (
-        id(tasks),
+        id(plan),
         id(gpu),
         id(cost_model),
         id(calibration),
@@ -368,7 +393,7 @@ def prepare(
         prep = _PREP_CACHE.get(key)
         if (
             prep is not None
-            and prep.tasks_src is tasks
+            and prep.plan is plan
             and prep.gpu is gpu
             and prep.cost_model is cost_model
             and prep.node.calibration is calibration
@@ -377,26 +402,28 @@ def prepare(
             return prep
 
     rates, power_eval = evaluators_for(gpu)
-    by_id, streams, dependents, wake_streams = _build_indexes(node, tasks)
-    compute_table, comm_cost = _build_tables(
-        by_id, rates, cost_model, seed, jitter_sigma
+    streams, deps, wake_streams = _build_indexes(node, plan)
+    kernels, peak_eff, ai, work, isolated, comm_cost = _build_tables(
+        plan, rates, cost_model, seed, jitter_sigma
     )
     prep = PreparedSim(
         node=node,
         gpu=gpu,
         cost_model=cost_model,
-        tasks_src=tasks,
+        plan=plan,
         seed=seed,
         jitter_sigma=jitter_sigma,
         max_clock_frac=max_clock_frac,
         num_gpus=node.num_gpus,
-        tasks=by_id,
         streams=streams,
-        stream_keys=tuple(streams),
-        stream_order={key_: i for i, key_ in enumerate(streams)},
-        dependents=dependents,
+        stream_names=tuple(name for _, name in plan.stream_keys),
+        deps=deps,
         wake_streams=wake_streams,
-        compute_table=compute_table,
+        work=work,
+        isolated=isolated,
+        kernels=kernels,
+        peak_eff=peak_eff,
+        ai=ai,
         comm_cost=comm_cost,
         rates=rates,
         power_eval=power_eval,

@@ -1,4 +1,9 @@
-"""Schedulable tasks: compute kernels and collective participations."""
+"""Schedulable tasks: compute kernels and collective participations.
+
+An :class:`~repro.parallel.plan.ExecutionPlan` stores its tasks
+column-wise; these classes are its row view (``plan.tasks``) and the
+row format of hand-built plans.
+"""
 
 from __future__ import annotations
 

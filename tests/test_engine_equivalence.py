@@ -45,14 +45,14 @@ COLLECTIVE_KINDS = [
 ]
 
 
-def _assert_identical(node, tasks, config):
+def _assert_identical(node, plan, config):
     """Run both engines; everything observable must be exactly equal."""
     ref = Simulator(
-        node, tasks, dataclasses.replace(config, reference_engine=True)
+        node, plan, dataclasses.replace(config, reference_engine=True)
     )
-    inc = IncrementalSimulator(node, tasks, config)
+    inc = IncrementalSimulator(node, plan, config)
     assert isinstance(
-        make_simulator(node, tasks, config), IncrementalSimulator
+        make_simulator(node, plan, config), IncrementalSimulator
     )
     a = ref.run()
     b = inc.run()
@@ -64,7 +64,7 @@ def _assert_identical(node, tasks, config):
     # reference makes, the incremental engine makes too.
     assert inc.stats.events == ref.stats.events
     assert inc.stats.stale_events == ref.stats.stale_events
-    check_all(b, tasks, node.gpu.tdp_w)
+    check_all(b, plan.tasks, node.gpu.tdp_w)
     # The incremental engine must actually be incremental, not a
     # re-spelling of the full pass: on multi-GPU plans it may touch at
     # most as many (gpu, event) pairs as the reference.
@@ -106,7 +106,7 @@ def random_plans(draw):
             kernel = draw(st.sampled_from(KERNELS))
             tid = builder.add_compute(gpu, kernel, deps=deps)
             compute_ids.append(tid)
-    if not any(t for t in builder._tasks):  # pragma: no cover - min_size=2
+    if not builder.build().num_tasks:  # pragma: no cover - min_size=2
         builder.add_compute(0, KERNELS[0])
     config = SimConfig(
         contention_enabled=draw(st.booleans()),
@@ -118,14 +118,14 @@ def random_plans(draw):
         governor_period_s=draw(st.sampled_from([2e-6, 2e-3])),
         trace_power=True,
     )
-    return NODES[num_gpus], builder.build().tasks, config
+    return NODES[num_gpus], builder.build(), config
 
 
 @settings(max_examples=30, deadline=None)
 @given(random_plans())
-def test_random_task_graphs_are_bit_identical(plan):
-    node, tasks, config = plan
-    _assert_identical(node, tasks, config)
+def test_random_task_graphs_are_bit_identical(case):
+    node, plan, config = case
+    _assert_identical(node, plan, config)
 
 
 def _overlap_plan(num_gpus, rounds=4):
@@ -141,18 +141,18 @@ def _overlap_plan(num_gpus, rounds=4):
             list(range(num_gpus)),
             stream=COMM_STREAM,
         )
-    return builder.build().tasks
+    return builder.build()
 
 
 @pytest.mark.parametrize("num_gpus", [2, 4])
 def test_overlapped_rounds_bit_identical(num_gpus):
-    tasks = _overlap_plan(num_gpus)
+    plan = _overlap_plan(num_gpus)
     result = _assert_identical(
         NODES[num_gpus],
-        tasks,
+        plan,
         SimConfig(jitter_sigma=0.02, seed=7, governor_period_s=5e-6),
     )
-    assert len(result.records) == len(tasks)
+    assert len(result.records) == plan.num_tasks
 
 
 def test_power_capped_real_plan_bit_identical():
@@ -174,7 +174,7 @@ def test_power_capped_real_plan_bit_identical():
     plan = planner.plan_for(cfg, overlap=True)
     config = cfg.sim_config(seed=3)
     assert not config.reference_engine
-    result = _assert_identical(node, plan.tasks, config)
+    result = _assert_identical(node, plan, config)
     # The cap must actually have throttled, or this test exercises
     # nothing clock-related.
     assert result.min_clock_frac_seen < 1.0
@@ -196,7 +196,7 @@ def test_pipeline_real_plan_bit_identical():
     planner = default_planner()
     node = planner.node_for(cfg)
     plan = planner.plan_for(cfg, overlap=True)
-    _assert_identical(node, plan.tasks, cfg.sim_config(seed=1))
+    _assert_identical(node, plan, cfg.sim_config(seed=1))
 
 
 def test_incremental_skips_unaffected_gpus():
@@ -209,13 +209,13 @@ def test_incremental_skips_unaffected_gpus():
             prev = builder.add_compute(
                 g, KERNELS[0], deps=[prev] if prev is not None else []
             )
-    tasks = builder.build().tasks
+    plan = builder.build()
     node = NODES[num_gpus]
     config = SimConfig(trace_power=False)
     ref = Simulator(
-        node, tasks, dataclasses.replace(config, reference_engine=True)
+        node, plan, dataclasses.replace(config, reference_engine=True)
     )
-    inc = IncrementalSimulator(node, tasks, config)
+    inc = IncrementalSimulator(node, plan, config)
     a, b = ref.run(), inc.run()
     assert a.records == b.records
     # Reference touches every GPU on every event; the incremental
@@ -235,12 +235,12 @@ def test_make_simulator_tier_selection():
     node = planner.node_for(cfg)
     plan = planner.plan_for(cfg, overlap=True)
     base = cfg.sim_config(seed=0)
-    assert type(make_simulator(node, plan.tasks, base)) is IncrementalSimulator
+    assert type(make_simulator(node, plan, base)) is IncrementalSimulator
     assert (
         type(
             make_simulator(
                 node,
-                plan.tasks,
+                plan,
                 dataclasses.replace(base, reference_engine=True),
             )
         )

@@ -48,10 +48,10 @@ def test_batch_splits_across_ranks():
 def test_overlap_beats_sequential():
     config = SimConfig(trace_power=False, jitter_sigma=0.0)
     t_ov = simulate(
-        NODE, build_ddp_plan(NODE, MODEL, SHAPE, overlap=True).tasks, config
+        NODE, build_ddp_plan(NODE, MODEL, SHAPE, overlap=True), config
     ).end_time_s
     t_seq = simulate(
-        NODE, build_ddp_plan(NODE, MODEL, SHAPE, overlap=False).tasks, config
+        NODE, build_ddp_plan(NODE, MODEL, SHAPE, overlap=False), config
     ).end_time_s
     assert t_ov < t_seq
 

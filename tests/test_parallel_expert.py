@@ -84,7 +84,7 @@ def test_dense_gradients_all_reduced():
 def test_simulates_in_both_modes():
     for overlap in (True, False):
         plan = build_expert_parallel_plan(NODE, SPEC, SHAPE, overlap=overlap)
-        result = simulate(NODE, plan.tasks, SimConfig(trace_power=False))
+        result = simulate(NODE, plan, SimConfig(trace_power=False))
         assert len(result.records) == len(plan.tasks)
 
 
@@ -92,12 +92,12 @@ def test_chunked_overlap_not_slower():
     config = SimConfig(trace_power=False, jitter_sigma=0.0)
     t_ov = simulate(
         NODE,
-        build_expert_parallel_plan(NODE, SPEC, SHAPE, overlap=True).tasks,
+        build_expert_parallel_plan(NODE, SPEC, SHAPE, overlap=True),
         config,
     ).end_time_s
     t_seq = simulate(
         NODE,
-        build_expert_parallel_plan(NODE, SPEC, SHAPE, overlap=False).tasks,
+        build_expert_parallel_plan(NODE, SPEC, SHAPE, overlap=False),
         config,
     ).end_time_s
     assert t_ov <= t_seq * 1.01

@@ -93,15 +93,15 @@ def test_metadata_describes_plan(overlap_plan):
 
 def test_plans_simulate_without_deadlock(overlap_plan, sequential_plan):
     for plan in (overlap_plan, sequential_plan):
-        result = simulate(NODE, plan.tasks, SimConfig(trace_power=False))
+        result = simulate(NODE, plan, SimConfig(trace_power=False))
         assert result.end_time_s > 0
         assert len(result.records) == len(plan.tasks)
 
 
 def test_overlap_beats_sequential_e2e(overlap_plan, sequential_plan):
     config = SimConfig(trace_power=False, jitter_sigma=0.0)
-    t_overlap = simulate(NODE, overlap_plan.tasks, config).end_time_s
-    t_seq = simulate(NODE, sequential_plan.tasks, config).end_time_s
+    t_overlap = simulate(NODE, overlap_plan, config).end_time_s
+    t_seq = simulate(NODE, sequential_plan, config).end_time_s
     assert t_overlap < t_seq
 
 

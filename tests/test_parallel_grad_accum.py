@@ -72,11 +72,11 @@ def test_accumulation_beats_separate_small_iterations():
     communicates gradients once instead of K times."""
     config = SimConfig(trace_power=False, jitter_sigma=0.0)
     accum = build_fsdp_plan(NODE, MODEL, SHAPE, grad_accum_steps=4)
-    t_accum = simulate(NODE, accum.tasks, config).end_time_s
+    t_accum = simulate(NODE, accum, config).end_time_s
     small = build_fsdp_plan(
         NODE, MODEL, TrainingShape(batch_size=8), grad_accum_steps=1
     )
-    t_small = simulate(NODE, small.tasks, config).end_time_s
+    t_small = simulate(NODE, small, config).end_time_s
     assert t_accum < 4 * t_small
 
 
@@ -90,5 +90,5 @@ def test_simulates_cleanly_both_modes():
         plan = build_fsdp_plan(
             NODE, MODEL, SHAPE, overlap=overlap, grad_accum_steps=2
         )
-        result = simulate(NODE, plan.tasks, SimConfig(trace_power=False))
+        result = simulate(NODE, plan, SimConfig(trace_power=False))
         assert len(result.records) == len(plan.tasks)

@@ -144,18 +144,18 @@ def test_sequential_mode_single_stream():
 def test_both_modes_simulate_cleanly():
     for overlap in (True, False):
         plan = build_pipeline_plan(NODE, MODEL, SHAPE, overlap=overlap)
-        result = simulate(NODE, plan.tasks, SimConfig(trace_power=False))
+        result = simulate(NODE, plan, SimConfig(trace_power=False))
         assert len(result.records) == len(plan.tasks)
 
 
 def test_overlap_not_slower_than_sequential():
     config = SimConfig(trace_power=False, jitter_sigma=0.0)
     t_ov = simulate(
-        NODE, build_pipeline_plan(NODE, MODEL, SHAPE, overlap=True).tasks, config
+        NODE, build_pipeline_plan(NODE, MODEL, SHAPE, overlap=True), config
     ).end_time_s
     t_seq = simulate(
         NODE,
-        build_pipeline_plan(NODE, MODEL, SHAPE, overlap=False).tasks,
+        build_pipeline_plan(NODE, MODEL, SHAPE, overlap=False),
         config,
     ).end_time_s
     assert t_ov <= t_seq * 1.005

@@ -182,3 +182,48 @@ def test_metadata_round_trips():
     plan = builder.build()
     assert plan.metadata["strategy"] == "unit-test"
     assert plan.num_tasks == 1
+
+
+def test_collective_rejects_deps_keyed_to_non_participants():
+    # A dep keyed to a GPU outside the collective used to vanish from
+    # the plan without a trace.
+    builder = _builder()
+    a = builder.add_compute(0, KERNEL)
+    with pytest.raises(PlanError, match=r"key 2 .*participant.*\[0, 1\]"):
+        builder.add_collective(
+            CollectiveKind.ALL_REDUCE, 1024.0, [0, 1], deps_by_gpu={2: [a]}
+        )
+
+
+def test_build_rejects_rank_outside_its_collective():
+    builder = _builder()
+    op = builder.begin_collective(CollectiveKind.SEND_RECV, 1024.0, [0, 1])
+    builder.add_collective_rank(op, 0)
+    builder.add_collective_rank(op, 3)
+    with pytest.raises(PlanError, match="not a participant"):
+        builder.build()
+
+
+def test_build_rejects_unknown_deps():
+    builder = _builder()
+    builder.add_compute(0, KERNEL, deps=[5])
+    with pytest.raises(PlanError, match=r"unknown deps \[5\]"):
+        builder.build()
+
+
+def test_task_rows_round_trip_through_ingestion():
+    builder = _builder()
+    a = builder.add_compute(0, KERNEL, phase="forward")
+    out = builder.add_collective(
+        CollectiveKind.ALL_REDUCE, 1024.0, [0, 1], deps_by_gpu={0: [a]}
+    )
+    builder.add_compute(1, KERNEL, deps=[out[1]], label="tail")
+    plan = builder.build()
+    copy = ExecutionPlan(name=plan.name, tasks=plan.tasks)
+    copy.validate()
+    assert copy.tasks == plan.tasks
+    for column in ("gpus", "stream_ids", "labels", "phases", "categories",
+                   "refs", "dep_ptr", "dep_ids", "kernels", "ops",
+                   "stream_keys"):
+        assert getattr(copy, column) == getattr(plan, column), column
+    assert list(copy.task_ids) == list(plan.task_ids)

@@ -119,7 +119,7 @@ def test_plans_simulate_deadlock_free(schedule, overlap):
     plan = build_pipeline_plan(
         NODE, MODEL, SHAPE, overlap=overlap, schedule=schedule
     )
-    result = simulate(NODE, plan.tasks, SimConfig(trace_power=False))
+    result = simulate(NODE, plan, SimConfig(trace_power=False))
     assert len(result.records) == len(plan.tasks)
 
 
@@ -142,12 +142,12 @@ def test_schedules_comparable_wall_clock():
     config = SimConfig(trace_power=False, jitter_sigma=0.0)
     t_gpipe = simulate(
         NODE,
-        build_pipeline_plan(NODE, MODEL, SHAPE, schedule="gpipe").tasks,
+        build_pipeline_plan(NODE, MODEL, SHAPE, schedule="gpipe"),
         config,
     ).end_time_s
     t_1f1b = simulate(
         NODE,
-        build_pipeline_plan(NODE, MODEL, SHAPE, schedule="1f1b").tasks,
+        build_pipeline_plan(NODE, MODEL, SHAPE, schedule="1f1b"),
         config,
     ).end_time_s
     # Same flush bubble, so within a few percent of each other.

@@ -121,12 +121,12 @@ def test_both_modes_simulate_and_overlap_wins():
     config = SimConfig(trace_power=False, jitter_sigma=0.0)
     t_ov = simulate(
         NODE,
-        build_tensor_parallel_plan(NODE, MODEL, SHAPE, overlap=True).tasks,
+        build_tensor_parallel_plan(NODE, MODEL, SHAPE, overlap=True),
         config,
     ).end_time_s
     t_seq = simulate(
         NODE,
-        build_tensor_parallel_plan(NODE, MODEL, SHAPE, overlap=False).tasks,
+        build_tensor_parallel_plan(NODE, MODEL, SHAPE, overlap=False),
         config,
     ).end_time_s
     assert 0 < t_ov <= t_seq

@@ -6,7 +6,6 @@ from repro.collectives.cost_model import CollectiveCost
 from repro.collectives.primitives import CollectiveKind, CollectiveOp
 from repro.errors import SimulationError
 from repro.sim.collective_sync import CollectiveInstance
-from repro.sim.task import CommTask
 
 
 def _op(participants=(0, 1)):
@@ -29,53 +28,47 @@ def _cost(duration=0.01):
     )
 
 
-def _task(op, gpu, tid):
-    return CommTask(
-        task_id=tid, gpu=gpu, stream="comm", label=f"g{gpu}", op=op
-    )
-
-
 def _instance(participants=(0, 1)):
     op = _op(participants)
     return op, CollectiveInstance(op=op, cost=_cost())
 
 
 def test_not_ready_until_all_ranks_post():
-    op, inst = _instance()
-    inst.post(_task(op, 0, 0), now=0.0)
+    _, inst = _instance()
+    inst.post(0, 0, now=0.0)
     assert not inst.ready
-    inst.post(_task(op, 1, 1), now=0.5)
+    inst.post(1, 1, now=0.5)
     assert inst.ready
 
 
 def test_double_post_same_rank_rejected():
-    op, inst = _instance()
-    inst.post(_task(op, 0, 0), now=0.0)
+    _, inst = _instance()
+    inst.post(0, 0, now=0.0)
     with pytest.raises(SimulationError, match="twice"):
-        inst.post(_task(op, 0, 2), now=0.1)
+        inst.post(0, 2, now=0.1)
 
 
 def test_start_before_ready_rejected():
-    op, inst = _instance()
-    inst.post(_task(op, 0, 0), now=0.0)
+    _, inst = _instance()
+    inst.post(0, 0, now=0.0)
     with pytest.raises(SimulationError, match="before all ranks"):
         inst.start(0.0)
 
 
 def test_double_start_rejected():
-    op, inst = _instance()
-    inst.post(_task(op, 0, 0), 0.0)
-    inst.post(_task(op, 1, 1), 0.0)
+    _, inst = _instance()
+    inst.post(0, 0, 0.0)
+    inst.post(1, 1, 0.0)
     inst.start(0.0)
     with pytest.raises(SimulationError, match="twice"):
         inst.start(0.1)
 
 
 def test_lifecycle_active_flag():
-    op, inst = _instance()
+    _, inst = _instance()
     assert not inst.active
-    inst.post(_task(op, 0, 0), 0.0)
-    inst.post(_task(op, 1, 1), 0.0)
+    inst.post(0, 0, 0.0)
+    inst.post(1, 1, 0.0)
     inst.start(0.0)
     assert inst.active
     inst.finish(0.01)
@@ -83,9 +76,9 @@ def test_lifecycle_active_flag():
 
 
 def test_progress_banks_at_rate():
-    op, inst = _instance()
-    inst.post(_task(op, 0, 0), 0.0)
-    inst.post(_task(op, 1, 1), 0.0)
+    _, inst = _instance()
+    inst.post(0, 0, 0.0)
+    inst.post(1, 1, 0.0)
     inst.start(0.0)
     inst.rate = inst.nominal_rate()
     inst.bank_progress(0.005)  # half the 10 ms duration
@@ -93,9 +86,9 @@ def test_progress_banks_at_rate():
 
 
 def test_progress_never_goes_negative():
-    op, inst = _instance()
-    inst.post(_task(op, 0, 0), 0.0)
-    inst.post(_task(op, 1, 1), 0.0)
+    _, inst = _instance()
+    inst.post(0, 0, 0.0)
+    inst.post(1, 1, 0.0)
     inst.start(0.0)
     inst.rate = inst.nominal_rate()
     inst.bank_progress(10.0)
@@ -103,9 +96,9 @@ def test_progress_never_goes_negative():
 
 
 def test_time_reversal_rejected():
-    op, inst = _instance()
-    inst.post(_task(op, 0, 0), 0.0)
-    inst.post(_task(op, 1, 1), 0.0)
+    _, inst = _instance()
+    inst.post(0, 0, 0.0)
+    inst.post(1, 1, 0.0)
     inst.start(1.0)
     with pytest.raises(SimulationError, match="backwards"):
         inst.bank_progress(0.5)
@@ -125,9 +118,9 @@ def test_inactive_instance_demands_nothing():
 
 
 def test_throttled_rate_scales_demands():
-    op, inst = _instance()
-    inst.post(_task(op, 0, 0), 0.0)
-    inst.post(_task(op, 1, 1), 0.0)
+    _, inst = _instance()
+    inst.post(0, 0, 0.0)
+    inst.post(1, 1, 0.0)
     inst.start(0.0)
     inst.rate = inst.nominal_rate() * 0.5
     assert inst.hbm_demand_now() == pytest.approx(0.5e9)

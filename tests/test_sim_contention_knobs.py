@@ -25,7 +25,7 @@ def test_ideal_mode_runs_kernels_at_isolated_speed():
     plan = _plan(node)
     result = simulate(
         node,
-        plan.tasks,
+        plan,
         SimConfig(contention_enabled=False, jitter_sigma=0.0),
     )
     for record in result.records:
@@ -38,10 +38,10 @@ def test_ideal_mode_runs_kernels_at_isolated_speed():
 def test_contention_slows_only_under_overlap():
     node = make_node("MI210", 4)
     config = SimConfig(jitter_sigma=0.0)
-    contended = simulate(node, _plan(node).tasks, config)
+    contended = simulate(node, _plan(node), config)
     ideal = simulate(
         node,
-        _plan(node).tasks,
+        _plan(node),
         SimConfig(contention_enabled=False, jitter_sigma=0.0),
     )
     slow = contended.total_time(TaskCategory.COMPUTE)
@@ -59,17 +59,17 @@ def test_zero_stall_power_lowers_overlap_draw():
         ),
     )
     config = SimConfig(jitter_sigma=0.0)
-    e_base = simulate(base_node, _plan(base_node).tasks, config).energy_j()
-    e_no_stall = simulate(no_stall, _plan(no_stall).tasks, config).energy_j()
+    e_base = simulate(base_node, _plan(base_node), config).energy_j()
+    e_no_stall = simulate(no_stall, _plan(no_stall), config).energy_j()
     assert e_no_stall < e_base
 
 
 def test_frequency_cap_slows_compute_proportionally():
     node = make_node("A100", 4)
-    full = simulate(node, _plan(node).tasks, SimConfig(jitter_sigma=0.0))
+    full = simulate(node, _plan(node), SimConfig(jitter_sigma=0.0))
     half = simulate(
         node,
-        _plan(node).tasks,
+        _plan(node),
         SimConfig(jitter_sigma=0.0, max_clock_frac=0.5),
     )
     ratio = half.end_time_s / full.end_time_s
@@ -85,18 +85,18 @@ def test_ideal_mode_disables_the_governor():
     node = make_node("H100", 4)
     config = SimConfig(jitter_sigma=0.0, contention_enabled=False)
     assert not config.governor_enabled
-    result = simulate(node, _plan(node).tasks, config)
+    result = simulate(node, _plan(node), config)
     assert result.min_clock_frac_seen == pytest.approx(1.0)
 
 
 def test_strict_cap_throttles_and_slows():
     node = make_node("A100", 4)
     free = simulate(
-        node, _plan(node).tasks, SimConfig(jitter_sigma=0.0)
+        node, _plan(node), SimConfig(jitter_sigma=0.0)
     )
     capped = simulate(
         node,
-        _plan(node).tasks,
+        _plan(node),
         SimConfig(jitter_sigma=0.0, power_limit_w=120.0),
     )
     assert capped.min_clock_frac_seen < free.min_clock_frac_seen
@@ -108,7 +108,7 @@ def test_cap_enforced_on_average_power():
     cap = 150.0
     result = simulate(
         node,
-        _plan(node).tasks,
+        _plan(node),
         SimConfig(jitter_sigma=0.0, power_limit_w=cap),
     )
     # The EWMA loop allows brief spikes, but the iteration-average
@@ -120,11 +120,11 @@ def test_cap_enforced_on_average_power():
 def test_jitter_mean_effect_is_small():
     node = make_node("A100", 4)
     base = simulate(
-        node, _plan(node).tasks, SimConfig(jitter_sigma=0.0)
+        node, _plan(node), SimConfig(jitter_sigma=0.0)
     ).end_time_s
     jittered = [
         simulate(
-            node, _plan(node).tasks, SimConfig(jitter_sigma=0.02, seed=s)
+            node, _plan(node), SimConfig(jitter_sigma=0.02, seed=s)
         ).end_time_s
         for s in range(5)
     ]
@@ -137,7 +137,7 @@ def test_jitter_mean_effect_is_small():
 def test_sequential_timeline_has_no_concurrent_categories():
     node = make_node("A100", 4)
     plan = _plan(node, overlap=False)
-    result = simulate(node, plan.tasks, SimConfig(jitter_sigma=0.0))
+    result = simulate(node, plan, SimConfig(jitter_sigma=0.0))
     from repro.profiler.summary import summarize
 
     summary = summarize(result)

@@ -6,7 +6,7 @@ from repro.collectives.primitives import CollectiveKind
 from repro.errors import DeadlockError, PlanError, SimulationError
 from repro.hw.datapath import FP16_TENSOR
 from repro.hw.system import make_node
-from repro.parallel.plan import PlanBuilder
+from repro.parallel.plan import ExecutionPlan, PlanBuilder
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator, simulate
 from repro.sim.rates import isolated_duration
@@ -22,7 +22,7 @@ NO_POWER = SimConfig(trace_power=False)
 def test_single_kernel_duration_matches_isolated_estimate():
     builder = PlanBuilder("one")
     builder.add_compute(0, KERNEL)
-    result = simulate(NODE, builder.build().tasks, NO_POWER)
+    result = simulate(NODE, builder.build(), NO_POWER)
     assert result.end_time_s == pytest.approx(
         isolated_duration(KERNEL, NODE.gpu), rel=1e-6
     )
@@ -32,7 +32,7 @@ def test_stream_serializes_kernels():
     builder = PlanBuilder("serial")
     for _ in range(3):
         builder.add_compute(0, KERNEL)
-    result = simulate(NODE, builder.build().tasks, NO_POWER)
+    result = simulate(NODE, builder.build(), NO_POWER)
     records = sorted(result.records, key=lambda r: r.start_s)
     assert len(records) == 3
     for prev, cur in zip(records, records[1:]):
@@ -43,7 +43,7 @@ def test_different_gpus_run_in_parallel():
     builder = PlanBuilder("parallel")
     builder.add_compute(0, KERNEL)
     builder.add_compute(1, KERNEL)
-    result = simulate(NODE, builder.build().tasks, NO_POWER)
+    result = simulate(NODE, builder.build(), NO_POWER)
     assert result.end_time_s == pytest.approx(
         isolated_duration(KERNEL, NODE.gpu), rel=1e-6
     )
@@ -53,7 +53,7 @@ def test_cross_gpu_dependency_orders_execution():
     builder = PlanBuilder("dep")
     first = builder.add_compute(0, KERNEL)
     builder.add_compute(1, KERNEL, deps=[first])
-    result = simulate(NODE, builder.build().tasks, NO_POWER)
+    result = simulate(NODE, builder.build(), NO_POWER)
     recs = {r.gpu: r for r in result.records}
     assert recs[1].start_s == pytest.approx(recs[0].end_s)
 
@@ -65,7 +65,7 @@ def test_collective_rendezvous_waits_for_slowest_rank():
         CollectiveKind.ALL_REDUCE, 64 * MB, [0, 1],
         deps_by_gpu={0: [0]},
     )
-    result = simulate(NODE, builder.build().tasks, NO_POWER)
+    result = simulate(NODE, builder.build(), NO_POWER)
     comm = result.records_for(category=TaskCategory.COMM)
     compute_end = result.records_for(category=TaskCategory.COMPUTE)[0].end_s
     for rec in comm:
@@ -88,7 +88,7 @@ def test_overlap_slows_compute():
                     list(range(NODE.num_gpus)),
                     stream=COMM_STREAM,
                 )
-        return simulate(NODE, builder.build().tasks, NO_POWER)
+        return simulate(NODE, builder.build(), NO_POWER)
 
     plain = run(False).total_time(TaskCategory.COMPUTE)
     overlapped = run(True).total_time(TaskCategory.COMPUTE)
@@ -103,10 +103,10 @@ def test_ideal_mode_removes_contention():
         CollectiveKind.ALL_REDUCE, 256 * MB, list(range(NODE.num_gpus)),
         stream=COMM_STREAM,
     )
-    tasks = builder.build().tasks
-    contended = simulate(NODE, tasks, NO_POWER)
+    plan = builder.build()
+    contended = simulate(NODE, plan, NO_POWER)
     ideal = simulate(
-        NODE, tasks, SimConfig(contention_enabled=False, trace_power=False)
+        NODE, plan, SimConfig(contention_enabled=False, trace_power=False)
     )
     assert ideal.total_time(TaskCategory.COMPUTE) < contended.total_time(
         TaskCategory.COMPUTE
@@ -136,7 +136,7 @@ def test_deadlock_detected_for_unsatisfiable_collective():
         if not (t.gpu == 1 and t.category is TaskCategory.COMM)
     ]
     with pytest.raises(DeadlockError):
-        simulate(NODE, tasks, NO_POWER)
+        simulate(NODE, ExecutionPlan("deadlock", tasks=tasks), NO_POWER)
 
 
 def test_plan_validation_duplicate_ids():
@@ -144,28 +144,28 @@ def test_plan_validation_duplicate_ids():
     builder.add_compute(0, KERNEL)
     tasks = builder.build().tasks
     with pytest.raises(PlanError):
-        Simulator(NODE, tasks + tasks, NO_POWER)
+        Simulator(NODE, ExecutionPlan("dup", tasks=tasks + tasks), NO_POWER)
 
 
 def test_gpu_out_of_range_rejected():
     builder = PlanBuilder("range")
     builder.add_compute(7, KERNEL)
     with pytest.raises(PlanError):
-        Simulator(NODE, builder.build().tasks, NO_POWER)
+        Simulator(NODE, builder.build(), NO_POWER)
 
 
 def test_empty_plan_rejected():
     with pytest.raises(PlanError):
-        Simulator(NODE, [], NO_POWER)
+        Simulator(NODE, ExecutionPlan("empty"), NO_POWER)
 
 
 def test_jitter_changes_durations_deterministically():
     builder = PlanBuilder("jitter")
     builder.add_compute(0, KERNEL)
-    tasks = builder.build().tasks
-    a = simulate(NODE, tasks, SimConfig(jitter_sigma=0.05, seed=1, trace_power=False))
-    b = simulate(NODE, tasks, SimConfig(jitter_sigma=0.05, seed=1, trace_power=False))
-    c = simulate(NODE, tasks, SimConfig(jitter_sigma=0.05, seed=2, trace_power=False))
+    plan = builder.build()
+    a = simulate(NODE, plan, SimConfig(jitter_sigma=0.05, seed=1, trace_power=False))
+    b = simulate(NODE, plan, SimConfig(jitter_sigma=0.05, seed=1, trace_power=False))
+    c = simulate(NODE, plan, SimConfig(jitter_sigma=0.05, seed=2, trace_power=False))
     assert a.end_time_s == b.end_time_s  # deterministic per seed
     assert a.end_time_s != c.end_time_s  # varies across seeds
 
@@ -173,7 +173,7 @@ def test_jitter_changes_durations_deterministically():
 def test_power_segments_cover_run():
     builder = PlanBuilder("segments")
     builder.add_compute(0, KERNEL)
-    result = simulate(NODE, builder.build().tasks, SimConfig())
+    result = simulate(NODE, builder.build(), SimConfig())
     segs = result.power_segments[0]
     assert segs[0].start_s == 0.0
     assert segs[-1].end_s == pytest.approx(result.end_time_s)
@@ -187,7 +187,7 @@ def test_max_sim_time_guard():
     for _ in range(10):
         builder.add_compute(0, big)
     with pytest.raises(SimulationError):
-        simulate(NODE, builder.build().tasks, SimConfig(max_sim_time_s=1e-4))
+        simulate(NODE, builder.build(), SimConfig(max_sim_time_s=1e-4))
 
 
 def test_finished_incremental_simulator_is_freed_without_cyclic_gc():
@@ -210,12 +210,12 @@ def test_finished_incremental_simulator_is_freed_without_cyclic_gc():
         builder.add_collective(
             CollectiveKind.ALL_REDUCE, 64 * MB, [0, 1], stream=COMM_STREAM
         )
-    tasks = builder.build().tasks
+    plan = builder.build()
     config = SimConfig(power_limit_w=150.0, governor_period_s=5e-6)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        sim = IncrementalSimulator(make_node("A100", 2), tasks, config)
+        sim = IncrementalSimulator(make_node("A100", 2), plan, config)
         result = sim.run()
         assert result.min_clock_frac_seen < 1.0  # the cap bit
         alive = weakref.ref(sim)

@@ -35,7 +35,7 @@ def test_every_strategy_passes_all_invariants(gpu, strategy, overlap):
     model = get_model("gpt3-xl")
     shape = TrainingShape(batch_size=8)
     plan = build_plan(node, model, shape, strategy, overlap=overlap)
-    result = simulate(node, plan.tasks, SimConfig())
+    result = simulate(node, plan, SimConfig())
     check_all(result, tasks=plan.tasks, tdp_w=node.gpu.tdp_w)
 
 
@@ -45,7 +45,7 @@ def test_invariants_hold_under_power_cap():
         node, get_model("gpt3-xl"), TrainingShape(batch_size=8), "fsdp"
     )
     result = simulate(
-        node, plan.tasks, SimConfig(power_limit_w=150.0)
+        node, plan, SimConfig(power_limit_w=150.0)
     )
     check_all(result, tasks=plan.tasks, tdp_w=node.gpu.tdp_w)
 

@@ -126,11 +126,11 @@ def test_normalize_perturbations():
 # ----------------------------------------------------------------------
 
 
-def _assert_identical(node, tasks, config):
+def _assert_identical(node, plan, config):
     ref = Simulator(
-        node, tasks, dataclasses.replace(config, reference_engine=True)
+        node, plan, dataclasses.replace(config, reference_engine=True)
     )
-    inc = IncrementalSimulator(node, tasks, config)
+    inc = IncrementalSimulator(node, plan, config)
     a = ref.run()
     b = inc.run()
     assert a.end_time_s == b.end_time_s
@@ -139,7 +139,7 @@ def _assert_identical(node, tasks, config):
     assert a.min_clock_frac_seen == b.min_clock_frac_seen
     assert inc.stats.events == ref.stats.events
     assert inc.stats.stale_events == ref.stats.stale_events
-    check_all(b, tasks, node.gpu.tdp_w)
+    check_all(b, plan.tasks, node.gpu.tdp_w)
     return a
 
 
@@ -202,14 +202,14 @@ def random_perturbed_plans(draw):
         governor_period_s=draw(st.sampled_from([2e-6, 2e-3])),
         perturbations=draw(random_specs()),
     )
-    return NODES[num_gpus], builder.build().tasks, config
+    return NODES[num_gpus], builder.build(), config
 
 
 @settings(max_examples=25, deadline=None)
 @given(random_perturbed_plans())
-def test_perturbed_random_plans_bit_identical(plan):
-    node, tasks, config = plan
-    _assert_identical(node, tasks, config)
+def test_perturbed_random_plans_bit_identical(case):
+    node, plan, config = case
+    _assert_identical(node, plan, config)
 
 
 def _real_plan(strategy, num_gpus, perturbations, power_limit_w=None):
@@ -242,7 +242,7 @@ def test_perturbed_power_capped_real_plan_bit_identical():
     )
     node, plan, cfg = _real_plan("fsdp", 2, specs, power_limit_w=250.0)
     config = cfg.sim_config(seed=3)
-    result = _assert_identical(node, plan.tasks, config)
+    result = _assert_identical(node, plan, config)
     # The thermal ceiling must actually have bitten.
     assert result.min_clock_frac_seen <= 0.7
 
@@ -272,7 +272,7 @@ def _serial_plan(num_gpus=2, rounds=4):
             list(range(num_gpus)),
             stream=COMM_STREAM,
         )
-    return builder.build().tasks
+    return builder.build()
 
 
 @pytest.mark.parametrize(
@@ -286,12 +286,12 @@ def _serial_plan(num_gpus=2, rounds=4):
 )
 def test_each_kind_slows_the_run(kind, magnitude):
     node = NODES[2]
-    tasks = _serial_plan()
+    plan = _serial_plan()
     base = SimConfig(trace_power=False)
-    healthy = IncrementalSimulator(node, tasks, base).run()
+    healthy = IncrementalSimulator(node, plan, base).run()
     spec = PerturbationSpec(kind=kind, magnitude=magnitude)
     perturbed_config = dataclasses.replace(base, perturbations=(spec,))
-    sim = IncrementalSimulator(node, tasks, perturbed_config)
+    sim = IncrementalSimulator(node, plan, perturbed_config)
     perturbed = sim.run()
     assert perturbed.end_time_s > healthy.end_time_s
     assert sim.stats.perturb_events >= 1
@@ -302,21 +302,21 @@ def test_each_kind_slows_the_run(kind, magnitude):
 def test_straggler_slows_ideal_mode_too():
     """Degradation applies even with contention (and DVFS) disabled."""
     node = NODES[2]
-    tasks = _serial_plan()
+    plan = _serial_plan()
     base = SimConfig(contention_enabled=False, trace_power=False)
-    healthy = IncrementalSimulator(node, tasks, base).run()
+    healthy = IncrementalSimulator(node, plan, base).run()
     spec = PerturbationSpec(kind="straggler_rank", magnitude=0.5)
     perturbed = IncrementalSimulator(
-        node, tasks, dataclasses.replace(base, perturbations=(spec,))
+        node, plan, dataclasses.replace(base, perturbations=(spec,))
     ).run()
     assert perturbed.end_time_s > healthy.end_time_s
 
 
 def test_window_after_end_of_run_is_inert():
     node = NODES[2]
-    tasks = _serial_plan()
+    plan = _serial_plan()
     base = SimConfig(trace_power=False)
-    healthy = IncrementalSimulator(node, tasks, base).run()
+    healthy = IncrementalSimulator(node, plan, base).run()
     late = PerturbationSpec(
         kind="straggler_rank",
         start_s=healthy.end_time_s + 1.0,
@@ -324,7 +324,7 @@ def test_window_after_end_of_run_is_inert():
         magnitude=0.9,
     )
     perturbed = IncrementalSimulator(
-        node, tasks, dataclasses.replace(base, perturbations=(late,))
+        node, plan, dataclasses.replace(base, perturbations=(late,))
     ).run()
     assert perturbed.end_time_s == healthy.end_time_s
     assert perturbed.records == healthy.records
@@ -332,14 +332,14 @@ def test_window_after_end_of_run_is_inert():
 
 def test_out_of_range_target_is_inert():
     node = NODES[2]
-    tasks = _serial_plan()
+    plan = _serial_plan()
     base = SimConfig(trace_power=False)
-    healthy = IncrementalSimulator(node, tasks, base).run()
+    healthy = IncrementalSimulator(node, plan, base).run()
     spec = PerturbationSpec(
         kind="straggler_rank", target="gpu:7", magnitude=0.9
     )
     sim = IncrementalSimulator(
-        node, tasks, dataclasses.replace(base, perturbations=(spec,))
+        node, plan, dataclasses.replace(base, perturbations=(spec,))
     )
     result = sim.run()
     assert sim.stats.perturb_events == 0
@@ -349,9 +349,9 @@ def test_out_of_range_target_is_inert():
 def test_bounded_window_recovers():
     """After PERTURB_END the run proceeds at healthy rates."""
     node = NODES[2]
-    tasks = _serial_plan(rounds=6)
+    plan = _serial_plan(rounds=6)
     base = SimConfig(trace_power=False)
-    healthy = IncrementalSimulator(node, tasks, base).run()
+    healthy = IncrementalSimulator(node, plan, base).run()
     brief = PerturbationSpec(
         kind="straggler_rank",
         start_s=0.0,
@@ -360,10 +360,10 @@ def test_bounded_window_recovers():
     )
     forever = dataclasses.replace(brief, duration_s=math.inf)
     brief_end = IncrementalSimulator(
-        node, tasks, dataclasses.replace(base, perturbations=(brief,))
+        node, plan, dataclasses.replace(base, perturbations=(brief,))
     ).run().end_time_s
     forever_end = IncrementalSimulator(
-        node, tasks, dataclasses.replace(base, perturbations=(forever,))
+        node, plan, dataclasses.replace(base, perturbations=(forever,))
     ).run().end_time_s
     assert healthy.end_time_s < brief_end < forever_end
 

@@ -23,7 +23,7 @@ from repro.collectives.primitives import CollectiveKind
 from repro.errors import PlanError
 from repro.hw.datapath import FP16_TENSOR, FP32_VECTOR
 from repro.hw.system import make_node
-from repro.parallel.plan import PlanBuilder
+from repro.parallel.plan import ExecutionPlan, PlanBuilder
 from repro.sim.config import SimConfig
 from repro.sim.engine import IncrementalSimulator, Simulator
 from repro.sim.prep import prep_stats, prepare, reset_prepared
@@ -41,7 +41,7 @@ from repro.workloads.kernels import (
 NODE = make_node("A100", 2)
 
 
-def _tasks(rounds=3, num_gpus=2):
+def _plan(rounds=3, num_gpus=2):
     builder = PlanBuilder("prep")
     kernels = [
         gemm_kernel("gemm", 512, 512, 512, FP16_TENSOR),
@@ -60,7 +60,7 @@ def _tasks(rounds=3, num_gpus=2):
             list(range(num_gpus)),
             stream=COMM_STREAM,
         )
-    return builder.build().tasks
+    return builder.build()
 
 
 # ----------------------------------------------------------------------
@@ -118,36 +118,36 @@ def test_scaled_kernels_are_interned():
 
 def test_prepare_is_memoized_per_plan_and_scalars():
     reset_prepared()
-    tasks = _tasks()
+    plan = _plan()
     before = prep_stats()
-    p1 = prepare(NODE, tasks, seed=3, jitter_sigma=0.01)
-    p2 = prepare(NODE, tasks, seed=3, jitter_sigma=0.01)
+    p1 = prepare(NODE, plan, seed=3, jitter_sigma=0.01)
+    p2 = prepare(NODE, plan, seed=3, jitter_sigma=0.01)
     assert p1 is p2
     after = prep_stats()
     assert after["builds"] == before["builds"] + 1
     assert after["hits"] == before["hits"] + 1
     # Any sim-relevant scalar busts the key.
-    assert prepare(NODE, tasks, seed=4, jitter_sigma=0.01) is not p1
-    assert prepare(NODE, tasks, seed=3, jitter_sigma=0.02) is not p1
+    assert prepare(NODE, plan, seed=4, jitter_sigma=0.01) is not p1
+    assert prepare(NODE, plan, seed=3, jitter_sigma=0.02) is not p1
     assert (
-        prepare(NODE, tasks, seed=3, jitter_sigma=0.01, max_clock_frac=0.9)
+        prepare(NODE, plan, seed=3, jitter_sigma=0.01, max_clock_frac=0.9)
         is not p1
     )
 
 
 def test_prepare_validates_like_the_simulator():
     with pytest.raises(PlanError):
-        prepare(NODE, {}, seed=0)
+        prepare(NODE, ExecutionPlan("empty"), seed=0)
 
 
 def test_mismatched_prepared_is_rejected():
-    tasks = _tasks()
-    prep = prepare(NODE, tasks, seed=1)
+    plan = _plan()
+    prep = prepare(NODE, plan, seed=1)
     with pytest.raises(PlanError):
         IncrementalSimulator(
-            NODE, tasks, SimConfig(seed=2), prepared=prep
+            NODE, plan, SimConfig(seed=2), prepared=prep
         )
-    other = _tasks(rounds=2)
+    other = _plan(rounds=2)
     with pytest.raises(PlanError):
         IncrementalSimulator(
             NODE, other, SimConfig(seed=1), prepared=prep
@@ -165,13 +165,13 @@ def test_mismatched_prepared_is_rejected():
     )
     with pytest.raises(PlanError):
         IncrementalSimulator(
-            recalibrated, tasks, SimConfig(seed=1), prepared=prep
+            recalibrated, plan, SimConfig(seed=1), prepared=prep
         )
     # Calibrations compare by value: an equal copy is the same node.
     copied = dataclasses.replace(
         NODE, calibration=dataclasses.replace(NODE.calibration)
     )
-    IncrementalSimulator(copied, tasks, SimConfig(seed=1), prepared=prep)
+    IncrementalSimulator(copied, plan, SimConfig(seed=1), prepared=prep)
 
 
 # ----------------------------------------------------------------------
@@ -190,57 +190,65 @@ def _observables(result):
 
 @pytest.mark.parametrize("engine_cls", [Simulator, IncrementalSimulator])
 def test_shared_prepared_matches_isolated_runs(engine_cls):
-    tasks = _tasks(rounds=4)
+    plan = _plan(rounds=4)
     config = SimConfig(jitter_sigma=0.02, seed=11, governor_period_s=5e-6)
     if engine_cls is Simulator:
         config = dataclasses.replace(config, reference_engine=True)
     # Isolated baseline: fresh prep layer, its own prepared sim.
     reset_prepared()
-    baseline = _observables(engine_cls(NODE, tasks, config).run())
+    baseline = _observables(engine_cls(NODE, plan, config).run())
     # N simulators sharing one explicit PreparedSim, run back to back
     # (the arena recycles run state between them).
     reset_prepared()
     prep = prepare(
         NODE,
-        tasks,
+        plan,
         seed=config.seed,
         jitter_sigma=config.jitter_sigma,
         max_clock_frac=config.max_clock_frac,
     )
     for _ in range(3):
-        sim = engine_cls(NODE, tasks, config, prepared=prep)
+        sim = engine_cls(NODE, plan, config, prepared=prep)
         assert sim.prepared is prep
         assert _observables(sim.run()) == baseline
 
 
 def test_prepared_survives_mixed_engines():
     """One prepared sim serves both engines alternately."""
-    tasks = _tasks(rounds=4)
+    plan = _plan(rounds=4)
     config = SimConfig(jitter_sigma=0.01, seed=5)
     reference_cfg = dataclasses.replace(config, reference_engine=True)
     prep = prepare(
-        NODE, tasks, seed=5, jitter_sigma=0.01, max_clock_frac=1.0
+        NODE, plan, seed=5, jitter_sigma=0.01, max_clock_frac=1.0
     )
     first = _observables(
-        IncrementalSimulator(NODE, tasks, config, prepared=prep).run()
+        IncrementalSimulator(NODE, plan, config, prepared=prep).run()
     )
     reference = _observables(
-        Simulator(NODE, tasks, reference_cfg, prepared=prep).run()
+        Simulator(NODE, plan, reference_cfg, prepared=prep).run()
     )
     # Neither run perturbed the shared tables: the incremental engine
     # reproduces its result exactly afterwards, and both engines agree.
     again = _observables(
-        IncrementalSimulator(NODE, tasks, config, prepared=prep).run()
+        IncrementalSimulator(NODE, plan, config, prepared=prep).run()
     )
     assert first == reference == again
 
 
 def test_prepared_tables_are_shared_across_simulators():
-    tasks = _tasks()
-    prep = prepare(NODE, tasks, seed=0, jitter_sigma=0.0)
-    a = IncrementalSimulator(NODE, tasks, SimConfig(), prepared=prep)
-    b = IncrementalSimulator(NODE, tasks, SimConfig(), prepared=prep)
-    assert a._compute_table is b._compute_table
+    plan = _plan()
+    prep = prepare(NODE, plan, seed=0, jitter_sigma=0.0)
+    a = IncrementalSimulator(NODE, plan, SimConfig(), prepared=prep)
+    b = IncrementalSimulator(NODE, plan, SimConfig(), prepared=prep)
+    # Every prepared per-row, per-kernel and per-op table.
+    assert a._work is b._work
+    assert a._isolated is b._isolated
+    assert a._kernels is b._kernels
+    assert a._peak_eff is b._peak_eff
+    assert a._ai is b._ai
     assert a._comm_cost is b._comm_cost
+    assert a._deps is b._deps
+    assert a._wake_streams is b._wake_streams
     assert a._rates is b._rates
-    assert a.tasks is b.tasks
+    assert a.streams is b.streams
+    assert a.plan is b.plan
