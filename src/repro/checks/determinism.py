@@ -22,7 +22,7 @@ scoped packages:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.checks.findings import Finding
 from repro.checks.project import ParsedFile, Project, dotted_name

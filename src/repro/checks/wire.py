@@ -19,7 +19,7 @@ cross-references the two sides lexically:
 Endpoint paths come from f-string literals passed to
 ``request_json(...)`` client-side and from the ``do_POST`` route table
 plus ``do_GET`` path comparisons server-side; only the first path
-segment is compared, so ``/outcome/{key}`` matches ``/outcome/``.
+segment is compared, so ``/status/{x}`` matches ``/status``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ One interface, three implementations:
 * :class:`ParallelExecutor` fans out over a
   :class:`concurrent.futures.ProcessPoolExecutor` (``--jobs N``);
 * :class:`RemoteExecutor` submits the batch to a fleet coordinator
-  (``--executor remote --coordinator URL``) and collects the outcome
-  payloads as remote workers land them in the coordinator's cache.
+  (``--executor remote --coordinator URL``) and long-polls for the
+  outcome payloads as remote workers land them in the coordinator's
+  cache.
 
 All return outcomes in submission order and all count every job they
 actually execute in :attr:`Executor.jobs_executed` — a warm-cache rerun
@@ -101,33 +102,27 @@ class RemoteExecutor(Executor):
 
     Each job compiles to its :class:`~repro.fleet.task.SimTask` wire
     form and is submitted in one request; the coordinator deduplicates
-    against its queue and cache, remote workers execute the misses,
-    and this executor polls the outcome endpoint until every key
-    resolves, rebuilding outcomes from the returned payloads. Because
-    tasks carry canonical job payloads and workers serialize with the
-    cache's own functions, results are bit-for-bit what a local
-    executor produces.
+    against its queue and cache, and remote workers execute the misses.
+    This executor then long-polls ``/outcomes`` with every key still
+    waiting: the coordinator holds each call until those keys settle
+    (or a bounded wait ends), so a batch usually takes one call.
+    Outcomes are rebuilt from the returned payloads. Because tasks
+    carry canonical job payloads and workers serialize with the cache's
+    own functions, results are bit-for-bit what a local executor
+    produces.
     """
 
-    def __init__(
-        self,
-        coordinator: str,
-        poll_interval: float = 0.2,
-        timeout: Optional[float] = None,
-    ):
+    def __init__(self, coordinator: str, timeout: Optional[float] = None):
         super().__init__()
         from repro.fleet.protocol import normalize_url
 
         self.coordinator = normalize_url(coordinator)
-        if poll_interval <= 0:
-            raise ConfigurationError("poll_interval must be positive")
-        self.poll_interval = poll_interval
         self.timeout = timeout
 
     def _run_batch(self, jobs: Sequence[SimJob]) -> List[JobOutcome]:
         from repro.errors import FleetError
         from repro.exec.cache import outcome_from_payload
-        from repro.fleet.protocol import ProtocolError, request_json
+        from repro.fleet.protocol import OUTCOME_WAIT_S, request_json
         from repro.fleet.task import ADHOC_SPEC_HASH, task_from_job
 
         by_key = {}
@@ -146,28 +141,39 @@ class RemoteExecutor(Executor):
             None if self.timeout is None
             else time.monotonic() + self.timeout  # repro: allow[D101] operational poll deadline, not simulated state
         )
-        payloads = {}
+        payloads: dict = {}
         waiting = list(by_key)
         while waiting:
-            still = []
-            for key in waiting:
-                try:
-                    payloads[key] = request_json(
-                        f"{self.coordinator}/outcome/{key}"
-                    )
-                except ProtocolError as exc:
-                    if exc.code == 404:  # not executed yet
-                        still.append(key)
-                        continue
-                    raise
-            waiting = still
-            if waiting:
-                if deadline is not None and time.monotonic() > deadline:  # repro: allow[D101] operational poll deadline
-                    raise FleetError(
-                        f"coordinator {self.coordinator} did not resolve "
-                        f"{len(waiting)} job(s) within {self.timeout}s"
-                    )
-                time.sleep(self.poll_interval)
+            wait_s = OUTCOME_WAIT_S
+            if deadline is not None:
+                wait_s = min(wait_s, max(0.0, deadline - time.monotonic()))  # repro: allow[D101] operational poll deadline
+            response = request_json(
+                f"{self.coordinator}/outcomes",
+                {"keys": waiting, "wait_s": wait_s},
+            )
+            failed = response["failed"]
+            if failed:
+                key, error = next(iter(failed.items()))
+                raise FleetError(
+                    f"job {key[:16]}... failed permanently on the "
+                    f"fleet: {error}"
+                )
+            missing = response["missing"]
+            if missing:
+                # Never re-poll: the coordinator has no task and no
+                # outcome for this key, so waiting cannot help.
+                raise FleetError(
+                    f"coordinator {self.coordinator} has no task or "
+                    f"outcome for job {missing[0][:16]}..."
+                )
+            payloads.update(response["outcomes"])
+            waiting = [key for key in waiting if key not in payloads]
+            if waiting and wait_s < OUTCOME_WAIT_S:
+                # The window was cut to the deadline and ran out.
+                raise FleetError(
+                    f"coordinator {self.coordinator} did not resolve "
+                    f"{len(waiting)} job(s) within {self.timeout}s"
+                )
         outcomes = []
         for job in jobs:
             outcome = outcome_from_payload(

@@ -19,11 +19,18 @@ workers are safe. Liveness is lease-based: workers heartbeat while
 executing, and the serve loop (plus every lease request) reaps expired
 leases back into the queue with bounded retries and exponential
 backoff — killing a worker mid-drain loses no tasks.
+
+Waiting is long-polled, not polled: an idle worker's ``/lease`` and a
+client's ``/outcomes`` block on the queue's condition until a task
+arrives or their keys settle, each for a bounded time, so an idle
+fleet costs one request per wait window rather than one per key per
+tick.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -35,13 +42,14 @@ from repro.errors import (
     FleetError,
     TaskContractError,
 )
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ResultCache, outcome_from_payload
 from repro.exec.job import SimJob
 from repro.fleet.queue import (
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_RETRIES,
     TaskQueue,
 )
+from repro.fleet.protocol import OUTCOME_WAIT_S
 from repro.fleet.task import SimTask, code_version, task_from_job
 from repro.scenario.manifest import ScenarioResult, save_manifest
 
@@ -112,18 +120,19 @@ class FleetCoordinator:
             max_retries=max_retries,
             backoff_base=backoff_base,
         )
+        #: Serve-loop tick, idle-lease hold and backoff-wait floor (s).
         self.poll_interval = poll_interval
         self.plan: Optional[FleetPlan] = None
         # Guards the coordinator's own mutable state: handle_submit
-        # and handle_lease run on server threads concurrently with the
-        # serve loop's drain flip and finalization. The queue and cache
-        # carry their own locks; ``plan`` is written once before
-        # start() and is read-only afterwards.
+        # runs on server threads concurrently with the serve loop's
+        # finalization. The queue and cache carry their own locks (the
+        # queue also owns the drain flag, :attr:`TaskQueue.closed`);
+        # ``plan`` is written once before start() and is read-only
+        # afterwards.
         self._state_lock = threading.Lock()
         #: key -> infeasible flag for keys resolved from the cache at
         #: seed time (worker completions live in the queue's done map).
         self._precached: Dict[str, bool] = {}
-        self._draining = False
         self.manifest_file = None
         self._server = ThreadingHTTPServer((host, port), _Handler)
         self._server.coordinator = self  # type: ignore[attr-defined]
@@ -136,24 +145,37 @@ class FleetCoordinator:
     def seed_scenario(self, plan: FleetPlan) -> Tuple[int, int]:
         """Queue the plan's missing keys; returns (queued, precached).
 
-        A key whose stored payload is unreadable (torn write from a
-        crashed writer, wrong schema) counts as missing and re-queues —
-        the worker's fresh result heals the entry, mirroring the local
-        cache's corruption-tolerant read path.
+        A key whose stored payload is unusable counts as missing and
+        re-queues (see :meth:`_cached_flag`).
         """
         self.plan = plan
         queued = 0
         precached = 0
         for key, job in plan.jobs_by_key.items():
-            payload = self.cache.load_payload(key)
-            if payload is not None and payload.get("schema") is not None:
+            flag = self._cached_flag(key, job)
+            if flag is not None:
                 with self._state_lock:
-                    self._precached[key] = "infeasible" in payload
+                    self._precached[key] = flag
                     precached = len(self._precached)
                 continue
             if self.queue.add(task_from_job(job, plan.spec_hash)):
                 queued += 1
         return queued, precached
+
+    def _cached_flag(self, key: str, job: SimJob) -> Optional[bool]:
+        """The infeasible flag of ``key``'s cached outcome, if usable.
+
+        ``None`` when the cache holds nothing for ``key``, or holds an
+        entry :func:`~repro.exec.cache.outcome_from_payload` cannot
+        rebuild (a torn write from a crashed writer, a wrong schema, a
+        mangled result). Such a key is a miss and re-queues, and the
+        worker's fresh result overwrites the entry, exactly as the
+        local cache's read path treats it.
+        """
+        payload = self.cache.load_payload(key)
+        if payload is None or outcome_from_payload(job, payload) is None:
+            return None
+        return "infeasible" in payload
 
     # ------------------------------------------------------------------
     # Server lifecycle
@@ -185,16 +207,20 @@ class FleetCoordinator:
         self._shutdown(linger=2 * self.poll_interval)
 
     def _shutdown(self, linger: float) -> None:
-        """Flip leases to ``drained``, keep serving ``linger`` s, stop."""
-        with self._state_lock:
-            self._draining = True
-        if self._thread is None:
-            return
-        time.sleep(linger)
-        self._server.shutdown()
-        self._thread.join(timeout=5.0)
+        """Flip leases to ``drained``, keep serving ``linger`` s, stop.
+
+        Closing the queue wakes every held request: a held ``/lease``
+        answers ``drained`` at once and a held ``/outcomes`` answers
+        with what it has, so none of them outlives the server.
+        """
+        self.queue.close()
+        if self._thread is not None:
+            time.sleep(linger)
+            self._server.shutdown()
+            self._thread.join(timeout=5.0)
+            self._thread = None
+        # Also when never started: __init__ bound the listening socket.
         self._server.server_close()
-        self._thread = None
 
     def serve_until_drained(
         self,
@@ -278,9 +304,7 @@ class FleetCoordinator:
 
     def handle_lease(self, body: dict) -> dict:
         worker = str(body.get("worker") or "anonymous")
-        with self._state_lock:
-            draining = self._draining
-        if draining:
+        if self.queue.closed:
             return {"state": "drained"}
         batched = "n" in body
         if batched:
@@ -293,13 +317,20 @@ class FleetCoordinator:
             n = min(n, MAX_LEASE_BATCH)
         else:
             n = 1
-        leased, hint = self.queue.lease_many_with_hint(worker, n)
+        # An idle worker's request is held for up to one poll interval
+        # until a task becomes pending, so it hears of new work at once.
+        leased, hint = self.queue.lease_many_with_hint(
+            worker, n, hold=self.poll_interval
+        )
         if not leased:
             # Nothing leasable *right now*: tasks may be in flight, in
             # backoff, or (bare-queue mode) not submitted yet. Workers
-            # wait; only the serve loop flips the state to drained.
+            # wait; only the drain flip answers drained.
             if hint is None:
-                return {"state": "wait", "retry_after_s": self.poll_interval}
+                if self.queue.closed:
+                    return {"state": "drained"}
+                # The hold was the wait: ask again straight away.
+                return {"state": "wait", "retry_after_s": 0.0}
             # Every pending task is backoff-gated: tell the worker
             # exactly how long until the earliest gate opens (floored
             # at the poll interval, capped so a worker never oversleeps
@@ -402,9 +433,10 @@ class FleetCoordinator:
                     f"match this coordinator ({mine!r}); results would "
                     f"not be comparable"
                 )
-            if self.cache.load_payload(task.cache_key) is not None:
+            flag = self._cached_flag(task.cache_key, task.to_job())
+            if flag is not None:
                 with self._state_lock:
-                    self._precached.setdefault(task.cache_key, False)
+                    self._precached.setdefault(task.cache_key, flag)
                 states.append({"key": task.cache_key, "state": "cached"})
             elif self.queue.add(task):
                 states.append({"key": task.cache_key, "state": "queued"})
@@ -412,22 +444,52 @@ class FleetCoordinator:
                 states.append({"key": task.cache_key, "state": "known"})
         return {"accepted": len(states), "tasks": states}
 
-    def handle_outcome(self, key: str) -> Tuple[int, dict]:
-        failed = self.queue.failed_keys()
-        if key in failed:
-            return 410, {"error": f"task failed permanently: {failed[key]}"}
-        payload = self.cache.load_payload(key)
-        if payload is None:
-            return 404, {"error": "outcome not available yet"}
-        return 200, payload
+    def handle_outcomes(self, body: dict) -> dict:
+        """Long-poll for ``keys``; see :mod:`repro.fleet.protocol`.
+
+        Holds until no requested key is pending or leased (or the wait
+        ends, or the coordinator drains), then reads the cache once.
+        """
+        keys = body.get("keys")
+        if (
+            not isinstance(keys, list)
+            or not keys
+            or not all(isinstance(k, str) and k for k in keys)
+        ):
+            raise TaskContractError(
+                "outcomes needs a non-empty 'keys' list of non-empty "
+                "strings"
+            )
+        wait_s = body.get("wait_s")
+        if (
+            isinstance(wait_s, bool)
+            or not isinstance(wait_s, (int, float))
+            or math.isnan(wait_s)
+        ):
+            raise TaskContractError("outcomes 'wait_s' must be a number")
+        keys = list(dict.fromkeys(keys))
+        still_open, failed = self.queue.await_settled(
+            keys, min(max(float(wait_s), 0.0), OUTCOME_WAIT_S)
+        )
+        unsettled = set(still_open).union(failed)
+        outcomes = {}
+        missing = []
+        for key in keys:
+            if key in unsettled:
+                continue
+            payload = self.cache.load_payload(key)
+            if payload is None:
+                missing.append(key)
+            else:
+                outcomes[key] = payload
+        return {"outcomes": outcomes, "failed": failed, "missing": missing}
 
     def status(self) -> dict:
         with self._state_lock:
-            draining = self._draining
             manifest_file = self.manifest_file
         report = {
             "code_version": code_version(),
-            "draining": draining,
+            "draining": self.queue.closed,
             "queue": self.queue.snapshot(),
             "cache": {
                 "dir": (
@@ -501,10 +563,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.path == "/status":
                 self._send(200, self.coordinator.status())
-            elif self.path.startswith("/outcome/"):
-                key = self.path[len("/outcome/"):]
-                code, payload = self.coordinator.handle_outcome(key)
-                self._send(code, payload)
             else:
                 self._send(404, {"error": f"unknown path {self.path}"})
         except Exception as exc:  # never kill the server thread
@@ -516,6 +574,7 @@ class _Handler(BaseHTTPRequestHandler):
             "/heartbeat": self.coordinator.handle_heartbeat,
             "/result": self.coordinator.handle_result,
             "/submit": self.coordinator.handle_submit,
+            "/outcomes": self.coordinator.handle_outcomes,
         }
         handler = routes.get(self.path)
         try:
@@ -526,5 +585,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, handler(body))
         except (TaskContractError, ConfigurationError) as exc:
             self._send(400, {"error": str(exc)})
+        except ConnectionError:
+            # The client is gone (e.g. a worker killed while its lease
+            # was held): there is no one to answer. A task leased to it
+            # requeues when the lease expires.
+            pass
         except Exception as exc:  # never kill the server thread
             self._send(500, {"error": str(exc)})

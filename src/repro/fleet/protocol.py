@@ -5,15 +5,40 @@ Endpoints (all bodies are JSON; the server is stdlib
 localhost-friendly):
 
 * ``POST /lease {"worker": id}`` ->
-  ``{"state": "task", "task": ..., "lease": id, "deadline_s": t}`` |
-  ``{"state": "wait", "retry_after_s": t}`` | ``{"state": "drained"}``
+  ``{"state": "task", "task": ..., "lease": id, "deadline_s": t,
+  "heartbeat_s": t}`` | ``{"state": "wait", "retry_after_s": t}`` |
+  ``{"state": "wait", "retry_after_s": t, "backoff": true}`` |
+  ``{"state": "drained"}``. With nothing pending at all, the request
+  is held for up to the coordinator's poll interval until a task
+  arrives; a hold that ends empty answers ``retry_after_s`` 0. A
+  backoff wait (every pending task is gated) is answered at once.
+* ``POST /lease {"worker": id, "n": k}`` -> the single-task shape
+  above plus ``"tasks": [{"lease": id, "task": ...}, ...]`` holding
+  up to ``k`` independently leased tasks (the first one repeated).
 * ``POST /heartbeat {"lease": id}`` -> ``{"ok": bool}``
 * ``POST /result {"lease": id, "key": k, "payload": outcome}`` /
-  ``POST /result {"lease": id, "key": k, "error": msg}``
+  ``POST /result {"lease": id, "key": k, "error": msg}`` ->
+  ``{"ok": true, "state": "done" | "duplicate" | "requeued"}``
+* ``POST /result {"results": [result bodies]}`` ->
+  ``{"ok": bool, "states": [...]}``, one single-result answer (or
+  ``{"ok": false, "error": msg}``) per body, in order
 * ``POST /submit {"tasks": [task payloads]}`` ->
-  ``{"accepted": n, "known": n}``
+  ``{"accepted": n, "tasks": [{"key": k, "state": "cached" |
+  "queued" | "known"}, ...]}``
+* ``POST /outcomes {"keys": [k, ...], "wait_s": t}`` ->
+  ``{"outcomes": {k: payload}, "failed": {k: last_error},
+  "missing": [k, ...]}``. The request is held until none of the keys
+  is pending or leased, for at most ``wait_s`` (clamped into
+  ``[0, OUTCOME_WAIT_S]``); the coordinator's drain ends the hold,
+  and a draining coordinator answers at once. A key is an outcome when the cache holds its payload, failed when
+  its task dead-lettered, and missing when it is neither open in the
+  queue nor failed nor cached (never submitted, or its entry
+  vanished). Keys still open when the hold ends appear in none of
+  the three.
 * ``GET /status`` -> queue snapshot + scenario/manifest info
-* ``GET /outcome/<key>`` -> stored outcome payload (404 until done)
+
+A malformed request body is answered with HTTP 400 and
+``{"error": msg}``; an unknown path with 404.
 """
 
 from __future__ import annotations
@@ -28,6 +53,10 @@ from repro.errors import FleetError
 #: Client-side request timeout (seconds) for one HTTP round trip.
 REQUEST_TIMEOUT = 30.0
 
+#: Longest a coordinator holds one ``/outcomes`` request (seconds),
+#: well inside :data:`REQUEST_TIMEOUT`.
+OUTCOME_WAIT_S = 10.0
+
 
 class CoordinatorUnreachable(FleetError):
     """The coordinator did not answer (refused, timed out, went away)."""
@@ -36,8 +65,7 @@ class CoordinatorUnreachable(FleetError):
 class ProtocolError(FleetError):
     """The coordinator answered with an error or a malformed body.
 
-    ``code`` carries the HTTP status (0 for malformed-body failures)
-    so callers can treat e.g. 404 (outcome not ready) as retryable.
+    ``code`` carries the HTTP status (0 for malformed-body failures).
     """
 
     def __init__(self, message: str, code: int = 0):

@@ -16,6 +16,13 @@ and the coordinator reports rather than spins). A limping worker that
 completes after being reaped is still honored: results are
 deterministic, so a late completion marks the task done and any
 replacement lease is dropped on push.
+
+The queue also carries the coordinator's long-poll holds: one
+condition over the queue lock is notified whenever a task becomes
+pending, completes or dead-letters, so an idle worker's lease
+(:meth:`TaskQueue.lease_many_with_hint` with ``hold``) and a client
+waiting on its keys (:meth:`TaskQueue.await_settled`) block on it
+instead of polling. :meth:`TaskQueue.close` ends every hold.
 """
 
 from __future__ import annotations
@@ -117,6 +124,10 @@ class TaskQueue:
         self.backoff_cap = backoff_cap
         self._clock = clock
         self._lock = threading.Lock()
+        #: Notified (under ``_lock``) whenever a task becomes pending,
+        #: completes or dead-letters, and on :meth:`close`.
+        self._cond = threading.Condition(self._lock)
+        self._closed = False
         # Insertion order is lease order (compile order), which keeps a
         # one-worker fleet running cells in the serial run's order.
         self._pending: "OrderedDict[str, _TaskState]" = OrderedDict()
@@ -145,6 +156,7 @@ class TaskQueue:
                 return False
             self._pending[key] = _TaskState(task=task)
             self.stats.submitted += 1
+            self._cond.notify_all()
             return True
 
     def mark_done(self, key: str, infeasible: bool = False) -> None:
@@ -183,7 +195,7 @@ class TaskQueue:
         return (leased[0] if leased else None), hint
 
     def lease_many_with_hint(
-        self, worker: str, n: int
+        self, worker: str, n: int, hold: float = 0.0
     ) -> Tuple[List[Tuple[Lease, SimTask]], Optional[float]]:
         """Lease up to ``n`` eligible tasks to ``worker`` in one pass.
 
@@ -194,24 +206,40 @@ class TaskQueue:
         draining in batches still runs cells in compile order. The
         retry hint follows the :meth:`lease_with_hint` contract and is
         only meaningful when the returned list is empty.
+
+        With ``hold > 0``, a pass that finds nothing pending at all
+        (no task leased, no backoff hint) blocks for up to ``hold``
+        seconds until a task becomes pending or the queue closes, then
+        leases once more.
         """
         if n < 1:
             raise FleetError("lease batch size must be >= 1")
         with self._lock:
-            now = self._clock()
-            self._reap_locked(now)
-            leased: List[Tuple[Lease, SimTask]] = []
-            while len(leased) < n:
-                one = self._lease_locked(worker, now)
-                if one is None:
-                    break
-                leased.append(one)
-            if leased:
-                return leased, None
-            if self._pending:
-                gate = min(s.not_before for s in self._pending.values())
-                return [], max(0.0, gate - now)
-            return [], None
+            leased, hint = self._lease_many_locked(worker, n)
+            if leased or hint is not None or hold <= 0 or self._closed:
+                return leased, hint
+            self._cond.wait_for(
+                lambda: self._pending or self._closed, hold
+            )
+            return self._lease_many_locked(worker, n)
+
+    def _lease_many_locked(
+        self, worker: str, n: int
+    ) -> Tuple[List[Tuple[Lease, SimTask]], Optional[float]]:
+        now = self._clock()
+        self._reap_locked(now)
+        leased: List[Tuple[Lease, SimTask]] = []
+        while len(leased) < n:
+            one = self._lease_locked(worker, now)
+            if one is None:
+                break
+            leased.append(one)
+        if leased:
+            return leased, None
+        if self._pending:
+            gate = min(s.not_before for s in self._pending.values())
+            return [], max(0.0, gate - now)
+        return [], None
 
     def _lease_locked(
         self, worker: str, now: float
@@ -291,6 +319,7 @@ class TaskQueue:
             self.stats.completed += 1
             if infeasible:
                 self.stats.infeasible += 1
+            self._cond.notify_all()
             return True
 
     def fail(self, lease_id: str, error: str) -> None:
@@ -345,14 +374,63 @@ class TaskQueue:
         if state.attempts > self.max_retries:
             self._failed[state.task.cache_key] = state
             self.stats.failed += 1
-            return
-        backoff = min(
-            self.backoff_cap,
-            self.backoff_base * (2 ** max(0, state.attempts - 1)),
-        )
-        state.not_before = now + backoff
-        self._pending[state.task.cache_key] = state
-        self.stats.requeued += 1
+        else:
+            backoff = min(
+                self.backoff_cap,
+                self.backoff_base * (2 ** max(0, state.attempts - 1)),
+            )
+            state.not_before = now + backoff
+            self._pending[state.task.cache_key] = state
+            self.stats.requeued += 1
+        self._cond.notify_all()
+
+    # ------------------------------------------------------------------
+    # Long-poll holds
+    # ------------------------------------------------------------------
+
+    def await_settled(
+        self, keys: List[str], timeout: float
+    ) -> Tuple[List[str], Dict[str, str]]:
+        """Block until none of ``keys`` is pending or leased.
+
+        Returns at once when that already holds (a key the queue never
+        saw is not open), otherwise when a completion or dead-letter
+        settles the last open key, when the queue closes, or after
+        ``timeout`` seconds. Returns the keys still open, and each
+        dead-lettered key with its last recorded error, both in
+        ``keys`` order.
+        """
+        with self._lock:
+            self._cond.wait_for(
+                lambda: self._closed
+                or not any(map(self._is_open_locked, keys)),
+                timeout,
+            )
+            failed = {
+                k: self._failed[k].last_error or "failed"
+                for k in keys
+                if k in self._failed
+            }
+            return [k for k in keys if self._is_open_locked(k)], failed
+
+    def _is_open_locked(self, key: str) -> bool:
+        return key in self._pending or key in self._leased
+
+    def close(self) -> None:
+        """End every hold now and make later holds return at once.
+
+        The coordinator closes its queue when it drains, so a worker
+        held in ``/lease`` hears ``drained`` before the server stops.
+        Leasing, completion and submission keep working.
+        """
+        with self._lock:
+            self._closed = True
+            self._cond.notify_all()
+
+    @property
+    def closed(self) -> bool:
+        with self._lock:
+            return self._closed
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,7 +1,11 @@
 """TaskQueue semantics under an injected clock: lease ordering,
 heartbeats, reap-and-requeue with exponential backoff, the bounded
-retry budget and dead-letter state, and late completions from limping
-workers (results are deterministic, so late work is honored)."""
+retry budget and dead-letter state, late completions from limping
+workers (results are deterministic, so late work is honored), and the
+long-poll holds that wake on queue changes and end on close."""
+
+import threading
+import time
 
 import pytest
 
@@ -299,3 +303,42 @@ def test_lease_many_surfaces_backoff_hint(queue, clock):
     leased, hint = queue.lease_many_with_hint("w", 4)
     assert leased == []
     assert hint is not None and hint > 0
+
+
+def test_await_settled_reports_open_and_dead_lettered_keys(clock):
+    queue = TaskQueue(max_retries=0, clock=clock)
+    doomed, waiting = _task(8), _task(16)
+    queue.add(doomed)
+    queue.add(waiting)
+    lease, _ = queue.lease("w")
+    queue.fail(lease.lease_id, "RuntimeError: boom")  # no retries left
+    keys = [waiting.cache_key, doomed.cache_key, "e" * 64]
+    still_open, failed = queue.await_settled(keys, 0.0)
+    assert still_open == [waiting.cache_key]
+    assert failed == {doomed.cache_key: "RuntimeError: boom"}
+
+
+def test_await_settled_wakes_on_completion(queue):
+    task = _task(8)
+    queue.add(task)
+    lease, _ = queue.lease("w")
+    timer = threading.Timer(
+        0.1, queue.complete, args=(task.cache_key, False, lease.lease_id)
+    )
+    start = time.monotonic()
+    timer.start()
+    assert queue.await_settled([task.cache_key], 5.0) == ([], {})
+    assert time.monotonic() - start < 2.5
+
+
+def test_close_ends_holds_at_once(queue):
+    task = _task(8)
+    queue.close()
+    assert queue.closed
+    start = time.monotonic()
+    assert queue.lease_many_with_hint("w", 1, hold=5.0) == ([], None)
+    queue.add(task)  # submission still works on a closed queue
+    assert queue.await_settled([task.cache_key], 5.0) == (
+        [task.cache_key], {}
+    )
+    assert time.monotonic() - start < 2.5

@@ -9,24 +9,34 @@ The acceptance criteria of the fleet subsystem, gated here:
   zombie) loses no tasks — the lease expires, the task requeues, and
   the sweep still completes identically;
 * the RemoteExecutor behind the standard Executor surface returns the
-  same outcomes as a SerialExecutor;
+  same outcomes as a SerialExecutor, and fails loudly on dead-lettered
+  or unknown keys;
+* the long-poll holds of ``/outcomes`` and ``/lease`` answer as soon
+  as their keys settle or a task arrives, and end on a drain;
 * malformed / hash-mismatched / version-skewed submissions are
   rejected at the HTTP boundary with 400s.
 """
 
+import json
+import socket
+import struct
 import threading
+import time
+import urllib.parse
 
 import pytest
+from test_exec_cache import CORRUPTIONS
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.modes import ExecutionMode
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FleetError
 from repro.exec.cache import ResultCache, outcome_to_payload
-from repro.exec.executors import RemoteExecutor, SerialExecutor
+from repro.exec.executors import Executor, RemoteExecutor, SerialExecutor
 from repro.exec.job import SimJob
 from repro.exec.service import configure, reset_default_service
 from repro.fleet import (
     FleetCoordinator,
+    FleetPlan,
     FleetWorker,
     compile_fleet_plan,
     task_from_job,
@@ -199,7 +209,7 @@ def test_remote_executor_matches_serial_outcomes(tmp_path):
     try:
         # Duplicates exercise the executor's submit-side dedup.
         jobs = [_job(8), _job(16), _job(8)]
-        remote = RemoteExecutor(coordinator.url, poll_interval=0.05)
+        remote = RemoteExecutor(coordinator.url)
         outcomes = remote.run(jobs)
         assert remote.jobs_executed == len(jobs)
         serial = SerialExecutor().run(jobs)
@@ -255,10 +265,11 @@ def test_http_boundary_rejects_bad_submissions(tmp_path):
             )
         assert exc.value.code == 400
 
-        # Unknown outcome key: 404, polling semantics.
-        with pytest.raises(ProtocolError) as exc:
-            request_json(f"{url}/outcome/{'e' * 64}")
-        assert exc.value.code == 404
+        # Unknown outcome key: reported missing at once, not held.
+        body = request_json(
+            f"{url}/outcomes", {"keys": ["e" * 64], "wait_s": 30.0}
+        )
+        assert body == {"outcomes": {}, "failed": {}, "missing": ["e" * 64]}
 
         # Unknown paths: 404 on both verbs.
         with pytest.raises(ProtocolError) as exc:
@@ -271,6 +282,263 @@ def test_http_boundary_rejects_bad_submissions(tmp_path):
         assert coordinator.queue.snapshot()["pending"] == 0
     finally:
         coordinator.stop()
+
+
+@pytest.mark.parametrize("garbage", CORRUPTIONS + ('{"torn": true}',))
+def test_coordinator_resimulates_a_corrupted_cache_entry(tmp_path, garbage):
+    """An entry the local cache would read as a miss is a miss here too:
+    seeding re-queues it, and a remote run re-simulates and rewrites it
+    instead of relaying the unusable payload."""
+    job = _job(8)
+    key = job.cache_key()
+    expected = outcome_to_payload(SerialExecutor().run([job])[0])
+    path = tmp_path / f"{key}.json"
+    path.write_text(garbage)
+
+    plan = FleetPlan(
+        name="adhoc", spec_hash="h", job_keys=[key], jobs_by_key={key: job}
+    )
+    seeded = FleetCoordinator(cache=ResultCache(tmp_path))
+    assert seeded.seed_scenario(plan) == (1, 0)
+    seeded.stop()
+
+    coordinator = FleetCoordinator(cache=ResultCache(tmp_path))
+    coordinator.start()
+    _, threads = _start_workers(coordinator.url, 1)
+    try:
+        outcome = RemoteExecutor(coordinator.url).run([job])[0]
+    finally:
+        coordinator.stop()
+        for thread in threads:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcome_to_payload(outcome) == expected
+    assert json.loads(path.read_text()) == expected
+    assert coordinator.queue.stats.completed == 1
+
+
+class _BrokenExecutor(Executor):
+    """Every execution raises: a simulator bug, as a worker sees it."""
+
+    def _run_batch(self, jobs):
+        raise RuntimeError("boom")
+
+
+def test_outcomes_name_a_dead_lettered_task(tmp_path):
+    coordinator = FleetCoordinator(
+        cache=ResultCache(tmp_path), max_retries=0
+    )
+    coordinator.start()
+    worker = FleetWorker(
+        url=coordinator.url, worker_id="broken", executor=_BrokenExecutor()
+    )
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    job = _job(8)
+    try:
+        with pytest.raises(FleetError) as exc:
+            RemoteExecutor(coordinator.url).run([job])
+    finally:
+        coordinator.stop()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert job.cache_key()[:16] in str(exc.value)
+    assert "RuntimeError: boom" in str(exc.value)
+    assert coordinator.queue.failed_keys() == {
+        job.cache_key(): "RuntimeError: boom"
+    }
+    assert worker.stats.errors == 1
+
+
+def test_outcomes_report_an_unknown_key_missing_without_a_repoll(
+    tmp_path, monkeypatch
+):
+    import repro.fleet.protocol as protocol
+
+    coordinator = FleetCoordinator(cache=ResultCache(tmp_path))
+    coordinator.start()
+    try:
+        start = time.monotonic()
+        body = request_json(
+            f"{coordinator.url}/outcomes",
+            {"keys": ["e" * 64], "wait_s": 10.0},
+        )
+        assert time.monotonic() - start < 2.0
+        assert body == {"outcomes": {}, "failed": {}, "missing": ["e" * 64]}
+
+        # A submit the coordinator never sees leaves the executor's key
+        # unknown: it must raise on the first answer, not poll again.
+        real = protocol.request_json
+        calls = []
+
+        def lossy(url, body=None, **kwargs):
+            calls.append(url.rsplit("/", 1)[-1])
+            if url.endswith("/submit"):
+                return {"accepted": 0, "tasks": []}
+            return real(url, body, **kwargs)
+
+        monkeypatch.setattr(protocol, "request_json", lossy)
+        job = _job(8)
+        with pytest.raises(FleetError, match=job.cache_key()[:16]):
+            RemoteExecutor(coordinator.url).run([job])
+        assert calls == ["submit", "outcomes"]
+    finally:
+        coordinator.stop()
+
+
+def test_outcomes_reject_malformed_requests_and_clamp_the_wait(
+    tmp_path, monkeypatch
+):
+    import repro.fleet.coordinator as coordinator_mod
+
+    coordinator = FleetCoordinator(cache=ResultCache(tmp_path))
+    coordinator.start()
+    url = f"{coordinator.url}/outcomes"
+    try:
+        for body in (
+            {"wait_s": 1.0},
+            {"keys": [], "wait_s": 1.0},
+            {"keys": "k", "wait_s": 1.0},
+            {"keys": [""], "wait_s": 1.0},
+            {"keys": [3], "wait_s": 1.0},
+            {"keys": ["k"]},
+            {"keys": ["k"], "wait_s": "1"},
+            {"keys": ["k"], "wait_s": True},
+            {"keys": ["k"], "wait_s": None},
+        ):
+            with pytest.raises(ProtocolError) as exc:
+                request_json(url, body)
+            assert exc.value.code == 400, body
+
+        # A pending key no worker will lease: the hold runs to the
+        # clamped wait, and the still-open key is in none of the lists.
+        task = task_from_job(_job(8), "h")
+        request_json(
+            f"{coordinator.url}/submit", {"tasks": [task.to_payload()]}
+        )
+        monkeypatch.setattr(coordinator_mod, "OUTCOME_WAIT_S", 0.3)
+        start = time.monotonic()
+        body = request_json(url, {"keys": [task.cache_key], "wait_s": 1e9})
+        assert 0.25 < time.monotonic() - start < 5.0
+        assert body == {"outcomes": {}, "failed": {}, "missing": []}
+        start = time.monotonic()
+        request_json(url, {"keys": [task.cache_key], "wait_s": -5})
+        assert time.monotonic() - start < 0.25
+    finally:
+        coordinator.stop()
+
+
+def test_outcomes_return_soon_after_the_last_key_completes(tmp_path):
+    coordinator = FleetCoordinator(cache=ResultCache(tmp_path))
+    coordinator.start()
+    try:
+        jobs = [_job(8), _job(16)]
+        payloads = [
+            outcome_to_payload(o) for o in SerialExecutor().run(jobs)
+        ]
+        keys = [job.cache_key() for job in jobs]
+        request_json(
+            f"{coordinator.url}/submit",
+            {"tasks": [task_from_job(j, "h").to_payload() for j in jobs]},
+        )
+        leases = [coordinator.handle_lease({"worker": "w"}) for _ in jobs]
+        landed = {}
+
+        def land():
+            for lease, key, payload in zip(leases, keys, payloads):
+                time.sleep(0.3)
+                coordinator.handle_result(
+                    {"lease": lease["lease"], "key": key, "payload": payload}
+                )
+            landed["at"] = time.monotonic()
+
+        pusher = threading.Thread(target=land, daemon=True)
+        pusher.start()
+        body = request_json(
+            f"{coordinator.url}/outcomes", {"keys": keys, "wait_s": 5.0}
+        )
+        answered = time.monotonic()
+        pusher.join(timeout=10)
+        assert answered - landed["at"] < 1.0
+        assert body == {
+            "outcomes": dict(zip(keys, payloads)),
+            "failed": {},
+            "missing": [],
+        }
+    finally:
+        coordinator.stop()
+
+
+def test_held_lease_returns_a_task_added_during_the_hold(tmp_path):
+    # A hold as long as the poll interval: only the add can end it early.
+    coordinator = FleetCoordinator(
+        cache=ResultCache(tmp_path), poll_interval=5.0
+    )
+    task = task_from_job(_job(8), "h")
+    timer = threading.Timer(0.2, coordinator.queue.add, args=(task,))
+    start = time.monotonic()
+    timer.start()
+    body = coordinator.handle_lease({"worker": "w"})
+    assert time.monotonic() - start < 2.5
+    coordinator.stop()
+    assert body["state"] == "task"
+    assert body["task"]["cache_key"] == task.cache_key
+
+
+def test_held_lease_that_ends_empty_asks_again_at_once(tmp_path):
+    coordinator = FleetCoordinator(
+        cache=ResultCache(tmp_path), poll_interval=0.2
+    )
+    start = time.monotonic()
+    body = coordinator.handle_lease({"worker": "w"})
+    assert time.monotonic() - start >= 0.15
+    coordinator.stop()
+    assert body == {"state": "wait", "retry_after_s": 0.0}
+
+
+def test_held_lease_hears_drained_when_the_coordinator_stops(tmp_path):
+    # Holds last 2.5 s and stop() lingers 5 s, so only the drain flip
+    # waking the held lease lets the worker leave within 2 s.
+    coordinator = FleetCoordinator(
+        cache=ResultCache(tmp_path), poll_interval=2.5
+    )
+    coordinator.start()
+    _, threads = _start_workers(coordinator.url, 1)
+    time.sleep(0.3)  # the worker's first lease is now held
+    stopper = threading.Thread(target=coordinator.stop, daemon=True)
+    stopper.start()
+    threads[0].join(timeout=2.0)
+    assert not threads[0].is_alive()
+    stopper.join(timeout=10)
+
+
+def test_held_lease_of_a_vanished_worker_ends_quietly(tmp_path, capsys):
+    """A worker killed while its lease is held resets the connection;
+    the coordinator drops the answer instead of printing a traceback."""
+    coordinator = FleetCoordinator(
+        cache=ResultCache(tmp_path), poll_interval=0.3
+    )
+    coordinator.start()
+    try:
+        address = urllib.parse.urlsplit(coordinator.url)
+        body = json.dumps({"worker": "gone"}).encode("utf-8")
+        sock = socket.create_connection((address.hostname, address.port))
+        sock.sendall(
+            b"POST /lease HTTP/1.1\r\nHost: fleet\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body
+        )
+        time.sleep(0.1)  # the lease is now held
+        # Close with a reset, as the kernel does for a killed process
+        # with unread data.
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        time.sleep(0.6)  # the hold ends; its answer meets the reset
+    finally:
+        coordinator.stop()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_result_push_retries_transient_connection_drops(
