@@ -21,8 +21,10 @@ prints the top 20 functions by cumulative time, for hot-path work.
 ``--verify`` instead runs the gate cells end-to-end under both
 engines and exits nonzero unless every cell's full result payloads are
 byte-identical (the CI equivalence gate): an FSDP and a pipeline
-quick-grid cell, and Fig. 9's most throttled cell (100 W cap), where
-the DVFS governor moves the clock on most power updates.
+quick-grid cell, Fig. 9's most throttled cell (100 W cap), where the
+DVFS governor moves the clock on most power updates, and a thermally
+throttled cell, where the governor's ramp runs into the thermal
+ceiling and is clamped.
 
 Timed sections run with cyclic GC suspended (the ``timeit`` module's
 convention, applied identically to both engines): collection scheduling
@@ -60,6 +62,7 @@ from repro.sim.engine import (  # noqa: E402
     make_simulator,
     reset_shared_evaluators,
 )
+from repro.sim.perturb import PerturbationSpec  # noqa: E402
 from repro.sim.prep import prep_stats  # noqa: E402
 
 #: The benchmarked engines (``--verify`` pins them byte-identical).
@@ -76,10 +79,14 @@ SINGLE_CELL = ExperimentConfig(
 
 #: The cells the CI equivalence gate checks: one FSDP and one pipeline
 #: quick-grid cell (the pipeline builder posts its point-to-point
-#: transfers rank by rank, at different stream positions), and Fig.
-#: 9's 100 W cell — the most throttled one, where the incremental
-#: engine's inline free-running utilisation replaces the reference's
-#: per-clock memo on nearly every update.
+#: transfers rank by rank, at different stream positions); Fig. 9's
+#: 100 W cell — the most throttled one, where the incremental engine's
+#: inline free-running utilisation replaces the reference's per-clock
+#: memo on nearly every update; and an uncapped cell with GPU 0
+#: thermally throttled, where the governor's ramp keeps hitting the
+#: ceiling (a quarter of the ticks at seed 0) and the incremental
+#: engine's inline tick copies the clamp of
+#: ``Simulator._governor_tick``.
 VERIFY_CELLS = (
     ExperimentConfig(
         gpu="A100",
@@ -103,6 +110,18 @@ VERIFY_CELLS = (
         batch_size=8,
         strategy="fsdp",
         power_limit_w=100.0,
+        runs=1,
+    ),
+    ExperimentConfig(
+        gpu="A100",
+        model="gpt3-2.7b",
+        batch_size=8,
+        strategy="fsdp",
+        perturbations=(
+            PerturbationSpec(
+                kind="thermal_throttle", target="gpu:0", magnitude=0.3
+            ),
+        ),
         runs=1,
     ),
 )

@@ -84,6 +84,11 @@ class FrequencyGovernor:
             )
         self.policy = policy
         self.min_clock_frac = min_clock_frac
+        # The policy is frozen: read its constants once, not on every
+        # sample (ewma_alpha is a computed property).
+        self._alpha = policy.ewma_alpha
+        self._limit_w = policy.limit_w
+        self._max_clock_frac = policy.max_clock_frac
         self._ewma_w: float = 0.0
         self._primed = False
         self.clock_frac: float = policy.max_clock_frac
@@ -101,10 +106,11 @@ class FrequencyGovernor:
             self._ewma_w = instantaneous_power_w
             self._primed = True
         else:
-            alpha = self.policy.ewma_alpha
-            self._ewma_w += alpha * (instantaneous_power_w - self._ewma_w)
+            self._ewma_w += self._alpha * (
+                instantaneous_power_w - self._ewma_w
+            )
 
-        limit = self.policy.limit_w
+        limit = self._limit_w
         if self._ewma_w > limit:
             if instantaneous_power_w > limit:
                 # Invert P ~ f^k for the clock-sensitive share; damp by
@@ -124,7 +130,7 @@ class FrequencyGovernor:
             headroom = limit / max(self._ewma_w, 1e-9)
             step = min(1.08, _inv_exponent_pow(headroom))
             self.clock_frac = min(
-                self.policy.max_clock_frac, self.clock_frac * step
+                self._max_clock_frac, self.clock_frac * step
             )
         return self.clock_frac
 
@@ -132,4 +138,4 @@ class FrequencyGovernor:
         """Return to the unthrottled state."""
         self._ewma_w = 0.0
         self._primed = False
-        self.clock_frac = self.policy.max_clock_frac
+        self.clock_frac = self._max_clock_frac

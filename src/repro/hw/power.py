@@ -146,7 +146,9 @@ class PowerEvaluator:
         self._cache: dict = {}
         #: ``clamp(clock) ** DVFS_POWER_EXPONENT`` per clock value —
         #: pow() is the single most expensive primitive in the power
-        #: formula, and DVFS revisits the same clock fractions.
+        #: formula, and DVFS revisits the same clock fractions. Cleared
+        #: in place, never rebound: the incremental engine's fused pass
+        #: holds it and calls :meth:`clock_term` only on a miss.
         self._clock_pow: dict = {}
 
     def evaluate(self, activity: GpuActivity) -> float:

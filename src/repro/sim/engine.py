@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import gc
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.collectives.cost_model import CollectiveCostModel
@@ -60,7 +61,7 @@ from repro.hw.dvfs import FrequencyGovernor, PowerLimitPolicy
 from repro.hw.system import NodeSpec
 from repro.sim.collective_sync import CollectiveInstance
 from repro.sim.config import SimConfig
-from repro.sim.events import EventKind, EventQueue
+from repro.sim.events import _COMPACT_MIN_SIZE, EventKind, EventQueue
 from repro.sim.prep import PreparedSim, prepare, reset_prepared, run_arena
 from repro.sim.rates import RateModel
 from repro.sim.result import PowerSegment, SimulationResult, TaskRecord
@@ -136,12 +137,6 @@ class _RunningCompute:
     #: Index into the engine's time-step log up to which progress has
     #: been banked (incremental engine only).
     bank_idx: int = 0
-    #: Per-clock free-running utilisation, resolved through the shared
-    #: RateModel memo on first use (values are identical; this cache
-    #: only skips the kernel-keyed hashing on the power hot path).
-    #: Reference engine only: the incremental engine's fused pass
-    #: computes the value inline.
-    free_util_cache: Dict[float, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -229,6 +224,13 @@ class Simulator:
         self.time = 0.0
         self.queue = EventQueue()
         self.running: Dict[int, _RunningCompute] = {}
+        #: Per-clock free-running utilisation of each running kernel,
+        #: by plan row, resolved through the shared RateModel memo on
+        #: first use (values are identical; this only skips the
+        #: kernel-keyed hashing on the power hot path). Reference
+        #: engine only: the incremental engine's fused pass computes
+        #: the value inline.
+        self._free_util: Dict[int, Dict[float, float]] = {}
         self.instances: Dict[str, CollectiveInstance] = {}
         self._inst_seq = 0
         self._waiting: set = set()  # comm tasks posted but not started
@@ -503,6 +505,7 @@ class Simulator:
             row,
         )
         self.running[row] = entry
+        self._free_util[row] = {}
 
     def _post_comm(self, row: int) -> None:
         ref = self._refs[row]
@@ -552,6 +555,7 @@ class Simulator:
 
     def _finish_compute(self, row: int) -> None:
         entry = self.running.pop(row)
+        del self._free_util[row]
         self._pop_head(self._stream_of[row], row)
         self.done.add(row)
         self.records.append(
@@ -728,6 +732,7 @@ class Simulator:
         hbm_used = 0.0
         stall_frac = self._stall_frac
         util_from_params = RateModel.sm_utilization_from_params
+        free_utils = self._free_util
         for entry in entries:
             util = util_from_params(entry.peak_eff, entry.rate, 1.0, clock)
             # A kernel slowed *by contention* keeps most of its warps
@@ -736,10 +741,11 @@ class Simulator:
             # not the throughput it actually achieves. Intrinsically
             # memory-bound kernels are unaffected (their uncontended
             # utilisation is already low).
-            free_util = entry.free_util_cache.get(clock)
+            memo = free_utils[entry.row]
+            free_util = memo.get(clock)
             if free_util is None:
                 free_util = self._rates.free_utilization(entry.kernel, clock)
-                entry.free_util_cache[clock] = free_util
+                memo[clock] = free_util
             if free_util > util:
                 util += stall_frac * (free_util - util)
             # Short kernels never reach steady-state power: wave ramp-up
@@ -809,10 +815,8 @@ class Simulator:
                 continue
             self._tick_pending[gpu_index] = True
             self._ticks_outstanding += 1
-            self.queue.schedule(
-                self.time + self.config.governor_period_s,
-                EventKind.GOVERNOR_TICK,
-                gpu_index,
+            self.queue.schedule_tick(
+                self.time + self.config.governor_period_s, gpu_index
             )
 
     def _governor_tick(self, gpu_index: int) -> None:
@@ -1151,13 +1155,14 @@ class IncrementalSimulator(Simulator):
 
         Same step order as :meth:`Simulator._run_loop` — launch,
         recompute, tick upkeep, then pop and dispatch one event — with
-        the loop state bound to locals and four steps written out in
+        the loop state bound to locals and five steps written out in
         place: the time advance (a positive step goes on the replay
         tape), the ``TASK_FINISH`` handler (:meth:`_finish_compute`
-        plus the dirty/wake bookkeeping), stream-head launching and the
-        :meth:`_ensure_ticks` fast path. Collective finishes, governor
-        ticks and perturbation boundaries keep their shared handlers,
-        which read ``self.time``; it is rebound whenever time moves.
+        plus the dirty/wake bookkeeping), the governor tick
+        (:meth:`_governor_tick`), stream-head launching and the
+        :meth:`_ensure_ticks` fast path. Collective finishes and
+        perturbation boundaries keep their shared handlers, which read
+        ``self.time``; it is rebound whenever time moves.
 
         Launching a task never *enables* another launch (only task
         completion satisfies deps or exposes a new head), so one pass
@@ -1165,8 +1170,24 @@ class IncrementalSimulator(Simulator):
         order — launches exactly what its full fixpoint scan would.
         The run's first launch goes through the same block, as the
         loop body's first step.
+
+        Governor ticks come off the queue's tick lane, popped here
+        when the lane's head precedes the heap's (with
+        :meth:`EventQueue.pop_live`'s compaction check after it). Most
+        ticks only move the governor's power average and leave the
+        clock alone. Such a tick dirties nothing, so the launch scan
+        and the recompute after it would do nothing, and
+        :meth:`_ensure_ticks` would re-arm that GPU alone (every other
+        GPU's tick is outstanding) at the same time and in the same
+        counter order. The loop re-arms it in place and pops the next
+        event. The tick still counts as an event and still puts its
+        time step on the replay tape.
         """
-        queue_pop = self.queue.pop_live
+        queue = self.queue
+        queue_pop = queue.pop_live
+        heap = queue._heap
+        ticks = queue._ticks
+        schedule_tick = queue.schedule_tick
         max_time = self.config.max_sim_time_s
         dts = self._dts
         running = self.running
@@ -1196,7 +1217,15 @@ class IncrementalSimulator(Simulator):
         wake_streams = self._wake_streams
         dirty_gpus = self._dirty_gpus
         recompute = self._recompute
-        governed = len(self._governors)
+        governors = self._governors
+        governed = len(governors)
+        tick_pending = self._tick_pending
+        period = self.config.governor_period_s
+        clock_of = self._clock
+        power_now = self._power_now
+        idle_power = self._power_eval.idle_power
+        perturbed = self._perturbed
+        perturb_cap = self._perturb_cap
         total = self._num_tasks
         now = self.time
         events = 0
@@ -1243,56 +1272,98 @@ class IncrementalSimulator(Simulator):
                 if governed and self._ticks_outstanding < governed:
                     self._ensure_ticks()
 
-                event = queue_pop()
-                if event is None:
-                    raise DeadlockError(self._deadlock_report())
-                t, kind, payload, _ = event
-                if t > max_time:
-                    raise SimulationError(
-                        f"simulation exceeded {max_time}s"
-                    )
-                events += 1
-                if t > now:
-                    dts.append(t - now)
-                    now = t
-                    self.time = t
-                elif t < now - 1e-12:
-                    raise SimulationError("event time went backwards")
-
-                if kind is _TASK_FINISH:
-                    entry = running.pop(payload)
-                    gpu = gpus[payload]
-                    sid = stream_of[payload]
-                    order = streams[sid]
-                    pos = stream_pos[sid]
-                    if pos >= len(order) or order[pos] != payload:
-                        self._pop_head(sid, payload)  # raises
-                    stream_pos[sid] = pos + 1
-                    done.add(payload)
-                    records.append(
-                        TaskRecord(
-                            task_ids[payload],
-                            gpu,
-                            stream_names[sid],
-                            labels[payload],
-                            _COMPUTE,
-                            phases[payload],
-                            entry.started_at,
-                            now,
-                            entry.isolated_s,
+                # Pop and dispatch until an event leaves work for the
+                # upkeep above (every event but a clock-holding tick).
+                while True:
+                    if ticks and (not heap or ticks[0] < heap[0]):
+                        # pop_live's lane branch, inline.
+                        t, _, payload = heappop(ticks)
+                        kind = _GOVERNOR_TICK
+                        size = len(heap) + len(ticks)
+                        if (
+                            size >= _COMPACT_MIN_SIZE
+                            and queue._tombstones > size // 2
+                        ):
+                            queue.compact()
+                    else:
+                        event = queue_pop()
+                        if event is None:
+                            raise DeadlockError(self._deadlock_report())
+                        t, kind, payload, _ = event
+                    if t > max_time:
+                        raise SimulationError(
+                            f"simulation exceeded {max_time}s"
                         )
-                    )
-                    del running_on[gpu][payload]
-                    dirty_gpus.add(gpu)
-                    candidates.update(wake_streams[payload])
-                elif kind is _COLLECTIVE_FINISH:
-                    self._finish_collective(payload)
-                elif kind is _GOVERNOR_TICK:
-                    self._governor_tick(payload)
-                elif kind is _PERTURB_BEGIN:
-                    self._apply_perturb(payload, True)
-                elif kind is _PERTURB_END:
-                    self._apply_perturb(payload, False)
+                    events += 1
+                    if t > now:
+                        dts.append(t - now)
+                        now = t
+                        self.time = t
+                    elif t < now - 1e-12:
+                        raise SimulationError("event time went backwards")
+
+                    if kind is _GOVERNOR_TICK:
+                        governor = governors[payload]
+                        power = power_now.get(payload)
+                        if power is None:
+                            power = idle_power()
+                        new_clock = governor.observe(power)
+                        if perturbed:
+                            cap = perturb_cap[payload]
+                            if new_clock > cap:
+                                # Thermal ceiling: clamp the controller
+                                # too (see _governor_tick).
+                                new_clock = cap
+                                governor.clock_frac = cap
+                        if new_clock < self._min_clock_seen:
+                            self._min_clock_seen = new_clock
+                        if new_clock != clock_of[payload]:
+                            clock_of[payload] = new_clock
+                            self._on_clock_changed(payload)
+                        elif self._ticks_outstanding == governed and (
+                            running or self._active_inst_count > 0
+                        ):
+                            # The clock held, so nothing is dirty. With
+                            # every other tick outstanding and work in
+                            # flight, _ensure_ticks would re-arm this
+                            # GPU alone: do that, and pop again.
+                            schedule_tick(now + period, payload)
+                            continue
+                        tick_pending[payload] = False
+                        self._ticks_outstanding -= 1
+                    elif kind is _TASK_FINISH:
+                        entry = running.pop(payload)
+                        gpu = gpus[payload]
+                        sid = stream_of[payload]
+                        order = streams[sid]
+                        pos = stream_pos[sid]
+                        if pos >= len(order) or order[pos] != payload:
+                            self._pop_head(sid, payload)  # raises
+                        stream_pos[sid] = pos + 1
+                        done.add(payload)
+                        records.append(
+                            TaskRecord(
+                                task_ids[payload],
+                                gpu,
+                                stream_names[sid],
+                                labels[payload],
+                                _COMPUTE,
+                                phases[payload],
+                                entry.started_at,
+                                now,
+                                entry.isolated_s,
+                            )
+                        )
+                        del running_on[gpu][payload]
+                        dirty_gpus.add(gpu)
+                        candidates.update(wake_streams[payload])
+                    elif kind is _COLLECTIVE_FINISH:
+                        self._finish_collective(payload)
+                    elif kind is _PERTURB_BEGIN:
+                        self._apply_perturb(payload, True)
+                    elif kind is _PERTURB_END:
+                        self._apply_perturb(payload, False)
+                    break
                 if len(done) >= total:
                     break
         finally:
@@ -1394,6 +1465,8 @@ class IncrementalSimulator(Simulator):
         free_bw = self._rates.gpu.memory.effective_bandwidth
         power_eval = self._power_eval
         clock_term = power_eval.clock_term
+        # clock_term's memo, read directly: nearly every pass hits it.
+        clock_pow = power_eval._clock_pow
         coeffs = power_eval.coeffs
         tdp_w = power_eval.tdp_w
         idle_frac = coeffs.idle_frac
@@ -1578,10 +1651,12 @@ class IncrementalSimulator(Simulator):
                 link_frac = 1.0
             elif link_frac < 0.0:
                 link_frac = 0.0
+            term = clock_pow.get(clock)
+            if term is None:
+                term = clock_term(clock)
             power = tdp_w * (
                 idle_frac
-                + (vector_max * vector_util + tensor_max * tensor_util)
-                * clock_term(clock)
+                + (vector_max * vector_util + tensor_max * tensor_util) * term
                 + hbm_max * hbm_frac
                 + link_max * link_frac
             )

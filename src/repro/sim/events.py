@@ -20,6 +20,19 @@ cell table, which is pruned as soon as the last copy of a key leaves
 storage (versions only need to stay monotonic while a stale copy
 could still be popped). ``_versions`` / ``_live_keys`` /
 ``_key_copies`` remain available as derived views.
+
+Governor ticks ride a *tick lane* of their own
+(:meth:`~EventQueue.schedule_tick`): a second heap of ``(time,
+counter, gpu)`` entries, unversioned because the engine never
+supersedes a tick. Its counter comes from the main heap's sequence and
+:meth:`~EventQueue.pop_live` returns whichever head is earlier by
+``(time, counter)``, so the merged order — every same-time tie
+included — is the order one heap holding both would give. The
+incremental engine pops the lane inline (see
+:meth:`repro.sim.engine.IncrementalSimulator._run_loop`); that is why
+both lists are identity-stable (:meth:`~EventQueue.compact` rebuilds
+in place) and why the engine repeats the compaction check after a
+lane pop.
 """
 
 from __future__ import annotations
@@ -57,6 +70,9 @@ class EventKind(enum.Enum):
     # name hash semantically but stays in C. Every queue operation
     # hashes a (kind, payload) key, so this is hot.
     __hash__ = object.__hash__
+
+
+_GOVERNOR_TICK = EventKind.GOVERNOR_TICK
 
 
 class Event(NamedTuple):
@@ -98,14 +114,21 @@ class EventQueue:
       outstanding).
     * :meth:`schedule` / :meth:`cancel` / :meth:`pop_live` — versioned
       events with lazy invalidation (the engine uses this for finish
-      events *and* governor ticks); superseded copies are tombstones
-      that ``pop_live`` drops and ``compact`` reclaims.
+      events); superseded copies are tombstones that ``pop_live``
+      drops and ``compact`` reclaims.
+
+    :meth:`schedule_tick` feeds the tick lane, which :meth:`pop`,
+    :meth:`pop_live`, :meth:`peek_time`, ``len()`` and
+    :attr:`live_count` merge with the main heap.
     """
 
     def __init__(self) -> None:
         #: ``(time, insertion counter, event)`` entries; the counter
         #: breaks same-time ties in FIFO order.
         self._heap: List[Tuple[float, int, Event]] = []
+        #: The tick lane: ``(time, insertion counter, gpu)`` governor
+        #: ticks, drawing counters from the same sequence.
+        self._ticks: List[Tuple[float, int, Any]] = []
         self._counter = itertools.count()
         #: Per-key bookkeeping cell ``[version, copies, live]``:
         #: ``version`` is None for raw push() keys and the current
@@ -222,9 +245,13 @@ class EventQueue:
         Tombstoned events are returned too — callers that schedule via
         :meth:`schedule` should use :meth:`pop_live` instead.
         """
-        if not self._heap:
+        heap = self._heap
+        ticks = self._ticks
+        if ticks and (not heap or ticks[0] < heap[0]):
+            return self._tick_event(heapq.heappop(ticks))
+        if not heap:
             return None
-        event = heapq.heappop(self._heap)[2]
+        event = heapq.heappop(heap)[2]
         self._note_removed(event)
         return event
 
@@ -233,17 +260,21 @@ class EventQueue:
 
         Stale heads (tombstoned copies that happen to sort first) are
         dropped on the way, so the returned wake-up time is never one
-        a supersession already invalidated.
+        a supersession already invalidated. Like :meth:`pop_live`, it
+        drops only the stale heads that sort before the lane's head.
         """
         heap = self._heap
+        ticks = self._ticks
         while heap:
+            if ticks and ticks[0] < heap[0]:
+                break
             time, _, event = heap[0]
             if not self._is_stale(event):
                 return time
             heapq.heappop(heap)
             self._note_removed(event)
             self.stale_dropped += 1
-        return None
+        return ticks[0][0] if ticks else None
 
     # ------------------------------------------------------------------
     # versioned interface (lazy invalidation)
@@ -302,6 +333,24 @@ class EventQueue:
             cell[_LIVE] = False
             self._tombstones += 1
 
+    def schedule_tick(self, time: float, gpu: Any) -> None:
+        """Schedule a governor tick for ``gpu`` on the tick lane.
+
+        Ticks skip the versioned cells: the engine keeps at most one
+        tick per GPU outstanding and never supersedes it, so a tick is
+        one push with nothing to tombstone (and nothing
+        :meth:`cancel` can reach). A rejected time leaves the queue
+        untouched, insertion counter included.
+        """
+        if not (0.0 <= time < _INF):
+            self._validate_time(time, _GOVERNOR_TICK)
+        heapq.heappush(self._ticks, (time, next(self._counter), gpu))
+
+    @staticmethod
+    def _tick_event(item: Tuple[float, int, Any]) -> Event:
+        """The :class:`Event` a popped lane entry stands for."""
+        return tuple.__new__(Event, (item[0], _GOVERNOR_TICK, item[2], 0))
+
     def _is_stale(self, event: Event) -> bool:
         cell = self._cells.get((event.kind, event.payload))
         return (
@@ -311,18 +360,28 @@ class EventQueue:
         )
 
     def pop_live(self) -> Optional[Event]:
-        """Earliest non-tombstoned event, or None when none remain."""
+        """Earliest non-tombstoned event, or None when none remain.
+
+        After every pop, from either heap, the queue compacts once it
+        holds at least ``_COMPACT_MIN_SIZE`` entries (lane included)
+        and tombstones are more than half of them.
+        """
         heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if self._note_removed(event):
-                self.stale_dropped += 1
-                continue
-            size = len(heap)
+        ticks = self._ticks
+        while True:
+            if ticks and (not heap or ticks[0] < heap[0]):
+                event = self._tick_event(heapq.heappop(ticks))
+            elif heap:
+                event = heapq.heappop(heap)[2]
+                if self._note_removed(event):
+                    self.stale_dropped += 1
+                    continue
+            else:
+                return None
+            size = len(heap) + len(ticks)
             if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
                 self.compact()
             return event
-        return None
 
     def compact(self) -> None:
         """Drop every tombstone from storage in one rebuild.
@@ -332,30 +391,33 @@ class EventQueue:
         what it was before compaction. Unlike the automatic compaction
         ``pop_live`` triggers (which is threshold-gated), an explicit
         call always rebuilds, so ``len(queue)`` equals ``live_count``
-        afterwards no matter how small the queue is.
+        afterwards no matter how small the queue is. The heap list is
+        rebuilt in place: the engine's loop holds a reference to it.
+        The tick lane holds no tombstones and is left alone.
         """
+        heap = self._heap
         kept: List[Tuple[float, int, Event]] = []
-        for item in self._heap:
+        for item in heap:
             event = item[2]
             if self._is_stale(event):
                 self._note_removed(event)
                 self.stale_dropped += 1
             else:
                 kept.append(item)
-        heapq.heapify(kept)
-        self._heap = kept
+        heap[:] = kept
+        heapq.heapify(heap)
 
     @property
     def live_count(self) -> int:
         """Number of non-tombstoned events currently queued."""
-        return len(self._heap) - self._tombstones
+        return len(self._heap) + len(self._ticks) - self._tombstones
 
     def check_invariants(self) -> None:
         """Assert the bookkeeping matches storage exactly (test hook).
 
         O(n); verifies the tombstone count, the per-key cells (via the
-        derived views) and that no cell survives with no copies left
-        in storage.
+        derived views), that no cell survives with no copies left in
+        storage, and the live count over both heaps.
         """
         items = list(self._heap)
         stale = sum(1 for item in items if self._is_stale(item[2]))
@@ -397,11 +459,11 @@ class EventQueue:
             raise AssertionError(
                 f"cells with no copies and no live event: {leaked!r}"
             )
-        if self.live_count != len(items) - stale:
+        if self.live_count != len(items) + len(self._ticks) - stale:
             raise AssertionError("live_count disagrees with storage")
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._ticks)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._heap) or bool(self._ticks)

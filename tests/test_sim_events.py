@@ -351,3 +351,168 @@ def test_random_interleavings_keep_invariants(ops):
     assert drained == sorted(drained)
     assert not q._versions
     assert not q._key_copies
+
+
+# ----------------------------------------------------------------------
+# the tick lane
+# ----------------------------------------------------------------------
+
+
+def _drain_live(q):
+    popped = []
+    while True:
+        event = q.pop_live()
+        if event is None:
+            return popped
+        popped.append((event.time, event.kind, event.payload))
+
+
+@pytest.mark.parametrize("tick_first", [True, False])
+def test_same_time_tick_and_finish_pop_in_scheduling_order(queue, tick_first):
+    t = 0.1 + 0.2  # an inexact float, shared bit for bit
+    if tick_first:
+        queue.schedule_tick(t, 3)
+        queue.schedule(t, EventKind.TASK_FINISH, 9)
+        expected = [EventKind.GOVERNOR_TICK, EventKind.TASK_FINISH]
+    else:
+        queue.schedule(t, EventKind.TASK_FINISH, 9)
+        queue.schedule_tick(t, 3)
+        expected = [EventKind.TASK_FINISH, EventKind.GOVERNOR_TICK]
+    assert [kind for _, kind, _ in _drain_live(queue)] == expected
+
+
+def test_stale_head_before_a_tick_is_dropped_and_counted(queue):
+    queue.schedule(1.0, EventKind.TASK_FINISH, 7)
+    queue.schedule(3.0, EventKind.TASK_FINISH, 7)  # t=1.0 is now stale
+    queue.schedule_tick(2.0, 0)
+    event = queue.pop_live()
+    assert (event.time, event.kind, event.payload) == (
+        2.0, EventKind.GOVERNOR_TICK, 0,
+    )
+    assert queue.stale_dropped == 1
+    assert queue.pop_live().time == 3.0
+    assert queue.pop_live() is None
+    queue.check_invariants()
+
+
+def test_size_views_count_lane_entries(queue):
+    assert not queue and len(queue) == 0
+    queue.schedule_tick(0.5, 1)
+    assert queue and len(queue) == 1 and queue.live_count == 1
+    assert queue.peek_time() == 0.5
+    queue.schedule(2.0, EventKind.TASK_FINISH, 4)
+    queue.schedule(0.25, EventKind.TASK_FINISH, 4)  # one tombstone
+    assert len(queue) == 3 and queue.live_count == 2
+    assert queue.peek_time() == 0.25
+    queue.check_invariants()
+    assert queue.pop_live().payload == 4
+    assert queue.peek_time() == 0.5  # the lane head, ahead of a stale 2.0
+    assert queue.stale_dropped == 0
+    queue.check_invariants()
+
+
+def test_compact_rebuilds_the_heap_in_place(queue):
+    heap = queue._heap
+    for t in range(5):
+        queue.schedule(float(t + 1), EventKind.TASK_FINISH, 0)
+    queue.schedule_tick(0.5, 2)
+    queue.compact()
+    assert queue._heap is heap
+    assert len(heap) == 1 and len(queue) == 2
+    assert [kind for _, kind, _ in _drain_live(queue)] == [
+        EventKind.GOVERNOR_TICK, EventKind.TASK_FINISH,
+    ]
+
+
+def test_schedule_tick_rejects_bad_times_untouched(queue):
+    queue.schedule_tick(1.0, 0)
+    queue.schedule(2.0, EventKind.TASK_FINISH, 5)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(SimulationError):
+            queue.schedule_tick(bad, 0)
+        assert len(queue) == 2 and queue.live_count == 2
+        queue.check_invariants()
+    # No insertion counter was drawn: a same-time tie still breaks in
+    # scheduling order.
+    queue.schedule_tick(2.0, 1)
+    assert [kind for _, kind, _ in _drain_live(queue)] == [
+        EventKind.GOVERNOR_TICK, EventKind.TASK_FINISH,
+        EventKind.GOVERNOR_TICK,
+    ]
+
+
+def test_raw_pop_merges_the_lane(queue):
+    queue.push(_event(2.0, "raw"))
+    queue.schedule_tick(1.0, 6)
+    first = queue.pop()
+    assert (first.time, first.kind, first.payload) == (
+        1.0, EventKind.GOVERNOR_TICK, 6,
+    )
+    assert queue.pop().payload == "raw"
+    assert queue.pop() is None
+
+
+_LANE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("schedule"),
+            st.integers(0, 3),
+            st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        ),
+        st.tuples(
+            st.just("tick"),
+            st.integers(0, 3),
+            st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        ),
+        st.tuples(st.just("pop_live"), st.just(0), st.just(0.0)),
+    ),
+    max_size=120,
+)
+
+
+def _check_against_one_heap(ops):
+    """Run ``ops`` on a queue with a lane and on one heap holding ticks
+    as raw events (the engine never supersedes a tick); every pop, the
+    tombstone drops and the sizes must agree."""
+    q = EventQueue()
+    ref = EventQueue()
+    for op, key, time in ops:
+        if op == "schedule":
+            q.schedule(time, EventKind.TASK_FINISH, key)
+            ref.schedule(time, EventKind.TASK_FINISH, key)
+        elif op == "tick":
+            q.schedule_tick(time, key)
+            ref.push(Event(time, EventKind.GOVERNOR_TICK, key))
+        else:
+            got, want = q.pop_live(), ref.pop_live()
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[:3] == want[:3]
+            assert q.stale_dropped == ref.stale_dropped
+        q.check_invariants()
+        assert len(q) == len(ref) and q.live_count == ref.live_count
+    assert _drain_live(q) == _drain_live(ref)
+    assert q.stale_dropped == ref.stale_dropped
+
+
+@settings(max_examples=80, deadline=None)
+@given(_LANE_OPS)
+def test_lane_pops_as_one_heap_would(ops):
+    """The merged order is one versioned heap's, ties included."""
+    _check_against_one_heap(ops)
+
+
+def test_compaction_counts_the_lane_and_runs_after_lane_pops():
+    # 65 heap entries, 39 of them tombstones, and 30 later ticks: after
+    # popping the heap's head the heap alone would compact, heap plus
+    # lane must not.
+    ops = [("tick", g % 4, 5.0) for g in range(30)]
+    ops += [("schedule", key, 6.0) for key in range(3) for _ in range(14)]
+    ops += [("schedule", key, 0.25) for key in range(3, 26)]
+    ops.append(("pop_live", 0, 0.0))
+    _check_against_one_heap(ops)
+    # A lane pop is what tips this one over: 49 tombstones in 69.
+    ops = [("tick", 0, 0.5) for _ in range(20)]
+    ops += [("schedule", 0, 5.0) for _ in range(50)]
+    ops.append(("pop_live", 0, 0.0))
+    _check_against_one_heap(ops)
