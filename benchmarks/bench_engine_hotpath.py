@@ -10,7 +10,9 @@ PRs:
   engine; reports engine events/second.
 * **quick-grid cells/sec** — the full Figs. 4-6 quick evaluation grid
   (48 cells x 3 modes) run serially through the execution service with
-  caching disabled, once per engine.
+  caching disabled, once per engine. Each engine's pass starts from a
+  fresh planner whose plans are re-warmed outside the timer, so both
+  passes time the same prepared-sim builds.
 
 The engines are ``reference`` (full recompute, the correctness
 oracle) and ``incremental`` (the bit-exact default).
@@ -53,7 +55,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.experiment import SIM_ENGINE_ENV, ExperimentConfig  # noqa: E402
 from repro.exec.executors import SerialExecutor  # noqa: E402
 from repro.exec.job import SimJob  # noqa: E402
-from repro.exec.planning import default_planner  # noqa: E402
+from repro.exec.planning import (  # noqa: E402
+    default_planner,
+    reset_default_planner,
+)
 from repro.exec.service import ExecutionService  # noqa: E402
 from repro.exec.cache import result_to_payload  # noqa: E402
 from repro.harness.figures.grid import grid_spec  # noqa: E402
@@ -244,15 +249,17 @@ def _profile_engine(engine, node, plan, config, cost_model) -> None:
     stats.sort_stats("cumulative").print_stats(20)
 
 
-def bench_grid() -> dict:
-    """Cells/sec on the quick Figs. 4-6 grid, per engine, serial."""
-    spec = grid_spec(quick=True)
-    jobs = spec.compile()
-    # Warm the shared planner — nodes, plans (both overlap variants)
-    # and collective cost models — so every timed pass measures
-    # simulation, not plan construction. The plan/cost-model builds
-    # are identical work for both engines, so leaving them in would
-    # only dilute the engine-to-engine ratio.
+def _warm_planner(jobs) -> None:
+    """Give the process a fresh default planner holding the grid's plans.
+
+    Nodes, plans (both overlap variants) and collective cost models are
+    built here, outside any timer, so a timed pass measures simulation,
+    not plan construction. The plan builds are identical work for both
+    engines and would only dilute the engine-to-engine ratio. Prepared
+    sims and the evaluator memos start cold: every pass builds its own.
+    """
+    reset_shared_evaluators()
+    reset_default_planner()
     planner = default_planner()
     for job in jobs:
         planner.node_for(job.config)
@@ -263,11 +270,20 @@ def bench_grid() -> dict:
         except Exception:
             # Infeasible cells are the service's business to skip.
             continue
+
+
+def bench_grid() -> dict:
+    """Cells/sec on the quick Figs. 4-6 grid, per engine, serial."""
+    spec = grid_spec(quick=True)
+    jobs = spec.compile()
     out: dict = {"cells": len(jobs), "spec": spec.name}
     for engine in ENGINES:
-        # Cold evaluator memos per engine (cells within a run still
-        # share them, which is the product behaviour being measured).
-        reset_shared_evaluators()
+        # Every pass starts from the same state: a fresh planner with
+        # plans re-warmed, and no prepared sim, so both engines time the
+        # same prep builds (cells within a pass still share them, which
+        # is the product behaviour being measured).
+        _warm_planner(jobs)
+        planner = default_planner()
         service = ExecutionService(executor=SerialExecutor(), cache=None)
         planner_before = planner.stats()["prepared_sims"]
         with _engine_env(engine), _paused_gc():

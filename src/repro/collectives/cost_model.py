@@ -127,7 +127,7 @@ class CollectiveCostModel:
         self.library = library
         self.calibration = calibration
         self.hbm_effective_bandwidth = hbm_effective_bandwidth
-        self._cost_cache: "dict[CollectiveOp, CollectiveCost]" = {}
+        self._cost_cache: "dict[tuple, CollectiveCost]" = {}
 
     def message_bytes(self, op: CollectiveOp) -> float:
         """Per-transfer message size driving the bandwidth ramp.
@@ -149,19 +149,24 @@ class CollectiveCostModel:
         return ramped * _LINK_EFF_PER_KIND.get(op.kind, 1.0)
 
     def cost(self, op: CollectiveOp) -> CollectiveCost:
-        """Full cost bundle for one rank of ``op``, memoized per op.
+        """Full cost bundle for one rank of ``op``, memoized.
 
         The algorithm (ring vs tree) is auto-selected per message like
         NCCL's default mode: latency-optimal trees win for small
         payloads on deep rings, bandwidth-optimal rings for large ones.
+        The memo is keyed on what the cost reads — kind, payload and
+        participants — not on the op's key, which only names it: every
+        layer's all-gather of a plan, and of its sibling plans, shares
+        one entry.
         """
-        cached = self._cost_cache.get(op)
+        key = (op.kind, op.payload_bytes, op.participants)
+        cached = self._cost_cache.get(key)
         if cached is not None:
             return cached
         if len(self._cost_cache) >= self._MAX_COST_ENTRIES:
             self._cost_cache.clear()
         cost = self._cost_uncached(op)
-        self._cost_cache[op] = cost
+        self._cost_cache[key] = cost
         return cost
 
     def _cost_uncached(self, op: CollectiveOp) -> CollectiveCost:

@@ -24,7 +24,6 @@ from repro.workloads.transformer import (
     build_layer_forward,
     build_optimizer_kernels,
 )
-from repro.parallel.fsdp import _emit_kernels
 
 
 def build_ddp_plan(
@@ -60,29 +59,29 @@ def build_ddp_plan(
     )
 
     head_fwd = build_head_forward(model, local_shape)
-    embed_kernel, lm_head_kernel = head_fwd[0], head_fwd[1]
+    embed_chain, lm_head_chain = (head_fwd[0],), (head_fwd[1],)
 
     # ---------------- forward (no communication in DDP) ---------------
     for g in gpus:
-        _emit_kernels(builder, g, [embed_kernel], [], "forward")
+        builder.add_chain(g, embed_chain, phase="forward")
     for layer in range(model.num_layers):
         kernels = build_layer_forward(model, local_shape, layer)
         for g in gpus:
-            _emit_kernels(builder, g, kernels, [], "forward")
+            builder.add_chain(g, kernels, phase="forward")
     for g in gpus:
-        _emit_kernels(builder, g, [lm_head_kernel], [], "forward")
+        builder.add_chain(g, lm_head_chain, phase="forward")
 
     # ---------------- backward with bucketed all-reduce ---------------
     ar_ids: Dict[int, List[int]] = {g: [] for g in gpus}
-    head_bwd = build_head_backward(model, local_shape)
+    head_bwd = tuple(build_head_backward(model, local_shape))
     head_ids = {
-        g: _emit_kernels(builder, g, head_bwd, [], "backward") for g in gpus
+        g: builder.add_chain(g, head_bwd, phase="backward") for g in gpus
     }
     ar_head = builder.add_collective(
         CollectiveKind.ALL_REDUCE,
         embed_bytes,
         gpus,
-        deps_by_gpu={g: [head_ids[g]["last"]] for g in gpus},
+        deps_by_gpu={g: [head_ids[g][-1]] for g in gpus},
         stream=comm_stream,
         phase="backward",
         label="ar.head",
@@ -93,13 +92,13 @@ def build_ddp_plan(
     for layer in range(model.num_layers - 1, -1, -1):
         kernels = build_layer_backward(model, local_shape, layer)
         layer_ids = {
-            g: _emit_kernels(builder, g, kernels, [], "backward") for g in gpus
+            g: builder.add_chain(g, kernels, phase="backward") for g in gpus
         }
         ar = builder.add_collective(
             CollectiveKind.ALL_REDUCE,
             layer_bytes,
             gpus,
-            deps_by_gpu={g: [layer_ids[g]["last"]] for g in gpus},
+            deps_by_gpu={g: [layer_ids[g][-1]] for g in gpus},
             stream=comm_stream,
             phase="backward",
             label=f"ar.L{layer}",
@@ -108,8 +107,8 @@ def build_ddp_plan(
             ar_ids[g].append(ar[g])
 
     # ---------------- optimizer (full replica update) ------------------
-    opt_kernels = build_optimizer_kernels(model, local_shape)
+    opt_kernels = tuple(build_optimizer_kernels(model, local_shape))
     for g in gpus:
-        _emit_kernels(builder, g, opt_kernels, ar_ids[g], "optimizer")
+        builder.add_chain(g, opt_kernels, ar_ids[g], phase="optimizer")
 
     return builder.build()

@@ -34,7 +34,6 @@ from repro.errors import ConfigurationError
 from repro.hw.system import NodeSpec
 from repro.parallel.plan import ExecutionPlan, PlanBuilder
 from repro.sim.task import COMM_STREAM, COMPUTE_STREAM
-from repro.workloads.kernels import KernelSpec
 from repro.workloads.spec import ModelSpec
 from repro.workloads.transformer import (
     TrainingShape,
@@ -44,28 +43,6 @@ from repro.workloads.transformer import (
     build_layer_forward,
     build_optimizer_kernels,
 )
-
-
-def _emit_kernels(
-    builder: PlanBuilder,
-    gpu: int,
-    kernels: List[KernelSpec],
-    first_deps: List[int],
-    phase: str,
-) -> Dict[str, int]:
-    """Emit a kernel sequence on a GPU's compute stream.
-
-    Only the first kernel carries explicit deps; stream order chains the
-    rest. Returns the first and last task ids.
-    """
-    first_id = last_id = -1
-    for index, kernel in enumerate(kernels):
-        deps = first_deps if index == 0 else ()
-        tid = builder.add_compute(gpu, kernel, deps=deps, phase=phase)
-        if index == 0:
-            first_id = tid
-        last_id = tid
-    return {"first": first_id, "last": last_id}
 
 
 def build_fsdp_plan(
@@ -113,7 +90,7 @@ def build_fsdp_plan(
     )
 
     head_fwd = build_head_forward(model, local_shape)
-    embed_kernel, lm_head_kernel = head_fwd[0], head_fwd[1]
+    embed_chain, lm_head_chain = (head_fwd[0],), (head_fwd[1],)
     last_layer = model.num_layers - 1
     rs_ids_per_gpu: Dict[int, List[int]] = {g: [] for g in gpus}
 
@@ -132,16 +109,14 @@ def build_fsdp_plan(
             label=f"ag.embed{tag}",
         )
         for g in gpus:
-            _emit_kernels(builder, g, [embed_kernel], [ag_embed[g]], "forward")
+            builder.add_chain(g, embed_chain, [ag_embed[g]], phase="forward")
 
-        fwd_ids: List[Dict[int, Dict[str, int]]] = []
+        fwd_ids: List[Dict[int, range]] = []
         for layer in range(model.num_layers):
             if overlap and layer >= 1:
                 # Prefetch throttle: issue AG(i) once layer i-1's
                 # compute begins.
-                deps_by_gpu = {
-                    g: [fwd_ids[layer - 1][g]["first"]] for g in gpus
-                }
+                deps_by_gpu = {g: [fwd_ids[layer - 1][g][0]] for g in gpus}
             else:
                 deps_by_gpu = {}
             ag = builder.add_collective(
@@ -155,14 +130,14 @@ def build_fsdp_plan(
             )
             kernels = build_layer_forward(model, local_shape, layer)
             layer_ids = {
-                g: _emit_kernels(builder, g, kernels, [ag[g]], "forward")
+                g: builder.add_chain(g, kernels, [ag[g]], phase="forward")
                 for g in gpus
             }
             fwd_ids.append(layer_ids)
 
         # LM head re-gathers the (tied) embedding matrix.
         head_deps = (
-            {g: [fwd_ids[last_layer][g]["first"]] for g in gpus}
+            {g: [fwd_ids[last_layer][g][0]] for g in gpus}
             if overlap
             else {}
         )
@@ -176,17 +151,17 @@ def build_fsdp_plan(
             label=f"ag.head{tag}",
         )
         head_ids = {
-            g: _emit_kernels(
-                builder, g, [lm_head_kernel], [ag_head[g]], "forward"
+            g: builder.add_chain(
+                g, lm_head_chain, [ag_head[g]], phase="forward"
             )
             for g in gpus
         }
 
         # ---------------- backward ----------------
-        head_bwd = build_head_backward(model, local_shape)
+        head_bwd = tuple(build_head_backward(model, local_shape))
         head_bwd_ids = {
-            g: _emit_kernels(
-                builder, g, head_bwd, [head_ids[g]["last"]], "backward"
+            g: builder.add_chain(
+                g, head_bwd, [head_ids[g][-1]], phase="backward"
             )
             for g in gpus
         }
@@ -195,7 +170,7 @@ def build_fsdp_plan(
                 CollectiveKind.REDUCE_SCATTER,
                 embed_bytes,
                 gpus,
-                deps_by_gpu={g: [head_bwd_ids[g]["last"]] for g in gpus},
+                deps_by_gpu={g: [head_bwd_ids[g][-1]] for g in gpus},
                 stream=comm_stream,
                 phase="backward",
                 label=f"rs.head{tag}",
@@ -203,7 +178,7 @@ def build_fsdp_plan(
             for g in gpus:
                 rs_ids_per_gpu[g].append(rs_head[g])
 
-        bwd_ids: Dict[int, Dict[int, Dict[str, int]]] = {}
+        bwd_ids: Dict[int, Dict[int, range]] = {}
         pending_ag: Dict[int, Dict[int, int]] = {}
 
         if overlap:
@@ -213,7 +188,7 @@ def build_fsdp_plan(
                 CollectiveKind.ALL_GATHER,
                 layer_bytes,
                 gpus,
-                deps_by_gpu={g: [head_bwd_ids[g]["first"]] for g in gpus},
+                deps_by_gpu={g: [head_bwd_ids[g][0]] for g in gpus},
                 stream=comm_stream,
                 phase="backward",
                 label=f"agb.L{last_layer}{tag}",
@@ -232,7 +207,7 @@ def build_fsdp_plan(
             ag = pending_ag.pop(layer)
             kernels = build_layer_backward(model, local_shape, layer)
             layer_ids = {
-                g: _emit_kernels(builder, g, kernels, [ag[g]], "backward")
+                g: builder.add_chain(g, kernels, [ag[g]], phase="backward")
                 for g in gpus
             }
             bwd_ids[layer] = layer_ids
@@ -243,7 +218,7 @@ def build_fsdp_plan(
                     CollectiveKind.ALL_GATHER,
                     layer_bytes,
                     gpus,
-                    deps_by_gpu={g: [layer_ids[g]["first"]] for g in gpus},
+                    deps_by_gpu={g: [layer_ids[g][0]] for g in gpus},
                     stream=comm_stream,
                     phase="backward",
                     label=f"agb.L{layer - 1}{tag}",
@@ -253,7 +228,7 @@ def build_fsdp_plan(
                     CollectiveKind.REDUCE_SCATTER,
                     layer_bytes,
                     gpus,
-                    deps_by_gpu={g: [layer_ids[g]["last"]] for g in gpus},
+                    deps_by_gpu={g: [layer_ids[g][-1]] for g in gpus},
                     stream=comm_stream,
                     phase="backward",
                     label=f"rs.L{layer}{tag}",
@@ -263,8 +238,10 @@ def build_fsdp_plan(
 
     # ---------------- optimizer ----------------
     shard_params = float(model.num_params) / world
-    opt_kernels = build_optimizer_kernels(model, local_shape, params=shard_params)
+    opt_kernels = tuple(
+        build_optimizer_kernels(model, local_shape, params=shard_params)
+    )
     for g in gpus:
-        _emit_kernels(builder, g, opt_kernels, rs_ids_per_gpu[g], "optimizer")
+        builder.add_chain(g, opt_kernels, rs_ids_per_gpu[g], phase="optimizer")
 
     return builder.build()

@@ -25,7 +25,7 @@ do not pay.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.collectives.primitives import CollectiveKind
 from repro.errors import ConfigurationError, PlanError
@@ -50,7 +50,6 @@ from repro.workloads.transformer import (
     build_layer_forward,
     build_optimizer_kernels,
 )
-from repro.parallel.fsdp import _emit_kernels
 
 #: Default microbatch size: small fixed microbatches mean the number of
 #: in-flight microbatches grows with batch size, which is what makes the
@@ -119,7 +118,7 @@ def build_pipeline_plan(
     embed_kernel, lm_head_kernel = head_fwd[0], head_fwd[1]
     head_bwd_kernels = build_head_backward(model, micro_shape)
 
-    def forward_kernels(stage: int) -> List[KernelSpec]:
+    def forward_kernels(stage: int) -> Tuple[KernelSpec, ...]:
         kernels: List[KernelSpec] = []
         if stage == 0:
             kernels.append(embed_kernel)
@@ -127,18 +126,19 @@ def build_pipeline_plan(
             kernels.extend(build_layer_forward(model, micro_shape, layer))
         if stage == num_stages - 1:
             kernels.append(lm_head_kernel)
-        return kernels
+        return tuple(kernels)
 
-    def backward_kernels(stage: int) -> List[KernelSpec]:
+    def backward_kernels(stage: int) -> Tuple[KernelSpec, ...]:
         kernels: List[KernelSpec] = []
         if stage == num_stages - 1:
             kernels.extend(head_bwd_kernels)
         for layer in reversed(list(stages[stage])):
             kernels.extend(build_layer_backward(model, micro_shape, layer))
-        return kernels
+        return tuple(kernels)
 
     # Every microbatch of a stage runs the same kernels: build each
-    # stage's lists once per plan.
+    # stage's chains once per plan, so the builder resolves each one
+    # once and re-emits it per microbatch.
     stage_forward = [forward_kernels(stage) for stage in range(num_stages)]
     stage_backward = [backward_kernels(stage) for stage in range(num_stages)]
 
@@ -244,11 +244,11 @@ def build_pipeline_plan(
             # The matching send was enqueued when the upstream stage
             # produced the activations; enqueue our recv just-in-time.
             deps = [_consume_recv(stage, step)]
-        ids = _emit_kernels(
-            builder, stage, stage_forward[stage], deps, phase="forward"
+        ids = builder.add_chain(
+            stage, stage_forward[stage], deps, phase="forward"
         )
-        fwd_last[stage][micro] = ids["last"]
-        last_step_task[stage] = ids["last"]
+        fwd_last[stage][micro] = ids[-1]
+        last_step_task[stage] = ids[-1]
         if stage < num_stages - 1:
             # Send immediately after the producing compute — the host
             # enqueue order of Megatron's p2p calls — pairing it with
@@ -263,7 +263,7 @@ def build_pipeline_plan(
             builder.add_collective_rank(
                 op,
                 stage,
-                deps=[ids["last"]],
+                deps=[ids[-1]],
                 stream=fwd_stream,
                 phase="forward",
                 label=f"send.act.m{micro}.s{stage}to{stage + 1}",
@@ -275,11 +275,11 @@ def build_pipeline_plan(
         deps: List[int] = [fwd_last[stage][micro]]
         if stage < num_stages - 1:
             deps.append(_consume_recv(stage, step))
-        ids = _emit_kernels(
-            builder, stage, stage_backward[stage], deps, phase="backward"
+        ids = builder.add_chain(
+            stage, stage_backward[stage], deps, phase="backward"
         )
-        bwd_last[stage][micro] = ids["last"]
-        last_step_task[stage] = ids["last"]
+        bwd_last[stage][micro] = ids[-1]
+        last_step_task[stage] = ids[-1]
         if stage > 0:
             _prefetch_next_recv(stage)
             op = builder.begin_collective(
@@ -291,7 +291,7 @@ def build_pipeline_plan(
             builder.add_collective_rank(
                 op,
                 stage,
-                deps=[ids["last"]],
+                deps=[ids[-1]],
                 stream=bwd_stream,
                 phase="backward",
                 label=f"send.grad.m{micro}.s{stage}to{stage - 1}",
@@ -365,10 +365,10 @@ def build_pipeline_plan(
         stage_params = float(model.params_per_layer) * stage_layers
         if stage in (0, num_stages - 1):
             stage_params += model.embedding_params
-        opt = build_optimizer_kernels(model, shape, params=stage_params)
+        opt = tuple(build_optimizer_kernels(model, shape, params=stage_params))
         opt_deps = [bwd_last[stage][micro] for micro in range(num_micro)]
         if stage in embed_sync:
             opt_deps.append(embed_sync[stage])
-        _emit_kernels(builder, stage, opt, opt_deps, phase="optimizer")
+        builder.add_chain(stage, opt, opt_deps, phase="optimizer")
 
     return builder.build()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.errors import PlanError
@@ -65,7 +66,12 @@ def balanced_partition(costs: Sequence[float], num_parts: int) -> List[Tuple[int
     return bounds
 
 
-def stage_layer_ranges(num_layers: int, num_stages: int) -> List[range]:
-    """Equal-cost partition of uniform layers into stage ranges."""
+@lru_cache(maxsize=256)
+def stage_layer_ranges(num_layers: int, num_stages: int) -> Tuple[range, ...]:
+    """Equal-cost partition of uniform layers into stage ranges.
+
+    Memoized: the dynamic program is quadratic in the layer count, and
+    every pipeline plan of a model asks for the same split.
+    """
     bounds = balanced_partition([1.0] * num_layers, num_stages)
-    return [range(s, e) for s, e in bounds]
+    return tuple(range(s, e) for s, e in bounds)

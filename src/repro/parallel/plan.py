@@ -9,6 +9,17 @@ tasks is a dozen lists, not 3,000 task objects each holding its own
 dependency set, and the prepared-simulation layer reads the columns
 directly.
 
+Compute rows enter through one chain appender,
+:meth:`PlanBuilder.add_chain`: a layer's (or a pipeline stage's)
+kernels are appended as one block, each column extended once, with the
+dependencies on the first row only and stream order chaining the rest.
+The builder resolves a chain's kernel refs once, and its
+``g{gpu}.{name}`` labels once per GPU, then reuses them whenever the
+same chain comes back — FSDP emits each layer on every GPU, the
+pipeline re-emits each stage for every microbatch — so a plan pays
+per distinct chain rather than per row. :meth:`PlanBuilder.add_compute`
+is its one-kernel case.
+
 :attr:`ExecutionPlan.tasks` still offers the rows as
 :class:`~repro.sim.task.ComputeTask`/:class:`~repro.sim.task.CommTask`
 objects, built on first access, for tests, reports and hand-built
@@ -17,6 +28,7 @@ plans; ``ExecutionPlan(name, tasks=[...])`` ingests such rows.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.collectives.primitives import CollectiveKind, CollectiveOp
@@ -70,6 +82,7 @@ class ExecutionPlan:
         #: ``(gpu, stream)`` per stream, in first-use order.
         self.stream_keys: List[Tuple[int, str]] = []
         self._task_view: Optional[Tuple[Task, ...]] = None
+        self._dep_rows: Optional[Tuple[Tuple[int, ...], ...]] = None
         rows = tuple(tasks)
         if rows:
             self._ingest(rows)
@@ -80,21 +93,25 @@ class ExecutionPlan:
         builder = PlanBuilder(self.name)
         builder._plan = self
         for task in rows:
+            deps = sorted(task.deps)
             if isinstance(task, CommTask):
-                category = _COMM
-                ref = builder._op_ref(task.op)
+                builder._append_rank(
+                    task.gpu,
+                    task.stream,
+                    task.label,
+                    task.phase,
+                    builder._op_ref(task.op),
+                    deps,
+                )
             else:
-                category = _COMPUTE
-                ref = builder._kernel_ref(task.kernel)  # type: ignore[attr-defined]
-            builder._append(
-                task.gpu,
-                task.stream,
-                task.label,
-                task.phase,
-                category,
-                ref,
-                sorted(task.deps),
-            )
+                builder.add_chain(
+                    task.gpu,
+                    (task.kernel,),  # type: ignore[attr-defined]
+                    deps,
+                    task.stream,
+                    task.phase,
+                    labels=(task.label,),
+                )
         ids = [task.task_id for task in rows]
         dense = range(len(ids))
         self.task_ids = dense if ids == list(dense) else ids
@@ -152,14 +169,23 @@ class ExecutionPlan:
             if t.gpu == gpu and (stream is None or t.stream == stream)
         ]
 
-    def dep_rows(self) -> List[Tuple[int, ...]]:
+    def dep_rows(self) -> Tuple[Tuple[int, ...], ...]:
         """Per-row dependencies as row numbers (``()`` for none).
 
         Mapping ids to rows is where an unvalidated row set can fail: a
         duplicate id or a dependency on an unknown id raises
         :class:`PlanError`. Plans from :class:`PlanBuilder` number
-        their rows densely, so their ids *are* the rows.
+        their rows densely, so their ids *are* the rows. The columns
+        are read-only once the plan is built, so the mapping is made
+        once: :meth:`validate` and the prepared-simulation layer share
+        it.
         """
+        rows = self._dep_rows
+        if rows is None:
+            rows = self._dep_rows = self._map_dep_rows()
+        return rows
+
+    def _map_dep_rows(self) -> Tuple[Tuple[int, ...], ...]:
         ptr = self.dep_ptr
         dep_ids = self.dep_ids
         n = len(self.gpus)
@@ -186,7 +212,7 @@ class ExecutionPlan:
                     if not dense:
                         deps = [row_of[d] for d in deps]
                 rows[row] = tuple(deps)
-        return rows
+        return tuple(rows)
 
     def _row_of_id(self) -> Dict[int, int]:
         row_of: Dict[int, int] = {}
@@ -259,7 +285,7 @@ class ExecutionPlan:
                     f"match participants {expected}"
                 )
 
-    def _check_acyclic(self, deps: List[Tuple[int, ...]]) -> None:
+    def _check_acyclic(self, deps: Sequence[Tuple[int, ...]]) -> None:
         # Kahn's algorithm over the explicit deps plus the implicit
         # stream-order edges.
         n = len(deps)
@@ -300,10 +326,12 @@ class PlanBuilder:
     """Incremental construction of an :class:`ExecutionPlan`.
 
     The builder hands out dense task ids and keeps per-stream program
-    order implicitly (insertion order). Collective helpers emit one
-    rank row per participant sharing a single :class:`CollectiveOp`.
-    Rows go straight into the plan's columns; :meth:`build` validates
-    them once.
+    order implicitly (insertion order). Compute rows enter through one
+    chain appender, :meth:`add_chain`, of which :meth:`add_compute` is
+    the one-kernel case; collective helpers emit one rank row per
+    participant sharing a single :class:`CollectiveOp`. Rows go
+    straight into the plan's columns; :meth:`build` validates them
+    once.
     """
 
     def __init__(self, name: str):
@@ -313,6 +341,12 @@ class PlanBuilder:
         self._kernel_index: Dict[KernelSpec, int] = {}
         self._op_index: Dict[str, int] = {}
         self._stream_index: Dict[Tuple[int, str], int] = {}
+        #: id(chain) -> (chain, kernel refs, {gpu: row labels}). The
+        #: entry holds the chain, so no other object can take its id
+        #: while the builder lives.
+        self._chains: Dict[
+            int, Tuple[Sequence[KernelSpec], List[int], Dict[int, List[str]]]
+        ] = {}
         self.metadata: Dict[str, object] = {}
 
     def _stream_id(self, gpu: int, stream: str) -> int:
@@ -356,13 +390,12 @@ class PlanBuilder:
                 dep_ids[start:] = dict.fromkeys(dep_ids[start:])
         self._plan.dep_ptr.append(len(dep_ids))
 
-    def _append(
+    def _append_rank(
         self,
         gpu: int,
         stream: str,
         label: str,
         phase: str,
-        category: TaskCategory,
         ref: int,
         deps: Iterable[int],
     ) -> int:
@@ -372,10 +405,67 @@ class PlanBuilder:
         plan.stream_ids.append(self._stream_id(gpu, stream))
         plan.labels.append(label)
         plan.phases.append(phase)
-        plan.categories.append(category)
+        plan.categories.append(_COMM)
         plan.refs.append(ref)
         self._append_deps(deps)
         return tid
+
+    def add_chain(
+        self,
+        gpu: int,
+        kernels: Sequence[KernelSpec],
+        deps: Iterable[int] = (),
+        stream: str = COMPUTE_STREAM,
+        phase: str = "",
+        labels: Optional[Sequence[str]] = None,
+    ) -> range:
+        """Append ``kernels`` back to back on one stream of ``gpu``.
+
+        Only the first row carries ``deps``; stream order chains the
+        rest. Rows are labelled ``g{gpu}.{kernel.name}`` unless
+        ``labels`` names each one. Returns the rows' task ids.
+
+        A chain's kernel refs, and its default labels per GPU, are
+        resolved on its first append and reused whenever the same
+        chain object comes back (a layer on every GPU, a pipeline
+        stage for every microbatch), so a chain must not be mutated
+        once appended; the layer builders hand out tuples.
+        """
+        if labels is None:
+            entry = self._chains.get(id(kernels))
+            if entry is None:
+                entry = self._chains[id(kernels)] = (
+                    kernels,
+                    [self._kernel_ref(kernel) for kernel in kernels],
+                    {},
+                )
+            refs = entry[1]
+            labels = entry[2].get(gpu)
+            if labels is None:
+                labels = entry[2][gpu] = [
+                    f"g{gpu}.{kernel.name}" for kernel in kernels
+                ]
+        else:
+            if len(labels) != len(kernels):
+                raise PlanError(
+                    f"{len(labels)} labels for a chain of "
+                    f"{len(kernels)} kernels"
+                )
+            refs = [self._kernel_ref(kernel) for kernel in kernels]
+        count = len(refs)
+        if not count:
+            raise PlanError(f"gpu {gpu}: empty kernel chain")
+        plan = self._plan
+        first = len(plan.gpus)
+        plan.gpus.extend(repeat(gpu, count))
+        plan.stream_ids.extend(repeat(self._stream_id(gpu, stream), count))
+        plan.labels.extend(labels)
+        plan.phases.extend(repeat(phase, count))
+        plan.categories.extend(repeat(_COMPUTE, count))
+        plan.refs.extend(refs)
+        self._append_deps(deps)
+        plan.dep_ptr.extend(repeat(plan.dep_ptr[-1], count - 1))
+        return range(first, first + count)
 
     def add_compute(
         self,
@@ -386,16 +476,16 @@ class PlanBuilder:
         phase: str = "",
         label: Optional[str] = None,
     ) -> int:
-        """Append a compute kernel; returns its task id."""
-        return self._append(
+        """Append one compute kernel (a one-kernel chain); returns its
+        task id."""
+        return self.add_chain(
             gpu,
-            stream,
-            label or f"g{gpu}.{kernel.name}",
-            phase,
-            _COMPUTE,
-            self._kernel_ref(kernel),
+            (kernel,),
             deps,
-        )
+            stream,
+            phase,
+            labels=(label or f"g{gpu}.{kernel.name}",),
+        ).start
 
     def add_collective(
         self,
@@ -468,12 +558,11 @@ class PlanBuilder:
     ) -> int:
         """Emit one rank's participation in a collective begun with
         :meth:`begin_collective`; returns the rank task id."""
-        return self._append(
+        return self._append_rank(
             gpu,
             stream,
             label or f"g{gpu}.{op.kind.value}",
             phase,
-            _COMM,
             self._op_ref(op),
             deps,
         )

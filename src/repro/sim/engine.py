@@ -67,6 +67,7 @@ from repro.sim.rates import RateModel
 from repro.sim.result import PowerSegment, SimulationResult, TaskRecord
 from repro.sim.task import TaskCategory
 from repro.workloads.kernels import KernelSpec, reset_kernel_intern
+from repro.workloads.transformer import clear_layer_memo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
     from repro.parallel.plan import ExecutionPlan
@@ -99,7 +100,8 @@ _COMM = TaskCategory.COMM
 
 def reset_shared_evaluators() -> None:
     """Drop the process-wide prep-layer memos (evaluators, prepared
-    sims, jitter factors, the kernel intern table).
+    sims, jitter factors, the kernel intern table and the layer
+    kernel memo).
 
     Results never depend on them (every cached value is pure in its
     key), but *timings* do — the engine benchmark calls this between
@@ -107,6 +109,7 @@ def reset_shared_evaluators() -> None:
     """
     reset_prepared()
     reset_kernel_intern()
+    clear_layer_memo()
 
 
 @dataclass(slots=True)

@@ -100,25 +100,35 @@ class RateModel:
     free-running (uncontended) SM utilisation per (kernel, clock) pair
     the stall-power model evaluates on every power update. All results
     are bit-for-bit equal to the module-level functions.
+
+    The per-kernel tables are keyed on :attr:`KernelSpec.physics`, not
+    on the spec: none of their values reads the name, so the layers of
+    a model (``L0.qkv``, ``L1.qkv``, ...) share one entry.
     """
 
-    #: Bound on the (kernel, clock) memo: DVFS walks the clock through
-    #: many distinct values over a long run, and the table must not
-    #: grow without limit.
-    _MAX_FREE_ENTRIES = 4096
+    #: Bound on each memo table. The instance is shared process-wide
+    #: per GPU spec: DVFS walks the (kernel, clock) table through many
+    #: distinct clocks over a long run, and a long-lived process meets
+    #: ever more kernel physics, so no table may grow without limit.
+    #: A full table is cleared wholesale (its values are pure in their
+    #: keys, so a clear only costs recomputation).
+    _MAX_ENTRIES = 4096
 
     def __init__(self, gpu: GpuSpec):
         self.gpu = gpu
-        self._peak_eff: Dict[KernelSpec, float] = {}
-        self._iso: Dict[KernelSpec, float] = {}
+        self._peak_eff: Dict[tuple, float] = {}
+        self._iso: Dict[tuple, float] = {}
         self._free_util: Dict[Tuple[KernelSpec, float], float] = {}
-        self._rows: Dict[KernelSpec, Tuple[float, float, float]] = {}
+        self._rows: Dict[tuple, Tuple[float, float, float]] = {}
 
     def _peak_eff_for(self, kernel: KernelSpec) -> float:
-        value = self._peak_eff.get(kernel)
+        key = kernel.physics
+        value = self._peak_eff.get(key)
         if value is None:
+            if len(self._peak_eff) >= self._MAX_ENTRIES:
+                self._peak_eff.clear()
             value = self.gpu.peak(kernel.path) * kernel.efficiency
-            self._peak_eff[kernel] = value
+            self._peak_eff[key] = value
         return value
 
     def kernel_params(self, kernel: KernelSpec) -> Tuple[float, float]:
@@ -194,8 +204,11 @@ class RateModel:
 
     def isolated_duration(self, kernel: KernelSpec) -> float:
         """Memoized :func:`isolated_duration`."""
-        value = self._iso.get(kernel)
+        key = kernel.physics
+        value = self._iso.get(key)
         if value is None:
+            if len(self._iso) >= self._MAX_ENTRIES:
+                self._iso.clear()
             rate = self.compute_rate(
                 kernel,
                 sm_fraction=1.0,
@@ -203,7 +216,7 @@ class RateModel:
                 clock_frac=1.0,
             )
             value = kernel.flops / rate
-            self._iso[kernel] = value
+            self._iso[key] = value
         return value
 
     def sm_utilization(
@@ -225,21 +238,22 @@ class RateModel:
 
         The prepared-simulation table build needs all three per-kernel
         invariants at once; resolving them through the individual memos
-        costs two kernel-keyed probes per kernel per plan. This
-        combined row is assembled from those same memos on first sight
-        (so every float is identical to the piecewise path) and then
-        answers in a single lookup.
+        costs two probes per kernel per plan. This combined row is
+        assembled from those same memos on first sight of a kernel's
+        physics (so every float is identical to the piecewise path) and
+        then answers in a single lookup.
         """
-        row = self._rows.get(kernel)
+        key = kernel.physics
+        row = self._rows.get(key)
         if row is None:
-            if len(self._rows) >= self._MAX_FREE_ENTRIES:
+            if len(self._rows) >= self._MAX_ENTRIES:
                 self._rows.clear()
             row = (
                 self._peak_eff_for(kernel),
                 kernel.arithmetic_intensity,
                 self.isolated_duration(kernel),
             )
-            self._rows[kernel] = row
+            self._rows[key] = row
         return row
 
     def free_utilization(self, kernel: KernelSpec, clock_frac: float) -> float:
@@ -252,7 +266,7 @@ class RateModel:
         key = (kernel, clock_frac)
         value = self._free_util.get(key)
         if value is None:
-            if len(self._free_util) >= self._MAX_FREE_ENTRIES:
+            if len(self._free_util) >= self._MAX_ENTRIES:
                 self._free_util.clear()
             free_rate = self.compute_rate(
                 kernel,

@@ -43,6 +43,9 @@ class KernelSpec:
         efficiency: fraction of the datapath's peak FLOPS this kernel can
             reach when it has the whole machine (GEMM shape effects,
             launch overheads).
+
+    ``physics`` (set on construction, not a field) is every field but
+    the name, as a tuple of plain values.
     """
 
     name: str
@@ -84,6 +87,22 @@ class KernelSpec:
                 )
             ),
         )
+        # Every field but the name, as values that hash in C: the key
+        # of the roofline memos, which never read the name, so kernels
+        # that differ only in name (``L0.qkv`` and ``L1.qkv``) share
+        # one entry.
+        object.__setattr__(
+            self,
+            "physics",
+            (
+                self.kind.value,
+                self.flops,
+                self.bytes_moved,
+                self.path.precision.value,
+                self.path.datapath.value,
+                self.efficiency,
+            ),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -112,12 +131,12 @@ class KernelSpec:
 # ---------------------------------------------------------------------------
 # Hash-consing intern table.
 #
-# Kernel specs key the engine's hottest memo tables (roofline peaks,
-# isolated durations, free-running utilisation, power activity rows,
-# collective costs). Grid sweeps rebuild structurally-equal specs for
-# every cell; interning collapses them to one canonical object so those
-# memo dicts hit across cells (identity short-circuits ``dict`` key
-# comparison before ``__eq__`` runs) and the tables stay small.
+# Kernel specs key the engine's free-running utilisation memo and the
+# plan builders' kernel tables (the roofline tables key on ``physics``).
+# Grid sweeps rebuild structurally-equal specs for every cell;
+# interning collapses them to one canonical object so those memo dicts
+# hit across cells (identity short-circuits ``dict`` key comparison
+# before ``__eq__`` runs) and plans share their kernel objects.
 # ``dict.setdefault`` is atomic under the GIL, so no lock is needed on
 # the hot path.
 

@@ -6,12 +6,21 @@ attention score/context batched GEMMs, output projection, MLP up/down
 Backward emits separate dgrad/wgrad GEMMs per forward GEMM, matching
 what a profiler sees on real runs. With activation checkpointing the
 backward pass of a layer is preceded by a recomputed forward.
+
+:func:`build_layer_forward` and :func:`build_layer_backward` are
+memoized on ``(model, shape, layer)`` and return tuples: every plan of
+a sweep that shares a model and per-GPU shape (the overlapped and
+sequential plans of a cell, the same model and batch on another GPU
+type) gets the same kernel tuples back instead of rebuilding and
+re-interning each layer, and the plan builder resolves a tuple it has
+seen once. The memo is bounded; :func:`clear_layer_memo` empties it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.hw.datapath import ComputePath, Datapath, FP16_TENSOR, Precision
@@ -143,19 +152,27 @@ def _layer_norm_kernels(
     ]
 
 
+#: Bound on each layer memo: the full Fig. 4 grid needs ~700 entries
+#: per direction (168 layers over five models, four per-GPU batches).
+_LAYER_MEMO_SIZE = 2048
+
+
+@lru_cache(maxsize=_LAYER_MEMO_SIZE)
 def build_layer_forward(
     model: ModelSpec, shape: TrainingShape, layer: int
-) -> List[KernelSpec]:
-    """All forward kernels of one decoder block."""
-    return _layer_forward_gemms(model, shape, layer) + _layer_norm_kernels(
-        model, shape, layer
+) -> Tuple[KernelSpec, ...]:
+    """All forward kernels of one decoder block (memoized)."""
+    return tuple(
+        _layer_forward_gemms(model, shape, layer)
+        + _layer_norm_kernels(model, shape, layer)
     )
 
 
+@lru_cache(maxsize=_LAYER_MEMO_SIZE)
 def build_layer_backward(
     model: ModelSpec, shape: TrainingShape, layer: int
-) -> List[KernelSpec]:
-    """All backward kernels of one decoder block.
+) -> Tuple[KernelSpec, ...]:
+    """All backward kernels of one decoder block (memoized).
 
     Each forward GEMM yields a dgrad and a wgrad GEMM of equal FLOPs;
     with activation checkpointing the full forward is recomputed first.
@@ -170,7 +187,14 @@ def build_layer_backward(
         kernels.append(fwd.scaled(1.0, name_suffix=".dgrad"))
         kernels.append(fwd.scaled(1.0, name_suffix=".wgrad"))
     kernels.extend(_layer_norm_kernels(model, shape, layer, suffix=".bwd"))
-    return kernels
+    return tuple(kernels)
+
+
+def clear_layer_memo() -> None:
+    """Empty the layer memos (with the kernel intern table, for test and
+    benchmark isolation)."""
+    build_layer_forward.cache_clear()
+    build_layer_backward.cache_clear()
 
 
 def build_head_forward(model: ModelSpec, shape: TrainingShape) -> List[KernelSpec]:

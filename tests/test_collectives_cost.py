@@ -164,3 +164,26 @@ def test_reduction_flag():
     assert CollectiveKind.REDUCE_SCATTER.involves_reduction
     assert not CollectiveKind.ALL_GATHER.involves_reduction
     assert not CollectiveKind.SEND_RECV.involves_reduction
+
+
+def test_cost_memo_is_keyed_on_what_the_cost_reads():
+    # Ops that differ only in their key (one per layer of a plan, and
+    # per plan) share one memo entry and one cost object.
+    model = make_model()
+    first = CollectiveOp(
+        key="plan-a/ag.L0#1",
+        kind=CollectiveKind.ALL_GATHER,
+        payload_bytes=64 * MB,
+        participants=(0, 1, 2, 3),
+    )
+    second = CollectiveOp(
+        key="plan-b/ag.L7#9",
+        kind=CollectiveKind.ALL_GATHER,
+        payload_bytes=64 * MB,
+        participants=(0, 1, 2, 3),
+    )
+    cost = model.cost(first)
+    assert model.cost(second) is cost
+    assert cost == make_model()._cost_uncached(second)
+    assert model.cost(op(CollectiveKind.ALL_GATHER, payload=32 * MB)) != cost
+    assert model.cost(op(CollectiveKind.REDUCE_SCATTER, payload=64 * MB)) != cost

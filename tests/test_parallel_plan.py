@@ -227,3 +227,103 @@ def test_task_rows_round_trip_through_ingestion():
                    "stream_keys"):
         assert getattr(copy, column) == getattr(plan, column), column
     assert list(copy.task_ids) == list(plan.task_ids)
+
+
+# ----------------------------------------------------------------------
+# the chain appender
+# ----------------------------------------------------------------------
+
+OTHER = gemm_kernel("other", 512, 256, 256, FP16_TENSOR)
+THIRD = gemm_kernel("third", 256, 512, 256, FP16_TENSOR)
+
+
+def _per_kernel(builder, gpu, kernels, deps, phase, labels):
+    """Emit a chain the long way: one add_compute per kernel."""
+    ids = []
+    for index, kernel in enumerate(kernels):
+        ids.append(
+            builder.add_compute(
+                gpu,
+                kernel,
+                deps=deps if index == 0 else (),
+                phase=phase,
+                label=labels[index] if labels else None,
+            )
+        )
+    return ids
+
+
+def _as_chain(builder, gpu, kernels, deps, phase, labels):
+    return list(builder.add_chain(gpu, kernels, deps, phase=phase, labels=labels))
+
+
+def _chained_plan(emit) -> ExecutionPlan:
+    builder = PlanBuilder(name="chain-vs-rows")
+    layer = (KERNEL, OTHER, THIRD)
+    head = emit(builder, 0, (KERNEL,), [], "forward", ("head",))
+    ar = builder.add_collective(
+        CollectiveKind.ALL_REDUCE, 1024.0, [0, 1], deps_by_gpu={0: [head[-1]]}
+    )
+    # The same chain object on every GPU and for every microbatch.
+    for _micro in range(2):
+        for gpu in (0, 1):
+            emit(builder, gpu, layer, [ar[gpu]], "backward", None)
+    # Custom labels, and a repeated dependency that must collapse.
+    emit(builder, 1, layer, [ar[0], ar[1], ar[0]], "optimizer", ("a", "b", "c"))
+    return builder.build()
+
+
+def test_chain_appender_matches_one_add_compute_per_kernel():
+    rows = _chained_plan(_per_kernel)
+    chained = _chained_plan(_as_chain)
+    for column in ("gpus", "stream_ids", "labels", "phases", "categories",
+                   "refs", "dep_ptr", "dep_ids", "kernels", "ops",
+                   "stream_keys"):
+        assert getattr(chained, column) == getattr(rows, column), column
+    assert list(chained.task_ids) == list(rows.task_ids)
+    assert chained.dep_rows() == rows.dep_rows()
+    assert chained.tasks == rows.tasks
+    assert chained.labels[0] == "head"
+    assert chained.labels[-3:] == ["a", "b", "c"]
+    assert chained.labels[3:6] == ["g0.k", "g0.other", "g0.third"]
+
+
+def test_chain_returns_its_task_ids():
+    builder = _builder()
+    first = builder.add_compute(0, KERNEL)
+    ids = builder.add_chain(1, (KERNEL, OTHER), deps=[first])
+    assert list(ids) == [1, 2]
+    plan = builder.build()
+    assert plan.tasks[1].deps == frozenset([first])
+    assert plan.tasks[2].deps == frozenset()
+
+
+def test_chain_cache_holds_its_chains():
+    # Each temporary tuple would be freed after its call, letting the
+    # next one take its id; the builder holds every chain it resolved,
+    # so a reused id cannot serve another chain's kernels.
+    builder = _builder()
+    for kernel in (KERNEL, OTHER, THIRD, KERNEL):
+        builder.add_chain(0, tuple([kernel]))
+    plan = builder.build()
+    assert [task.kernel for task in plan.tasks] == [KERNEL, OTHER, THIRD, KERNEL]
+
+
+def test_chain_rejects_empty_and_mislabelled_chains():
+    builder = _builder()
+    with pytest.raises(PlanError, match="empty kernel chain"):
+        builder.add_chain(0, ())
+    with pytest.raises(PlanError, match="2 labels for a chain of 1"):
+        builder.add_chain(0, (KERNEL,), labels=("a", "b"))
+
+
+def test_build_rejects_a_compute_row_without_kernel():
+    builder = _builder()
+    builder.add_compute(0, KERNEL)
+    builder.add_compute(0, None, label="nk")
+    with pytest.raises(PlanError, match="compute task nk: kernel required"):
+        builder.build()
+    chained = _builder()
+    chained.add_chain(1, (KERNEL, None), labels=("a", "b"))
+    with pytest.raises(PlanError, match="compute task b: kernel required"):
+        chained.build()

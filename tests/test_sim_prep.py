@@ -27,6 +27,7 @@ from repro.parallel.plan import ExecutionPlan, PlanBuilder
 from repro.sim.config import SimConfig
 from repro.sim.engine import IncrementalSimulator, Simulator
 from repro.sim.prep import prep_stats, prepare, reset_prepared
+from repro.sim.rates import RateModel, isolated_duration
 from repro.sim.task import COMM_STREAM
 from repro.units import MB
 from repro.workloads.kernels import (
@@ -252,3 +253,41 @@ def test_prepared_tables_are_shared_across_simulators():
     assert a._rates is b._rates
     assert a.streams is b.streams
     assert a.plan is b.plan
+
+
+# ----------------------------------------------------------------------
+# kernel rows keyed on physics
+# ----------------------------------------------------------------------
+
+
+def test_kernels_differing_only_in_name_share_one_kernel_row():
+    gpu = NODE.gpu
+    first = gemm_kernel("L0.qkv", 2048, 6144, 2048, FP16_TENSOR)
+    second = gemm_kernel("L1.qkv", 2048, 6144, 2048, FP16_TENSOR)
+    assert first != second and first.physics == second.physics
+    model = RateModel(gpu)
+    row = model.kernel_row(first)
+    assert model.kernel_row(second) is row
+    assert len(model._rows) == len(model._peak_eff) == len(model._iso) == 1
+    # The floats are the piecewise path's, on a model that never saw
+    # the first kernel, and the module-level reference formulas'.
+    fresh = RateModel(gpu)
+    assert row == (
+        fresh._peak_eff_for(second),
+        second.arithmetic_intensity,
+        fresh.isolated_duration(second),
+    )
+    assert row[2] == isolated_duration(second, gpu)
+    other = gemm_kernel("L0.qkv", 2048, 6144, 1024, FP16_TENSOR)
+    assert model.kernel_row(other) != row
+
+
+def test_per_kernel_memos_are_bounded():
+    model = RateModel(NODE.gpu)
+    model._MAX_ENTRIES = 2
+    for k in range(1, 6):
+        kernel = gemm_kernel(f"b{k}", 256 * k, 256, 256, FP16_TENSOR)
+        model.kernel_row(kernel)
+        model.free_utilization(kernel, 0.9)
+        for memo in (model._rows, model._peak_eff, model._iso, model._free_util):
+            assert len(memo) <= 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hw.datapath import FP16_TENSOR
+from repro.sim.engine import reset_shared_evaluators
 from repro.workloads.kernels import KernelKind
 from repro.workloads.registry import get_model
 from repro.workloads.transformer import (
@@ -122,3 +123,34 @@ def test_shape_validation():
         TrainingShape(batch_size=8, seq_len=0)
     assert TrainingShape(batch_size=8).tokens == 8 * 1024
     assert SHAPE.with_batch(2).path is SHAPE.path
+
+
+def test_layer_builders_are_memoized_tuples():
+    reset_shared_evaluators()
+    ckpt_shape = TrainingShape(batch_size=8, activation_checkpointing=True)
+    for shape in (SHAPE, ckpt_shape):
+        fwd = build_layer_forward(MODEL, shape, 3)
+        bwd = build_layer_backward(MODEL, shape, 3)
+        assert isinstance(fwd, tuple) and isinstance(bwd, tuple)
+        # Equal to an uncached build, kernel for kernel.
+        assert fwd == build_layer_forward.__wrapped__(MODEL, shape, 3)
+        assert bwd == build_layer_backward.__wrapped__(MODEL, shape, 3)
+        # An equal model and shape built separately get the same tuple.
+        twin = TrainingShape(
+            batch_size=8,
+            activation_checkpointing=shape.activation_checkpointing,
+        )
+        assert build_layer_forward(get_model("gpt3-xl"), twin, 3) is fwd
+        assert build_layer_backward(MODEL, twin, 3) is bwd
+    assert build_layer_forward(MODEL, SHAPE, 4) != build_layer_forward(
+        MODEL, SHAPE, 3
+    )
+
+
+def test_reset_shared_evaluators_empties_the_layer_memo():
+    build_layer_forward(MODEL, SHAPE, 0)
+    build_layer_backward(MODEL, SHAPE, 0)
+    assert build_layer_forward.cache_info().currsize > 0
+    reset_shared_evaluators()
+    assert build_layer_forward.cache_info().currsize == 0
+    assert build_layer_backward.cache_info().currsize == 0
