@@ -91,7 +91,10 @@ SINGLE_CELL = ExperimentConfig(
 #: thermally throttled, where the governor's ramp keeps hitting the
 #: ceiling (a quarter of the ticks at seed 0) and the incremental
 #: engine's inline tick copies the clamp of
-#: ``Simulator._governor_tick``.
+#: ``Simulator._governor_tick``; and a jittered FSDP cell with GPU 1
+#: straggling for the whole run and every link flaky from 10 to 30 ms,
+#: where the incremental engine's same-stream hand-off runs under both
+#: windows and falls back on every finish that wakes another stream.
 VERIFY_CELLS = (
     ExperimentConfig(
         gpu="A100",
@@ -125,6 +128,23 @@ VERIFY_CELLS = (
         perturbations=(
             PerturbationSpec(
                 kind="thermal_throttle", target="gpu:0", magnitude=0.3
+            ),
+        ),
+        runs=1,
+    ),
+    ExperimentConfig(
+        gpu="A100",
+        model="gpt3-xl",
+        batch_size=8,
+        strategy="fsdp",
+        jitter_sigma=0.02,
+        perturbations=(
+            PerturbationSpec(
+                kind="straggler_rank", target="gpu:1", magnitude=0.5
+            ),
+            PerturbationSpec(
+                kind="flaky_link", target="all", start_s=0.010,
+                duration_s=0.020, magnitude=0.3,
             ),
         ),
         runs=1,

@@ -153,6 +153,10 @@ class EngineStats:
     #: Perturbation windows opened/closed (one count per applied
     #: PERTURB_BEGIN/PERTURB_END event).
     perturb_events: int = 0
+    #: Task finishes that took the incremental engine's same-stream
+    #: hand-off (see :meth:`IncrementalSimulator._run_loop`); always 0
+    #: under the reference engine.
+    handoffs: int = 0
 
 
 class Simulator:
@@ -1174,22 +1178,44 @@ class IncrementalSimulator(Simulator):
         The run's first launch goes through the same block, as the
         loop body's first step.
 
-        Governor ticks come off the queue's tick lane, popped here
-        when the lane's head precedes the heap's (with
-        :meth:`EventQueue.pop_live`'s compaction check after it). Most
-        ticks only move the governor's power average and leave the
-        clock alone. Such a tick dirties nothing, so the launch scan
-        and the recompute after it would do nothing, and
-        :meth:`_ensure_ticks` would re-arm that GPU alone (every other
-        GPU's tick is outstanding) at the same time and in the same
-        counter order. The loop re-arms it in place and pops the next
-        event. The tick still counts as an event and still puts its
-        time step on the replay tape.
+        Events are popped here, not through
+        :meth:`EventQueue.pop_live`: from the tick lane when its head
+        precedes the heap's, else from the heap under the liveness rule
+        of :mod:`repro.sim.events` (a stale entry is dropped and
+        counted, a live one retires its key), each followed by
+        ``pop_live``'s compaction check.
+
+        Two kinds of event skip the upkeep and go straight to the next
+        pop, because the upkeep would do nothing but what they do in
+        place. Both rest on one fact: when an event is popped, the
+        candidate streams and the dirty GPUs and instances are all
+        empty. The upkeep empties them, and neither shortcut fills
+        them.
+
+        * *A tick that holds the clock.* Most ticks only move the
+          governor's power average. Such a tick dirties nothing, so
+          the launch scan and the recompute would do nothing, and
+          :meth:`_ensure_ticks` would re-arm that GPU alone (every
+          other GPU's tick is outstanding) at the same time and in the
+          same counter order. The loop re-arms it in place.
+        * *The same-stream hand-off.* A ``TASK_FINISH`` whose wake
+          tuple is its own stream alone (most finishes) leaves that
+          stream the only candidate and its GPU the only dirty one.
+          Unless it is the run's last task or its stream's new head is
+          a collective rank (whose post can start an instance and
+          dirty other GPUs), the loop does what the upkeep would: it
+          launches the head if it is a compute row whose deps are met,
+          with the launch block's construction, runs the fused pass
+          for this GPU alone and makes the :meth:`_ensure_ticks`
+          check. ``stats.handoffs`` counts these finishes.
+
+        A skipped upkeep still counts its event and puts its time
+        step on the replay tape.
         """
         queue = self.queue
-        queue_pop = queue.pop_live
         heap = queue._heap
         ticks = queue._ticks
+        live = queue._live
         schedule_tick = queue.schedule_tick
         max_time = self.config.max_sim_time_s
         dts = self._dts
@@ -1230,8 +1256,10 @@ class IncrementalSimulator(Simulator):
         perturbed = self._perturbed
         perturb_cap = self._perturb_cap
         total = self._num_tasks
+        gpu_pass = self._gpu_pass
         now = self.time
         events = 0
+        handoffs = 0
         try:
             while True:
                 while candidates:
@@ -1276,23 +1304,30 @@ class IncrementalSimulator(Simulator):
                     self._ensure_ticks()
 
                 # Pop and dispatch until an event leaves work for the
-                # upkeep above (every event but a clock-holding tick).
+                # upkeep above (every event but a clock-holding tick
+                # or a same-stream hand-off).
                 while True:
+                    # pop_live, inline: an entry is live iff its key
+                    # still maps to its counter.
                     if ticks and (not heap or ticks[0] < heap[0]):
-                        # pop_live's lane branch, inline.
                         t, _, payload = heappop(ticks)
                         kind = _GOVERNOR_TICK
-                        size = len(heap) + len(ticks)
-                        if (
-                            size >= _COMPACT_MIN_SIZE
-                            and queue._tombstones > size // 2
-                        ):
-                            queue.compact()
+                    elif heap:
+                        t, counter, kind, payload = heappop(heap)
+                        key = (kind, payload)
+                        if live.get(key) != counter:
+                            queue._tombstones -= 1
+                            queue.stale_dropped += 1
+                            continue
+                        del live[key]
                     else:
-                        event = queue_pop()
-                        if event is None:
-                            raise DeadlockError(self._deadlock_report())
-                        t, kind, payload, _ = event
+                        raise DeadlockError(self._deadlock_report())
+                    size = len(heap) + len(ticks)
+                    if (
+                        size >= _COMPACT_MIN_SIZE
+                        and queue._tombstones > size // 2
+                    ):
+                        queue.compact()
                     if t > max_time:
                         raise SimulationError(
                             f"simulation exceeded {max_time}s"
@@ -1342,7 +1377,8 @@ class IncrementalSimulator(Simulator):
                         pos = stream_pos[sid]
                         if pos >= len(order) or order[pos] != payload:
                             self._pop_head(sid, payload)  # raises
-                        stream_pos[sid] = pos + 1
+                        pos += 1
+                        stream_pos[sid] = pos
                         done.add(payload)
                         records.append(
                             TaskRecord(
@@ -1358,8 +1394,38 @@ class IncrementalSimulator(Simulator):
                             )
                         )
                         del running_on[gpu][payload]
+                        wake = wake_streams[payload]
+                        head = order[pos] if pos < len(order) else None
+                        if (
+                            len(wake) == 1
+                            and len(done) < total
+                            and (head is None or categories[head] is _COMPUTE)
+                        ):
+                            # The same-stream hand-off: the upkeep would
+                            # launch at most this head and pass this
+                            # GPU alone. Launch as the block above does.
+                            if head is not None:
+                                deps = deps_of[head]
+                                if not deps or deps_met(deps):
+                                    ref = refs[head]
+                                    entry = _RunningCompute(
+                                        kernels[ref], work_of[head], 1.0,
+                                        isolated_of[head], now,
+                                        peak_eff_of[ref], ai_of[ref],
+                                        head, False, len(dts),
+                                    )
+                                    running[head] = entry
+                                    running_on[gpu][head] = entry
+                            handoffs += 1
+                            gpu_pass(gpu, now)
+                            if (
+                                governed
+                                and self._ticks_outstanding < governed
+                            ):
+                                self._ensure_ticks()
+                            continue
                         dirty_gpus.add(gpu)
-                        candidates.update(wake_streams[payload])
+                        candidates.update(wake)
                     elif kind is _COLLECTIVE_FINISH:
                         self._finish_collective(payload)
                     elif kind is _PERTURB_BEGIN:
@@ -1371,6 +1437,7 @@ class IncrementalSimulator(Simulator):
                     break
         finally:
             self.stats.events += events
+            self.stats.handoffs += handoffs
 
     def _recompute(self) -> None:
         now = self.time

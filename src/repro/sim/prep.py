@@ -93,9 +93,11 @@ _DEFAULT_COST_MODELS: Dict[int, Tuple[NodeSpec, CollectiveCostModel]] = {}
 #: Jitter factors keyed (seed, sigma) -> {key: factor}; the key is a
 #: compute task's id (drawn for the label ``c{id}``) or a collective's
 #: label ``k{op.key}``. The factor is pure in (label, seed, sigma), so
-#: grid cells that share a task layout reuse each other's draws. Inner
-#: dicts are capped; a benign race (two threads computing the same
-#: label) converges to the same deterministic value.
+#: grid cells that share a task layout reuse each other's draws. Both
+#: levels are capped: the table holds at most
+#: ``_SHARED_EVALUATORS_MAX`` (seed, sigma) keys and each inner dict
+#: at most ``_JITTER_MEMO_MAX`` draws. A benign race (two threads
+#: computing the same label) converges to the same deterministic value.
 _JITTER_MEMO: Dict[Tuple[int, float], Dict[object, float]] = {}
 _JITTER_MEMO_MAX = 1 << 20
 
@@ -304,8 +306,12 @@ def _build_tables(
     jittered = sigma > 0
     if jittered:
         with _LOCK:
-            factor_memo = _JITTER_MEMO.setdefault((seed, sigma), {})
-            if len(factor_memo) > _JITTER_MEMO_MAX:
+            factor_memo = _JITTER_MEMO.get((seed, sigma))
+            if factor_memo is None:
+                if len(_JITTER_MEMO) >= _SHARED_EVALUATORS_MAX:
+                    _JITTER_MEMO.clear()
+                factor_memo = _JITTER_MEMO[(seed, sigma)] = {}
+            elif len(factor_memo) > _JITTER_MEMO_MAX:
                 factor_memo.clear()
     else:
         factor_memo = {}

@@ -262,6 +262,12 @@ class RateModel:
         This is the ``sm_utilization`` of the rate the kernel would
         sustain with the whole GPU to itself — the quantity the
         stall-power model compares against on every power update.
+
+        The reference engine reads this memo on every power update.
+        The incremental engine's fused pass computes the same
+        arithmetic inline and calls this only for a kernel whose
+        ``peak_eff * clock`` is not positive; it made no call across
+        the Fig. 9 sweep at ``runs=5`` and the quick grid (seed 0).
         """
         key = (kernel, clock_frac)
         value = self._free_util.get(key)

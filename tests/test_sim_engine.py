@@ -1,5 +1,7 @@
 """Discrete-event engine: streams, dependencies, rendezvous, fluid rates."""
 
+import dataclasses
+
 import pytest
 
 from repro.collectives.primitives import CollectiveKind
@@ -8,9 +10,10 @@ from repro.hw.datapath import FP16_TENSOR
 from repro.hw.system import make_node
 from repro.parallel.plan import ExecutionPlan, PlanBuilder
 from repro.sim.config import SimConfig
-from repro.sim.engine import Simulator, simulate
+from repro.sim.engine import IncrementalSimulator, Simulator, simulate
+from repro.sim.perturb import PerturbationSpec
 from repro.sim.rates import isolated_duration
-from repro.sim.task import COMM_STREAM, TaskCategory
+from repro.sim.task import COMM_STREAM, COMPUTE_STREAM, TaskCategory
 from repro.units import MB
 from repro.workloads.kernels import gemm_kernel
 
@@ -224,3 +227,138 @@ def test_finished_incremental_simulator_is_freed_without_cyclic_gc():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# ----------------------------------------------------------------------
+# the incremental engine's same-stream hand-off
+# ----------------------------------------------------------------------
+
+SMALL = gemm_kernel("small", 1024, 1024, 1024, FP16_TENSOR)
+BIG = gemm_kernel("big", 4096, 4096, 4096, FP16_TENSOR)
+#: A power cap and a governor tick short enough to interleave ticks,
+#: clock moves and finishes.
+CAPPED = SimConfig(power_limit_w=150.0, governor_period_s=20e-6)
+
+
+def _handoffs(
+    plan, config=CAPPED, ref_cls=Simulator, inc_cls=IncrementalSimulator
+):
+    """Run both engines bit-identically; the incremental hand-offs."""
+    ref_config = dataclasses.replace(config, reference_engine=True)
+    ref = ref_cls(NODE, plan, ref_config)
+    inc = inc_cls(NODE, plan, config)
+    a, b = ref.run(), inc.run()
+    assert a.end_time_s == b.end_time_s
+    assert a.records == b.records
+    assert a.power_segments == b.power_segments
+    assert a.min_clock_frac_seen == b.min_clock_frac_seen
+    assert inc.stats.events == ref.stats.events
+    assert inc.stats.stale_events == ref.stats.stale_events
+    assert ref.stats.handoffs == 0
+    return inc.stats.handoffs
+
+
+def test_handoff_launches_a_ready_compute_head():
+    builder = PlanBuilder("ready")
+    for _ in range(3):
+        builder.add_compute(0, KERNEL)
+    # The first two finishes hand off; the third is the run's last.
+    assert _handoffs(builder.build()) == 2
+
+
+def test_handoff_leaves_a_head_that_waits_on_another_stream():
+    builder = PlanBuilder("waits")
+    long_task = builder.add_compute(0, BIG)
+    builder.add_compute(1, SMALL)
+    builder.add_compute(1, KERNEL, deps=[long_task])
+    # SMALL's finish hands off and launches nothing; BIG's wakes two
+    # streams; the dependent's is the run's last.
+    assert _handoffs(builder.build()) == 1
+
+
+def test_collective_rank_head_takes_the_general_path():
+    builder = PlanBuilder("rank-head")
+    builder.add_compute(0, SMALL)
+    builder.add_compute(0, SMALL)
+    builder.add_collective(
+        CollectiveKind.ALL_REDUCE, 16 * MB, [0, 1], stream=COMPUTE_STREAM
+    )
+    builder.add_compute(0, SMALL)
+    # Only the first finish hands off: the second exposes a rank, and
+    # the kernel after the collective is the run's last.
+    assert _handoffs(builder.build()) == 1
+
+
+def test_two_woken_streams_take_the_general_path():
+    builder = PlanBuilder("two-wake")
+    first = builder.add_compute(0, KERNEL)
+    builder.add_compute(0, SMALL)
+    builder.add_compute(1, KERNEL, deps=[first])
+    # The first finish wakes both streams although its own head is
+    # ready; SMALL's exhausts its stream and hands off; the last is
+    # the run's last.
+    assert _handoffs(builder.build()) == 1
+
+
+def test_last_task_takes_the_general_path():
+    builder = PlanBuilder("last")
+    builder.add_compute(0, KERNEL)
+    assert _handoffs(builder.build()) == 0
+
+
+def test_handoff_under_an_open_straggler_window():
+    builder = PlanBuilder("straggler")
+    for _ in range(3):
+        builder.add_compute(0, KERNEL)
+    builder.add_compute(1, BIG)
+    window = PerturbationSpec(
+        kind="straggler_rank", target="gpu:0", start_s=50e-6, magnitude=0.5
+    )
+    config = dataclasses.replace(CAPPED, perturbations=(window,))
+    # The window opens during GPU 0's first kernel. All three of its
+    # finishes hand off (the third empties the stream); BIG's ends the
+    # run.
+    assert _handoffs(builder.build(), config) == 3
+
+
+class _LapsedTick:
+    """Leaves the last GPU's tick unarmed at the first tick upkeep, as
+    if its governor came up late."""
+
+    _lapsed = False
+
+    def _ensure_ticks(self):
+        if self._lapsed:
+            return super()._ensure_ticks()
+        self._lapsed = True
+        last = len(self._governors) - 1
+        self._tick_pending[last] = True
+        self._ticks_outstanding += 1
+        super()._ensure_ticks()
+        self._tick_pending[last] = False
+        self._ticks_outstanding -= 1
+        return None
+
+
+class _LapsedReference(_LapsedTick, Simulator):
+    pass
+
+
+class _LapsedIncremental(_LapsedTick, IncrementalSimulator):
+    pass
+
+
+def test_handoff_rearms_a_lapsed_tick():
+    """The hand-off makes the upkeep's tick check: the first finish
+    precedes the first tick and must re-arm the lapsed GPU's tick at
+    its own time, as the reference's upkeep does."""
+    builder = PlanBuilder("lapsed")
+    for _ in range(6):
+        builder.add_compute(0, SMALL)
+    builder.add_compute(NODE.num_gpus - 1, BIG)
+    config = dataclasses.replace(CAPPED, governor_period_s=50e-6)
+    assert isolated_duration(SMALL, NODE.gpu) < config.governor_period_s
+    # Every SMALL finish hands off; BIG's ends the run.
+    assert _handoffs(
+        builder.build(), config, _LapsedReference, _LapsedIncremental
+    ) == 6

@@ -1,14 +1,18 @@
-"""Tests for the engine's versioned event queue.
+"""Tests for the engine's event queue.
 
-A property test drives the queue through random operation sequences
-and checks its tombstone/cell bookkeeping after every step.
+Property tests drive the queue through random operation sequences,
+check its liveness bookkeeping after every step and compare it with a
+naive model of the documented layout.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue
+
+_FINISH = EventKind.TASK_FINISH
+_TICK = EventKind.GOVERNOR_TICK
 
 
 @pytest.fixture(name="queue")
@@ -16,30 +20,26 @@ def _queue():
     return EventQueue()
 
 
-def _event(t, payload=0, epoch=0):
-    return Event(t, EventKind.TASK_FINISH, payload, epoch)
-
-
 def test_pop_orders_by_time(queue):
-    queue.push(_event(3.0, "c"))
-    queue.push(_event(1.0, "a"))
-    queue.push(_event(2.0, "b"))
-    assert [queue.pop().payload for _ in range(3)] == ["a", "b", "c"]
+    queue.schedule(3.0, _FINISH, "c")
+    queue.schedule(1.0, _FINISH, "a")
+    queue.schedule(2.0, _FINISH, "b")
+    assert [queue.pop_live().payload for _ in range(3)] == ["a", "b", "c"]
 
 
 def test_ties_broken_by_insertion_order(queue):
-    queue.push(_event(1.0, "first"))
-    queue.push(_event(1.0, "second"))
-    assert queue.pop().payload == "first"
-    assert queue.pop().payload == "second"
+    queue.schedule(1.0, _FINISH, "first")
+    queue.schedule(1.0, _FINISH, "second")
+    assert queue.pop_live().payload == "first"
+    assert queue.pop_live().payload == "second"
 
 
 def test_pop_empty_returns_none(queue):
-    assert queue.pop() is None
+    assert queue.pop_live() is None
 
 
 def test_peek_does_not_remove(queue):
-    queue.push(_event(0.5))
+    queue.schedule(0.5, _FINISH, 0)
     assert queue.peek_time() == pytest.approx(0.5)
     assert len(queue) == 1
 
@@ -50,23 +50,23 @@ def test_peek_empty_returns_none(queue):
 
 def test_len_and_bool(queue):
     assert not queue
-    queue.push(_event(1.0))
+    queue.schedule(1.0, _FINISH, 0)
     assert queue and len(queue) == 1
 
 
 def test_rejects_negative_time(queue):
     with pytest.raises(SimulationError):
-        queue.push(_event(-1.0))
+        queue.schedule(-1.0, _FINISH, 0)
 
 
 def test_rejects_nan_time(queue):
     with pytest.raises(SimulationError):
-        queue.push(_event(float("nan")))
+        queue.schedule(float("nan"), _FINISH, 0)
 
 
 def test_rejects_infinite_time(queue):
     with pytest.raises(SimulationError):
-        queue.push(_event(float("inf")))
+        queue.schedule(float("inf"), _FINISH, 0)
 
 
 @given(
@@ -78,16 +78,16 @@ def test_rejects_infinite_time(queue):
 )
 def test_pop_sequence_is_sorted(times):
     q = EventQueue()
-    for t in times:
-        q.push(_event(t))
+    for payload, t in enumerate(times):
+        q.schedule(t, _FINISH, payload)
     popped = []
     while q:
-        popped.append(q.pop().time)
+        popped.append(q.pop_live().time)
     assert popped == sorted(times)
 
 
 # ----------------------------------------------------------------------
-# versioned scheduling / lazy invalidation
+# rescheduling / lazy invalidation
 # ----------------------------------------------------------------------
 
 
@@ -198,7 +198,7 @@ def test_peek_skips_chains_of_stale_heads(queue):
 
 
 # ----------------------------------------------------------------------
-# regression: retired keys must not leak version-table entries
+# regression: retired keys must not leak liveness entries
 # ----------------------------------------------------------------------
 
 
@@ -207,10 +207,8 @@ def test_versions_pruned_after_pop(queue):
         queue.schedule(float(i) + 0.5, EventKind.TASK_FINISH, i)
     while queue.pop_live() is not None:
         pass
-    # Regression: _versions used to retain one entry per key forever.
-    assert not queue._versions
-    assert not queue._key_copies
-    assert not queue._live_keys
+    # Regression: the queue used to retain one entry per key forever.
+    assert not queue._live
     queue.check_invariants()
 
 
@@ -219,11 +217,14 @@ def test_versions_survive_while_stale_copies_remain(queue):
     queue.schedule(1.0, EventKind.TASK_FINISH, 1)
     event = queue.pop_live()  # pops t=1.0; the t=5.0 tombstone remains
     assert event.time == 1.0
-    # The version entry must survive: the stale copy still in storage
-    # would otherwise read as live.
-    assert (EventKind.TASK_FINISH, 1) in queue._versions
+    # The key is retired with its live pop, and the stale copy left in
+    # the heap still reads as stale: its counter matches nothing.
+    assert (EventKind.TASK_FINISH, 1) not in queue._live
+    assert len(queue) == 1 and queue.live_count == 0
+    queue.check_invariants()
     assert queue.pop_live() is None
-    assert not queue._versions  # last copy gone -> pruned
+    assert queue.stale_dropped == 1
+    assert not queue._live
     queue.check_invariants()
 
 
@@ -240,8 +241,7 @@ def test_schedule_cancel_storm_keeps_state_bounded(queue):
         while queue.pop_live() is not None:
             pass
         queue.check_invariants()
-    assert not queue._versions
-    assert not queue._key_copies
+    assert not queue._live
     assert queue.live_count == 0
 
 
@@ -267,7 +267,7 @@ def test_cancel_then_compact_small_queue_is_exact(queue):
 
 
 def test_rejected_schedule_leaves_bookkeeping_untouched(queue):
-    """An invalid time must not corrupt the exact version accounting."""
+    """An invalid time must not corrupt the exact liveness accounting."""
     queue.schedule(1.0, EventKind.TASK_FINISH, 7)
     for bad in (float("inf"), float("nan"), -1.0):
         with pytest.raises(SimulationError):
@@ -275,26 +275,15 @@ def test_rejected_schedule_leaves_bookkeeping_untouched(queue):
         with pytest.raises(SimulationError):
             queue.schedule(bad, EventKind.TASK_FINISH, "fresh-key")
         queue.check_invariants()
-    # The original live event is unaffected by the failed attempts.
+    # The original live event is unaffected by the failed attempts,
+    # which drew no insertion counter.
     assert queue.live_count == 1
     event = queue.pop_live()
-    assert (event.time, event.payload, event.epoch) == (1.0, 7, 1)
+    assert (event.time, event.payload, event.counter) == (1.0, 7, 0)
     assert queue.pop_live() is None
     queue.check_invariants()
-
-
-def test_raw_and_versioned_keys_do_not_mix(queue):
-    queue.schedule(1.0, EventKind.TASK_FINISH, 7)
-    with pytest.raises(SimulationError):
-        queue.push(_event(2.0, 7))
-    queue2 = EventQueue()
-    queue2.push(_event(1.0, 7))
-    with pytest.raises(SimulationError):
-        queue2.schedule(2.0, EventKind.TASK_FINISH, 7)
-    # Once the raw copy is popped, the key may become version-managed.
-    queue2.pop()
-    queue2.schedule(2.0, EventKind.TASK_FINISH, 7)
-    assert queue2.pop_live().epoch == 1
+    queue.schedule(2.0, EventKind.TASK_FINISH, 7)
+    assert queue.pop_live().counter == 1
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +299,6 @@ _OPS = st.lists(
         ),
         st.tuples(st.just("cancel"), st.integers(0, 6), st.just(0.0)),
         st.tuples(st.just("pop_live"), st.just(0), st.just(0.0)),
-        st.tuples(st.just("pop"), st.just(0), st.just(0.0)),
         st.tuples(st.just("peek"), st.just(0), st.just(0.0)),
         st.tuples(st.just("compact"), st.just(0), st.just(0.0)),
     ),
@@ -329,14 +317,12 @@ def test_random_interleavings_keep_invariants(ops):
             q.cancel(EventKind.TASK_FINISH, key)
         elif op == "pop_live":
             q.pop_live()
-        elif op == "pop":
-            q.pop()
         elif op == "peek":
             head = q.peek_time()
             if head is not None:
                 # The peeked time is the next live pop.
                 assert head == min(
-                    item[0] for item in q._heap if not q._is_stale(item[2])
+                    e[0] for e in q._heap if q._live.get((e[2], e[3])) == e[1]
                 )
         elif op == "compact":
             q.compact()
@@ -349,8 +335,7 @@ def test_random_interleavings_keep_invariants(ops):
             break
         drained.append(event.time)
     assert drained == sorted(drained)
-    assert not q._versions
-    assert not q._key_copies
+    assert not q._live
 
 
 # ----------------------------------------------------------------------
@@ -441,17 +426,6 @@ def test_schedule_tick_rejects_bad_times_untouched(queue):
     ]
 
 
-def test_raw_pop_merges_the_lane(queue):
-    queue.push(_event(2.0, "raw"))
-    queue.schedule_tick(1.0, 6)
-    first = queue.pop()
-    assert (first.time, first.kind, first.payload) == (
-        1.0, EventKind.GOVERNOR_TICK, 6,
-    )
-    assert queue.pop().payload == "raw"
-    assert queue.pop() is None
-
-
 _LANE_OPS = st.lists(
     st.one_of(
         st.tuples(
@@ -470,28 +444,36 @@ _LANE_OPS = st.lists(
 )
 
 
+def _one_heap_view(popped):
+    """Ticks of the one-heap queue carry ``(gpu, serial)`` payloads."""
+    return [
+        (t, kind, payload[0] if kind is _TICK else payload)
+        for t, kind, payload in popped
+    ]
+
+
 def _check_against_one_heap(ops):
-    """Run ``ops`` on a queue with a lane and on one heap holding ticks
-    as raw events (the engine never supersedes a tick); every pop, the
-    tombstone drops and the sizes must agree."""
+    """Run ``ops`` on a queue with a lane and on one heap holding each
+    tick under a key of its own (the engine never supersedes a tick);
+    every pop, the tombstone drops and the sizes must agree."""
     q = EventQueue()
     ref = EventQueue()
-    for op, key, time in ops:
+    for serial, (op, key, time) in enumerate(ops):
         if op == "schedule":
             q.schedule(time, EventKind.TASK_FINISH, key)
             ref.schedule(time, EventKind.TASK_FINISH, key)
         elif op == "tick":
             q.schedule_tick(time, key)
-            ref.push(Event(time, EventKind.GOVERNOR_TICK, key))
+            ref.schedule(time, _TICK, (key, serial))
         else:
             got, want = q.pop_live(), ref.pop_live()
             assert (got is None) == (want is None)
             if got is not None:
-                assert got[:3] == want[:3]
+                assert [got[:3]] == _one_heap_view([want[:3]])
             assert q.stale_dropped == ref.stale_dropped
         q.check_invariants()
         assert len(q) == len(ref) and q.live_count == ref.live_count
-    assert _drain_live(q) == _drain_live(ref)
+    assert _drain_live(q) == _one_heap_view(_drain_live(ref))
     assert q.stale_dropped == ref.stale_dropped
 
 
@@ -516,3 +498,131 @@ def test_compaction_counts_the_lane_and_runs_after_lane_pops():
     ops += [("schedule", 0, 5.0) for _ in range(50)]
     ops.append(("pop_live", 0, 0.0))
     _check_against_one_heap(ops)
+
+
+# ----------------------------------------------------------------------
+# property: the queue behaves as the naive model of its layout
+# ----------------------------------------------------------------------
+
+
+class _NaiveQueue:
+    """One list of ``(time, counter, key)`` entries, scanned in full.
+
+    The newest counter scheduled for a key is live until it pops or
+    is cancelled; a tick is an entry under a key of its own. Pops and
+    the compaction rule follow the documented contract.
+    """
+
+    def __init__(self):
+        self.entries = []
+        self.newest = {}
+        self.counter = 0
+        self.stale_dropped = 0
+
+    def _live(self, entry):
+        _, counter, key = entry
+        return key[0] is _TICK or self.newest.get(key) == counter
+
+    def schedule(self, time, key):
+        self.entries.append((time, self.counter, key))
+        self.newest[key] = self.counter
+        self.counter += 1
+
+    def tick(self, time, gpu):
+        self.entries.append((time, self.counter, (_TICK, gpu, self.counter)))
+        self.counter += 1
+
+    def cancel(self, key):
+        self.newest.pop(key, None)
+
+    @property
+    def live_count(self):
+        return sum(1 for entry in self.entries if self._live(entry))
+
+    def pop(self):
+        while self.entries:
+            entry = min(self.entries)
+            self.entries.remove(entry)
+            if not self._live(entry):
+                self.stale_dropped += 1
+                continue
+            time, _, key = entry
+            if key[0] is not _TICK:
+                del self.newest[key]
+            size = len(self.entries)
+            if size >= 64 and size - self.live_count > size // 2:
+                self.compact()
+            return time, key[0], key[1]
+        return None
+
+    def peek(self):
+        while self.entries:
+            entry = min(self.entries)
+            if self._live(entry):
+                return entry[0]
+            self.entries.remove(entry)
+            self.stale_dropped += 1
+        return None
+
+    def compact(self):
+        kept = [entry for entry in self.entries if self._live(entry)]
+        self.stale_dropped += len(self.entries) - len(kept)
+        self.entries = kept
+
+
+_MODEL_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 40.0])
+
+_MODEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.integers(0, 5), _MODEL_TIMES),
+        # Forty reschedules in a row: enough tombstones to reach the
+        # auto-compaction threshold within a short sequence.
+        st.tuples(st.just("burst"), st.integers(0, 5), _MODEL_TIMES),
+        st.tuples(st.just("cancel"), st.integers(0, 5), st.just(0.0)),
+        st.tuples(st.just("tick"), st.integers(0, 3), _MODEL_TIMES),
+        st.tuples(st.just("pop"), st.just(0), st.just(0.0)),
+        st.tuples(st.just("peek"), st.just(0), st.just(0.0)),
+        st.tuples(st.just("compact"), st.just(0), st.just(0.0)),
+    ),
+    max_size=200,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_MODEL_OPS)
+def test_queue_matches_the_naive_model(ops):
+    q = EventQueue()
+    model = _NaiveQueue()
+    for op, key, time in ops:
+        kind = EventKind.COLLECTIVE_FINISH if key % 2 else _FINISH
+        if op in ("schedule", "burst"):
+            for _ in range(40 if op == "burst" else 1):
+                q.schedule(time, kind, key)
+                model.schedule(time, (kind, key))
+        elif op == "cancel":
+            q.cancel(kind, key)
+            model.cancel((kind, key))
+        elif op == "tick":
+            q.schedule_tick(time, key)
+            model.tick(time, key)
+        elif op == "pop":
+            event = q.pop_live()
+            want = model.pop()
+            assert (None if event is None else event[:3]) == want
+        elif op == "peek":
+            assert q.peek_time() == model.peek()
+        else:
+            q.compact()
+            model.compact()
+        assert q.stale_dropped == model.stale_dropped
+        assert q.live_count == model.live_count
+        assert len(q) == len(model.entries)
+        q.check_invariants()
+    while True:
+        event = q.pop_live()
+        want = model.pop()
+        assert (None if event is None else event[:3]) == want
+        if want is None:
+            break
+    assert q.stale_dropped == model.stale_dropped
+    assert not q._live and not q

@@ -26,6 +26,7 @@ from repro.hw.system import make_node
 from repro.parallel.plan import ExecutionPlan, PlanBuilder
 from repro.sim.config import SimConfig
 from repro.sim.engine import IncrementalSimulator, Simulator
+from repro.sim import prep as prep_module
 from repro.sim.prep import prep_stats, prepare, reset_prepared
 from repro.sim.rates import RateModel, isolated_duration
 from repro.sim.task import COMM_STREAM
@@ -291,3 +292,24 @@ def test_per_kernel_memos_are_bounded():
         model.free_utilization(kernel, 0.9)
         for memo in (model._rows, model._peak_eff, model._iso, model._free_util):
             assert len(memo) <= 2
+
+
+def test_jitter_memo_keeps_a_bounded_number_of_seeds():
+    """A long-lived process preparing under many seeds keeps at most
+    the cap's worth of (seed, sigma) tables, and an evicted seed's
+    redraws equal its first draws."""
+    reset_prepared()
+    cap = prep_module._SHARED_EVALUATORS_MAX
+    plan = _plan()
+    before = prepare(NODE, plan, seed=0, jitter_sigma=0.05)
+    for seed in range(1, cap + 2):
+        prepare(NODE, plan, seed=seed, jitter_sigma=0.05)
+        assert len(prep_module._JITTER_MEMO) <= cap
+    assert (0, 0.05) not in prep_module._JITTER_MEMO
+    # A fresh plan of the same layout misses the prepared-sim cache
+    # and redraws seed 0's factors from scratch.
+    after = prepare(NODE, _plan(), seed=0, jitter_sigma=0.05)
+    assert after is not before
+    assert after.work == before.work
+    assert after.isolated == before.isolated
+    reset_prepared()
