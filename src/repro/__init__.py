@@ -3,8 +3,7 @@ in GPU-Accelerated Distributed Deep Learning" (ISPASS 2025).
 
 A discrete-event multi-GPU training simulator with contention and power
 models, plus the experiment harness regenerating every table and figure
-of the paper. See README.md for a tour and DESIGN.md for the system
-inventory.
+of the paper. See README.md for a tour.
 """
 
 from repro.version import __version__

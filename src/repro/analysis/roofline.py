@@ -42,18 +42,6 @@ class RooflinePoint:
             return 0.0
         return self.achieved_flops / self.peak_flops
 
-    @property
-    def headroom_to_ridge(self) -> float:
-        """How far (multiplicatively) the kernel sits from the ridge.
-
-        > 1 means the kernel tolerates that factor of bandwidth loss
-        before turning bandwidth-bound; < 1 means it is already
-        bandwidth-bound by that factor.
-        """
-        if self.ridge_intensity <= 0:
-            return float("inf")
-        return self.arithmetic_intensity / self.ridge_intensity
-
 
 def roofline_point(kernel: KernelSpec, gpu: GpuSpec) -> RooflinePoint:
     """Place one kernel on ``gpu``'s roofline."""

@@ -73,22 +73,6 @@ class Project:
                 yield self.files[rel]
 
 
-def iter_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
-    """Top-level and nested class definitions, in source order."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
-def iter_functions(
-    node: ast.AST,
-) -> Iterator[ast.FunctionDef]:
-    """Function definitions (sync and async collapse to FunctionDef here)."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.FunctionDef):
-            yield child
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """Render ``a.b.c`` attribute/name chains; None for anything else."""
     parts: List[str] = []
@@ -98,10 +82,4 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def const_str(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
     return None

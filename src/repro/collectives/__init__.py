@@ -3,7 +3,7 @@
 Rather than re-implementing GPU communication kernels, this package
 models their *cost structure*: wire traffic per rank for each algorithm
 (ring all-reduce / all-gather / reduce-scatter, point-to-point
-send/recv, all-to-all), message-size bandwidth ramps, SM/CU channel
+send/recv), message-size bandwidth ramps, SM/CU channel
 occupancy and per-wire-byte HBM traffic — the quantities that determine
 how much a concurrent collective contends with compute.
 """

@@ -41,9 +41,7 @@ class Algorithm(enum.Enum):
 
 #: Collectives with a tree variant; the rest (permutation-style
 #: patterns) only exist as ring/direct exchanges.
-_TREE_CAPABLE = frozenset(
-    {CollectiveKind.ALL_REDUCE, CollectiveKind.BROADCAST}
-)
+_TREE_CAPABLE = frozenset({CollectiveKind.ALL_REDUCE})
 
 
 def supports_tree(kind: CollectiveKind) -> bool:
@@ -62,10 +60,6 @@ def ring_wire_bytes(op: CollectiveOp) -> float:
         return s * share
     if op.kind is CollectiveKind.SEND_RECV:
         return s
-    if op.kind is CollectiveKind.ALL_TO_ALL:
-        return s * share
-    if op.kind is CollectiveKind.BROADCAST:
-        return s * share / max(n - 1, 1)
     raise ConfigurationError(f"unhandled collective kind {op.kind}")
 
 
@@ -73,14 +67,11 @@ def tree_wire_bytes(op: CollectiveOp) -> float:
     """Bytes each rank sends under the tree algorithm.
 
     All-reduce trees reduce up and broadcast down: every non-root rank
-    forwards the full payload in each direction. Broadcast is the down
-    half only.
+    forwards the full payload in each direction.
     """
     if not supports_tree(op.kind):
         raise ConfigurationError(f"{op.kind} has no tree algorithm")
-    if op.kind is CollectiveKind.ALL_REDUCE:
-        return 2.0 * op.payload_bytes
-    return op.payload_bytes
+    return 2.0 * op.payload_bytes
 
 
 def ring_hops(op: CollectiveOp) -> int:
@@ -90,10 +81,7 @@ def ring_hops(op: CollectiveOp) -> int:
 
 def tree_hops(op: CollectiveOp) -> int:
     """Serial hop count up and down the binary tree."""
-    depth = max(1, math.ceil(math.log2(op.world_size)))
-    if op.kind is CollectiveKind.ALL_REDUCE:
-        return 2 * depth
-    return depth
+    return 2 * max(1, math.ceil(math.log2(op.world_size)))
 
 
 @dataclass(frozen=True)

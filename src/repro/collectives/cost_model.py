@@ -25,8 +25,6 @@ _HBM_PER_WIRE = {
     CollectiveKind.REDUCE_SCATTER: 2.5,
     CollectiveKind.ALL_GATHER: 2.0,
     CollectiveKind.SEND_RECV: 1.0,
-    CollectiveKind.ALL_TO_ALL: 2.0,
-    CollectiveKind.BROADCAST: 1.5,
 }
 
 #: Fraction of the per-direction link bandwidth each pattern sustains.
@@ -35,7 +33,6 @@ _HBM_PER_WIRE = {
 #: fabric's aggregate rate (measured NCCL p2p vs ring behaviour).
 _LINK_EFF_PER_KIND = {
     CollectiveKind.SEND_RECV: 0.35,
-    CollectiveKind.BROADCAST: 0.6,
 }
 
 
@@ -72,29 +69,6 @@ class CollectiveCost:
             raise ConfigurationError("sm_fraction must be in [0, 1)")
         if not 0.0 <= self.link_fraction <= 1.0:
             raise ConfigurationError("link_fraction must be in [0, 1]")
-
-
-def wire_bytes_per_rank(op: CollectiveOp) -> float:
-    """Bytes each rank sends for ``op`` under the standard algorithms.
-
-    Ring all-reduce sends ``2 * S * (N-1)/N`` per rank; all-gather and
-    reduce-scatter send ``S * (N-1)/N``; point-to-point sends ``S``;
-    all-to-all sends ``S * (N-1)/N`` (each rank keeps its own shard).
-    """
-    n = op.world_size
-    s = op.payload_bytes
-    share = (n - 1) / n
-    if op.kind is CollectiveKind.ALL_REDUCE:
-        return 2.0 * s * share
-    if op.kind in (CollectiveKind.ALL_GATHER, CollectiveKind.REDUCE_SCATTER):
-        return s * share
-    if op.kind is CollectiveKind.SEND_RECV:
-        return s
-    if op.kind is CollectiveKind.ALL_TO_ALL:
-        return s * share
-    if op.kind is CollectiveKind.BROADCAST:
-        return s * share / max(n - 1, 1)
-    raise ConfigurationError(f"unhandled collective kind {op.kind}")
 
 
 class CollectiveCostModel:

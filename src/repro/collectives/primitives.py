@@ -15,21 +15,13 @@ class CollectiveKind(enum.Enum):
     FSDP uses ``ALL_GATHER`` (parameter unsharding) and
     ``REDUCE_SCATTER`` (gradient sharding); classic DDP uses
     ``ALL_REDUCE``; pipeline parallelism uses point-to-point
-    ``SEND_RECV``; MoE-style workloads use ``ALL_TO_ALL``.
+    ``SEND_RECV``.
     """
 
     ALL_REDUCE = "all_reduce"
     ALL_GATHER = "all_gather"
     REDUCE_SCATTER = "reduce_scatter"
     SEND_RECV = "send_recv"
-    ALL_TO_ALL = "all_to_all"
-    BROADCAST = "broadcast"
-
-    @property
-    def involves_reduction(self) -> bool:
-        """Whether ranks perform arithmetic on payloads (extra HBM reads
-        and vector-ALU work)."""
-        return self in (CollectiveKind.ALL_REDUCE, CollectiveKind.REDUCE_SCATTER)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value

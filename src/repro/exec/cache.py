@@ -348,9 +348,5 @@ class ResultCache:
         path = self._path_for(key)
         return path is not None and path.exists()
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (the disk tier survives)."""
-        self._memory.clear()
-
     def __len__(self) -> int:
         return len(self._memory)

@@ -159,11 +159,6 @@ class TaskQueue:
             self._cond.notify_all()
             return True
 
-    def mark_done(self, key: str, infeasible: bool = False) -> None:
-        """Record an externally resolved key (e.g. already cached)."""
-        with self._lock:
-            self._done.setdefault(key, infeasible)
-
     # ------------------------------------------------------------------
     # Leasing
     # ------------------------------------------------------------------

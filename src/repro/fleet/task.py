@@ -19,7 +19,6 @@ round-trip through plain JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Tuple
 
@@ -190,17 +189,6 @@ class SimTask:
             raise TaskContractError(
                 f"malformed task payload: {exc!r}"
             ) from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimTask":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TaskContractError(f"task is not valid JSON: {exc}") from exc
-        return cls.from_payload(payload)
 
     def describe(self) -> str:
         modes = "+".join(m[:3] for m in self.modes)

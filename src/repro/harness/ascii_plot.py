@@ -2,30 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-from repro.errors import ConfigurationError
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 50,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart, one row per label."""
-    if len(labels) != len(values):
-        raise ConfigurationError("labels and values must align")
-    if not labels:
-        return "(no data)"
-    peak = max(abs(v) for v in values) or 1.0
-    label_width = max(len(lbl) for lbl in labels)
-    lines: List[str] = []
-    for label, value in zip(labels, values):
-        bar_len = int(round(abs(value) / peak * width))
-        bar = "#" * bar_len
-        lines.append(f"{label.ljust(label_width)} |{bar} {value:.3g}{unit}")
-    return "\n".join(lines)
+from typing import Sequence, Tuple
 
 
 def line_plot(

@@ -1,31 +1,9 @@
-"""CSV/JSON export of harness results."""
+"""JSON export of harness results."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-from repro.errors import ConfigurationError
-
-
-def write_csv(
-    path: "str | Path",
-    rows: Iterable[Mapping[str, object]],
-    fieldnames: Sequence[str] = None,  # type: ignore[assignment]
-) -> None:
-    """Write dict rows to a CSV file (fieldnames inferred if omitted)."""
-    rows = list(rows)
-    if not rows:
-        raise ConfigurationError("no rows to write")
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
 
 
 def write_json(path: "str | Path", payload: object, indent: int = 2) -> None:

@@ -2,8 +2,9 @@
 
 These coefficients encode the *mechanisms* of compute slowdown under
 overlap that the paper identifies, with per-vendor values chosen so the
-simulated slowdown/power landscape matches the paper's shape (see
-EXPERIMENTS.md for measured-vs-paper):
+simulated slowdown/power landscape matches the paper's shape
+(``python -m repro.harness.experiments_md`` writes a measured-vs-paper
+report):
 
 * collective kernels occupy SMs/CUs ("channels"); RCCL occupies a
   noticeably larger fraction of the GPU than NCCL, which is the main

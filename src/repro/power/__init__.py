@@ -15,7 +15,7 @@ from repro.power.sampling import (
     nvml_sampler,
     sampler_for,
 )
-from repro.power.energy import iteration_energy_j, node_energy_j
+from repro.power.energy import node_energy_j
 
 __all__ = [
     "PowerSample",
@@ -23,7 +23,6 @@ __all__ = [
     "SampledTrace",
     "amd_smi_fast_sampler",
     "amd_smi_sampler",
-    "iteration_energy_j",
     "node_energy_j",
     "nvml_sampler",
     "sampler_for",

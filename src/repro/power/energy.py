@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
 from repro.sim.result import SimulationResult
-
-
-def iteration_energy_j(result: SimulationResult, gpu: int) -> float:
-    """Energy one GPU spent over the simulated iteration (joules)."""
-    if gpu not in result.power_segments:
-        raise ConfigurationError(
-            f"no power trace for GPU {gpu}; run with trace_power=True"
-        )
-    return sum(seg.energy_j for seg in result.power_segments[gpu])
 
 
 def node_energy_j(result: SimulationResult) -> float:
@@ -22,12 +12,3 @@ def node_energy_j(result: SimulationResult) -> float:
         for segments in result.power_segments.values()
         for seg in segments
     )
-
-
-def energy_per_token_j(
-    result: SimulationResult, tokens_per_iteration: float
-) -> float:
-    """Node energy divided by tokens processed."""
-    if tokens_per_iteration <= 0:
-        raise ConfigurationError("tokens_per_iteration must be positive")
-    return node_energy_j(result) / tokens_per_iteration

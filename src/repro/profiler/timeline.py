@@ -62,18 +62,3 @@ def total_length(intervals: Iterable[Interval]) -> float:
 def intersect_total(a: Iterable[Interval], b: Iterable[Interval]) -> float:
     """Total time where both interval sets are active."""
     return sum(end - start for start, end in interval_intersection(a, b))
-
-
-def overlapped_portion(
-    work: Iterable[Interval], cover: Iterable[Interval]
-) -> float:
-    """Fraction of ``work`` time covered by ``cover`` (0 if no work).
-
-    This is the paper's Eq. 2 when ``work`` is the compute timeline and
-    ``cover`` the communication timeline.
-    """
-    work = list(work)
-    denom = total_length(work)
-    if denom <= 0:
-        return 0.0
-    return intersect_total(work, cover) / denom

@@ -20,10 +20,10 @@ only other reader, and both lists and ``_live`` are identity-stable
 * ``_live`` maps each scheduled ``(kind, payload)`` key to the counter
   of its newest entry. **An entry is live iff ``_live.get((kind,
   payload)) == counter``.** :meth:`~EventQueue.schedule` overwrites the
-  key (its older entry, if live, becomes one more tombstone), and a
-  live pop or :meth:`~EventQueue.cancel` deletes it. A counter is never
-  reused, so a stale entry can never read as live again and no per-key
-  state outlives the key's live entry.
+  key (its older entry, if live, becomes one more tombstone), and the
+  key's live pop deletes it. A counter is never reused, so a stale
+  entry can never read as live again and no per-key state outlives the
+  key's live entry.
 * ``_tombstones`` is the exact number of stale entries in ``_heap``.
 * ``_ticks`` is the *tick lane*: ``(time, counter, gpu)`` governor
   ticks, drawing counters from the same sequence. The engine never
@@ -89,8 +89,9 @@ class EventQueue:
     :meth:`schedule` keeps at most one live event per ``(kind,
     payload)`` key, :meth:`schedule_tick` feeds the tick lane, and
     :meth:`pop_live` returns the earliest live event of either, dropping
-    tombstones. ``len()``, :meth:`peek_time` and :attr:`live_count`
-    count the lane too.
+    tombstones. A key is retired only by supersession or by its own
+    live pop. ``len()`` counts every stored entry, tombstones and the
+    lane included.
     """
 
     def __init__(self) -> None:
@@ -128,17 +129,6 @@ class EventQueue:
         counter = next(self._counter)
         live[key] = counter
         heapq.heappush(self._heap, (time, counter, kind, payload))
-
-    def cancel(self, kind: EventKind, payload: Any) -> None:
-        """Tombstone the outstanding event for ``(kind, payload)``.
-
-        The engine itself never needs this: it invalidates by
-        supersession, and a key is only retired by its own live event.
-        It completes the contract for callers that retire a key without
-        popping it.
-        """
-        if self._live.pop((kind, payload), None) is not None:
-            self._tombstones += 1
 
     def schedule_tick(self, time: float, gpu: Any) -> None:
         """Schedule a governor tick for ``gpu`` on the tick lane.
@@ -180,34 +170,13 @@ class EventQueue:
                 self.compact()
             return event
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event without removing it.
-
-        Like :meth:`pop_live`, it drops (and counts) the stale heads
-        that sort before the lane's head, so the returned time is never
-        one a supersession already invalidated.
-        """
-        heap = self._heap
-        ticks = self._ticks
-        live = self._live
-        while heap:
-            head = heap[0]
-            if ticks and ticks[0] < head:
-                break
-            if live.get((head[2], head[3])) == head[1]:
-                return head[0]
-            heapq.heappop(heap)
-            self._tombstones -= 1
-            self.stale_dropped += 1
-        return ticks[0][0] if ticks else None
-
     def compact(self) -> None:
         """Drop every tombstone from the heap in one rebuild.
 
         The (time, counter) prefixes are kept, so the surviving events
         pop in exactly the order they would have. Unlike the automatic
         compaction a pop triggers, an explicit call always rebuilds, so
-        ``len(queue)`` equals ``live_count`` afterwards. The heap list
+        afterwards ``len(queue)`` counts live events only. The heap list
         is rebuilt in place; the lane holds no tombstones.
         """
         heap = self._heap
@@ -217,11 +186,6 @@ class EventQueue:
         self._tombstones = 0
         heap[:] = kept
         heapq.heapify(heap)
-
-    @property
-    def live_count(self) -> int:
-        """Number of live events queued, lane included."""
-        return len(self._heap) + len(self._ticks) - self._tombstones
 
     def check_invariants(self) -> None:
         """Assert the bookkeeping matches storage exactly (test hook).

@@ -301,13 +301,6 @@ class IterationKernels:
     backward: List[KernelSpec] = field(default_factory=list)
     optimizer: List[KernelSpec] = field(default_factory=list)
 
-    @property
-    def total_flops(self) -> float:
-        """FLOPs summed over all phases."""
-        return sum(
-            k.flops for k in self.forward + self.backward + self.optimizer
-        )
-
 
 def build_iteration(model: ModelSpec, shape: TrainingShape) -> IterationKernels:
     """Full-iteration kernel bundle (single-GPU view, no parallelism)."""

@@ -21,14 +21,12 @@ def test_large_gemm_is_compute_bound():
     kernel = gemm_kernel("big", 8192, 8192, 8192, FP16_TENSOR)
     point = roofline_point(kernel, A100)
     assert point.compute_bound
-    assert point.headroom_to_ridge > 1.0
 
 
 def test_elementwise_is_memory_bound():
     kernel = elementwise_kernel("ew", 1e8, FP32_VECTOR)
     point = roofline_point(kernel, A100)
     assert not point.compute_bound
-    assert point.headroom_to_ridge < 1.0
 
 
 def test_achieved_flops_capped_by_efficiency():

@@ -31,12 +31,11 @@ def _op(kind=CollectiveKind.ALL_REDUCE, payload=1.0 * MB, world=8):
     )
 
 
-def test_only_reductions_and_broadcast_have_trees():
+def test_only_all_reduce_has_a_tree():
     assert supports_tree(CollectiveKind.ALL_REDUCE)
-    assert supports_tree(CollectiveKind.BROADCAST)
     assert not supports_tree(CollectiveKind.ALL_GATHER)
+    assert not supports_tree(CollectiveKind.REDUCE_SCATTER)
     assert not supports_tree(CollectiveKind.SEND_RECV)
-    assert not supports_tree(CollectiveKind.ALL_TO_ALL)
 
 
 def test_tree_wire_bytes_rejects_unsupported():

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.collectives.cost_model import (
-    CollectiveCost,
-    CollectiveCostModel,
-    wire_bytes_per_rank,
-)
+from repro.collectives.algorithms import ring_wire_bytes
+from repro.collectives.cost_model import CollectiveCost, CollectiveCostModel
 from repro.collectives.library import NCCL, RCCL, library_for
 from repro.collectives.primitives import CollectiveKind, CollectiveOp
 from repro.errors import ConfigurationError
@@ -36,13 +33,13 @@ def op(kind, payload=1 * GB, n=4):
 
 def test_ring_allreduce_wire_bytes():
     o = op(CollectiveKind.ALL_REDUCE, payload=1 * GB, n=4)
-    assert wire_bytes_per_rank(o) == pytest.approx(2 * 1 * GB * 3 / 4)
+    assert ring_wire_bytes(o) == pytest.approx(2 * 1 * GB * 3 / 4)
 
 
 def test_allgather_and_reduce_scatter_are_half_allreduce():
-    ar = wire_bytes_per_rank(op(CollectiveKind.ALL_REDUCE))
-    ag = wire_bytes_per_rank(op(CollectiveKind.ALL_GATHER))
-    rs = wire_bytes_per_rank(op(CollectiveKind.REDUCE_SCATTER))
+    ar = ring_wire_bytes(op(CollectiveKind.ALL_REDUCE))
+    ag = ring_wire_bytes(op(CollectiveKind.ALL_GATHER))
+    rs = ring_wire_bytes(op(CollectiveKind.REDUCE_SCATTER))
     assert ag == pytest.approx(ar / 2)
     assert rs == pytest.approx(ar / 2)
 
@@ -54,7 +51,7 @@ def test_send_recv_moves_full_payload():
         payload_bytes=10 * MB,
         participants=(0, 1),
     )
-    assert wire_bytes_per_rank(o) == 10 * MB
+    assert ring_wire_bytes(o) == 10 * MB
 
 
 def test_duration_scales_with_payload():
@@ -157,13 +154,6 @@ def test_cost_validation():
         CollectiveCostModel(
             NVLINK3, NCCL, NVIDIA_CALIBRATION, hbm_effective_bandwidth=0.0
         )
-
-
-def test_reduction_flag():
-    assert CollectiveKind.ALL_REDUCE.involves_reduction
-    assert CollectiveKind.REDUCE_SCATTER.involves_reduction
-    assert not CollectiveKind.ALL_GATHER.involves_reduction
-    assert not CollectiveKind.SEND_RECV.involves_reduction
 
 
 def test_cost_memo_is_keyed_on_what_the_cost_reads():

@@ -199,13 +199,6 @@ def test_each_dead_worker_is_counted_once(queue, clock):
     assert queue.stats.dead_workers == 1
 
 
-def test_mark_done_resolves_keys_externally(queue):
-    task = _task(8)
-    queue.mark_done(task.cache_key, infeasible=True)
-    assert queue.done_keys() == {task.cache_key: True}
-    assert queue.add(task) is False
-
-
 def test_knows_covers_every_state(queue, clock):
     task = _task(8)
     assert not queue.knows(task.cache_key)

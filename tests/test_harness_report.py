@@ -1,12 +1,11 @@
 """Tests for report rendering, IO helpers and ASCII plotting."""
 
-import csv
 import json
 
 import pytest
 
-from repro.harness.ascii_plot import bar_chart, line_plot
-from repro.harness.io import write_csv, write_json
+from repro.harness.ascii_plot import line_plot
+from repro.harness.io import write_json
 from repro.harness.report import render_table
 from repro.harness.tables import (
     render_table1,
@@ -57,34 +56,11 @@ def test_rendered_tables_contain_all_rows():
     assert render_table2().count("\n") >= 6
 
 
-def test_write_csv_round_trips(tmp_path):
-    path = tmp_path / "rows.csv"
-    write_csv(path, [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows == [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}]
-
-
 def test_write_json_round_trips(tmp_path):
     path = tmp_path / "data.json"
     write_json(path, {"rows": [1, 2, 3]})
     with open(path) as fh:
         assert json.load(fh) == {"rows": [1, 2, 3]}
-
-
-def test_bar_chart_scales_to_max():
-    chart = bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-    lines = chart.splitlines()
-    assert len(lines) == 2
-    assert lines[1].count("#") == 10
-    assert lines[0].count("#") == 5
-
-
-def test_bar_chart_rejects_mismatched_lengths():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        bar_chart(["a"], [1.0, 2.0])
 
 
 def test_line_plot_has_axes():
@@ -94,5 +70,4 @@ def test_line_plot_has_axes():
 
 
 def test_empty_plots_are_graceful():
-    assert bar_chart([], []) == "(no data)"
     assert line_plot([]) == "(no data)"

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.power.energy import (
-    energy_per_token_j,
-    iteration_energy_j,
-    node_energy_j,
-)
+from repro.power.energy import node_energy_j
 from repro.sim.result import PowerSegment, SimulationResult
 
 
@@ -36,26 +31,5 @@ def result():
     )
 
 
-def test_iteration_energy_per_gpu(result):
-    assert iteration_energy_j(result, 0) == pytest.approx(400.0)
-    assert iteration_energy_j(result, 1) == pytest.approx(100.0)
-
-
 def test_node_energy_sums_gpus(result):
     assert node_energy_j(result) == pytest.approx(500.0)
-
-
-def test_missing_trace_raises(result):
-    with pytest.raises(ConfigurationError, match="no power trace"):
-        iteration_energy_j(result, 7)
-
-
-def test_energy_per_token(result):
-    assert energy_per_token_j(result, tokens_per_iteration=1000) == (
-        pytest.approx(0.5)
-    )
-
-
-def test_energy_per_token_rejects_zero_tokens(result):
-    with pytest.raises(ConfigurationError):
-        energy_per_token_j(result, tokens_per_iteration=0)

@@ -1,18 +1,10 @@
-"""Tests for CSV/JSON exports and kernel statistics."""
+"""Tests for the profiler's Chrome-trace export."""
 
-import csv
 import json
 
 import pytest
 
 from repro.profiler.chrome_trace import to_chrome_trace, write_chrome_trace
-from repro.profiler.export import (
-    kernel_stats,
-    record_rows,
-    render_kernel_stats,
-    write_power_csv,
-    write_records_csv,
-)
 from repro.sim.result import PowerSegment, SimulationResult, TaskRecord
 from repro.sim.task import TaskCategory
 
@@ -54,63 +46,6 @@ def result():
     return SimulationResult(
         end_time_s=1.0, records=records, power_segments=segments, num_gpus=2
     )
-
-
-def test_record_rows_expose_all_columns(result):
-    rows = record_rows(result)
-    assert len(rows) == 3
-    assert rows[0]["label"] == "g0.L0.qkv"
-    assert rows[0]["duration_s"] == pytest.approx(0.4)
-    assert rows[0]["category"] == "compute"
-
-
-def test_records_csv_round_trip(result, tmp_path):
-    path = tmp_path / "records.csv"
-    write_records_csv(result, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert rows[2]["category"] == "comm"
-    assert float(rows[0]["start_s"]) == 0.0
-
-
-def test_power_csv_round_trip(result, tmp_path):
-    path = tmp_path / "power.csv"
-    write_power_csv(result, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
-    assert float(rows[0]["power_w"]) == pytest.approx(300.0)
-
-
-def test_kernel_stats_aggregate_across_gpus(result):
-    stats = kernel_stats(result)
-    names = {s.name for s in stats}
-    # The per-GPU g0./g1. prefixes are stripped, so the two qkv records
-    # aggregate into one row.
-    assert "L0.qkv" in names
-    qkv = next(s for s in stats if s.name == "L0.qkv")
-    assert qkv.count == 2
-    assert qkv.total_s == pytest.approx(1.0)
-    assert qkv.max_s == pytest.approx(0.6)
-
-
-def test_kernel_stats_category_filter(result):
-    comm_only = kernel_stats(result, category=TaskCategory.COMM)
-    assert all(s.category is TaskCategory.COMM for s in comm_only)
-    assert len(comm_only) == 1
-
-
-def test_kernel_stats_sorted_by_total_time(result):
-    stats = kernel_stats(result)
-    totals = [s.total_s for s in stats]
-    assert totals == sorted(totals, reverse=True)
-
-
-def test_render_kernel_stats_is_tabular(result):
-    text = render_kernel_stats(kernel_stats(result))
-    assert "L0.qkv" in text
-    assert "total_ms" in text
 
 
 def test_chrome_trace_event_shape(result):

@@ -7,7 +7,6 @@ from repro.profiler.timeline import (
     intersect_total,
     interval_intersection,
     interval_union,
-    overlapped_portion,
     total_length,
 )
 
@@ -48,15 +47,6 @@ def test_total_length():
 
 def test_intersect_total():
     assert intersect_total([(0, 4)], [(1, 3)]) == pytest.approx(2.0)
-
-
-def test_overlapped_portion_is_fractional():
-    # Compute [0, 2]; comm [1, 3]: half the compute is overlapped.
-    assert overlapped_portion([(0, 2)], [(1, 3)]) == pytest.approx(0.5)
-
-
-def test_overlapped_portion_empty_compute():
-    assert overlapped_portion([], [(0, 1)]) == 0.0
 
 
 finite = st.floats(
@@ -101,9 +91,3 @@ def test_intersection_bounded_by_each_side(a, b):
     inter = intersect_total(a, b)
     assert inter <= total_length(interval_union(a)) + 1e-9
     assert inter <= total_length(interval_union(b)) + 1e-9
-
-
-@given(intervals, intervals)
-def test_overlapped_portion_in_unit_interval(a, b):
-    portion = overlapped_portion(a, b)
-    assert -1e-9 <= portion <= 1.0 + 1e-9

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.cost_model import CollectiveCostModel, wire_bytes_per_rank
+from repro.collectives.algorithms import ring_wire_bytes
+from repro.collectives.cost_model import CollectiveCostModel
 from repro.collectives.library import NCCL, RCCL
 from repro.collectives.primitives import CollectiveKind, CollectiveOp
 from repro.hw.calibration import AMD_CALIBRATION, NVIDIA_CALIBRATION
@@ -28,8 +29,6 @@ group_kinds = st.sampled_from(
         CollectiveKind.ALL_REDUCE,
         CollectiveKind.ALL_GATHER,
         CollectiveKind.REDUCE_SCATTER,
-        CollectiveKind.ALL_TO_ALL,
-        CollectiveKind.BROADCAST,
     ]
 )
 
@@ -62,8 +61,8 @@ def test_collective_duration_monotone_in_payload(kind, payload, world):
 
 @given(payloads, worlds)
 def test_allreduce_wire_bytes_double_allgather(payload, world):
-    ar = wire_bytes_per_rank(_op(CollectiveKind.ALL_REDUCE, payload, world))
-    ag = wire_bytes_per_rank(_op(CollectiveKind.ALL_GATHER, payload, world))
+    ar = ring_wire_bytes(_op(CollectiveKind.ALL_REDUCE, payload, world))
+    ag = ring_wire_bytes(_op(CollectiveKind.ALL_GATHER, payload, world))
     assert ar == pytest.approx(2 * ag)
 
 

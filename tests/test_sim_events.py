@@ -20,6 +20,12 @@ def _queue():
     return EventQueue()
 
 
+def _live_count(q):
+    """Live events queued, lane included (exact whenever
+    ``check_invariants`` holds)."""
+    return len(q._live) + len(q._ticks)
+
+
 def test_pop_orders_by_time(queue):
     queue.schedule(3.0, _FINISH, "c")
     queue.schedule(1.0, _FINISH, "a")
@@ -36,16 +42,6 @@ def test_ties_broken_by_insertion_order(queue):
 
 def test_pop_empty_returns_none(queue):
     assert queue.pop_live() is None
-
-
-def test_peek_does_not_remove(queue):
-    queue.schedule(0.5, _FINISH, 0)
-    assert queue.peek_time() == pytest.approx(0.5)
-    assert len(queue) == 1
-
-
-def test_peek_empty_returns_none(queue):
-    assert queue.peek_time() is None
 
 
 def test_len_and_bool(queue):
@@ -100,26 +96,12 @@ def test_reschedule_tombstones_previous_copy(queue):
     assert queue.stale_dropped == 1
 
 
-def test_cancel_tombstones_outstanding_event(queue):
-    queue.schedule(1.0, EventKind.COLLECTIVE_FINISH, "x")
-    queue.schedule(2.0, EventKind.TASK_FINISH, 1)
-    queue.cancel(EventKind.COLLECTIVE_FINISH, "x")
-    event = queue.pop_live()
-    assert event.kind is EventKind.TASK_FINISH
-    assert queue.pop_live() is None
-
-
-def test_cancel_without_outstanding_event_is_noop(queue):
-    queue.cancel(EventKind.TASK_FINISH, 99)
-    queue.schedule(1.0, EventKind.TASK_FINISH, 99)
-    assert queue.pop_live().payload == 99
-
-
 def test_live_count_tracks_tombstones(queue):
     for i in range(5):
         queue.schedule(float(i + 1), EventKind.TASK_FINISH, 0)
     assert len(queue) == 5
-    assert queue.live_count == 1  # four superseded copies
+    assert _live_count(queue) == 1  # four superseded copies
+    queue.check_invariants()
 
 
 def test_different_payloads_do_not_invalidate_each_other(queue):
@@ -139,7 +121,8 @@ def test_compaction_preserves_order_and_results(queue):
                 100.0 - round_index + payload, EventKind.TASK_FINISH, payload
             )
     queue.compact()
-    assert queue.live_count == 10
+    queue.check_invariants()
+    assert _live_count(queue) == 10
     assert len(queue) == 10  # tombstones physically gone
     popped = []
     while True:
@@ -169,35 +152,6 @@ def test_pop_live_returns_only_latest_per_payload(schedules):
 
 
 # ----------------------------------------------------------------------
-# regression: peek_time must never surface a superseded wake-up time
-# ----------------------------------------------------------------------
-
-
-def test_peek_skips_and_drops_stale_heads(queue):
-    """Schedule, supersede, peek: the stale head must not be visible."""
-    queue.schedule(1.0, EventKind.TASK_FINISH, 42)
-    queue.schedule(5.0, EventKind.TASK_FINISH, 42)  # supersedes t=1.0
-    # Regression: peek_time used to report the tombstone's 1.0.
-    assert queue.peek_time() == 5.0
-    # The stale head was dropped on the way, exactly once.
-    assert len(queue) == 1
-    assert queue.stale_dropped == 1
-    assert queue.live_count == 1
-    event = queue.pop_live()
-    assert (event.time, event.payload) == (5.0, 42)
-    assert queue.peek_time() is None
-
-
-def test_peek_skips_chains_of_stale_heads(queue):
-    for t in (1.0, 2.0, 3.0, 9.0):
-        queue.schedule(t, EventKind.TASK_FINISH, "k")
-    queue.schedule(4.0, EventKind.COLLECTIVE_FINISH, "live")
-    assert queue.peek_time() == 4.0  # three stale heads dropped
-    assert queue.stale_dropped == 3
-    queue.check_invariants()
-
-
-# ----------------------------------------------------------------------
 # regression: retired keys must not leak liveness entries
 # ----------------------------------------------------------------------
 
@@ -220,7 +174,7 @@ def test_versions_survive_while_stale_copies_remain(queue):
     # The key is retired with its live pop, and the stale copy left in
     # the heap still reads as stale: its counter matches nothing.
     assert (EventKind.TASK_FINISH, 1) not in queue._live
-    assert len(queue) == 1 and queue.live_count == 0
+    assert len(queue) == 1 and _live_count(queue) == 0
     queue.check_invariants()
     assert queue.pop_live() is None
     assert queue.stale_dropped == 1
@@ -237,12 +191,12 @@ def test_schedule_cancel_storm_keeps_state_bounded(queue):
             if key % 3 == 0:
                 queue.schedule(2.0 + wave, EventKind.TASK_FINISH, payload)
             if key % 5 == 0:
-                queue.cancel(EventKind.TASK_FINISH, payload)
+                queue.schedule(0.5 + wave, EventKind.TASK_FINISH, payload)
         while queue.pop_live() is not None:
             pass
         queue.check_invariants()
     assert not queue._live
-    assert queue.live_count == 0
+    assert _live_count(queue) == 0
 
 
 # ----------------------------------------------------------------------
@@ -254,15 +208,16 @@ def test_cancel_then_compact_small_queue_is_exact(queue):
     """Sub-threshold queues compact too when asked explicitly."""
     queue.schedule(1.0, EventKind.TASK_FINISH, "a")
     queue.schedule(2.0, EventKind.TASK_FINISH, "b")
-    queue.cancel(EventKind.TASK_FINISH, "a")
-    assert queue.live_count == 1
+    queue.schedule(3.0, EventKind.TASK_FINISH, "a")  # supersedes t=1.0
+    assert len(queue) == 3 and _live_count(queue) == 2
     queue.compact()
     # Regression: compact used to no-op under _COMPACT_MIN_SIZE,
-    # leaving the tombstone physically queued (len != live_count).
-    assert len(queue) == 1
-    assert queue.live_count == 1
+    # leaving the tombstone physically queued (len != live count).
+    assert len(queue) == 2
+    assert _live_count(queue) == 2
     queue.check_invariants()
     assert queue.pop_live().payload == "b"
+    assert queue.pop_live().payload == "a"
     assert queue.pop_live() is None
 
 
@@ -277,7 +232,7 @@ def test_rejected_schedule_leaves_bookkeeping_untouched(queue):
         queue.check_invariants()
     # The original live event is unaffected by the failed attempts,
     # which drew no insertion counter.
-    assert queue.live_count == 1
+    assert _live_count(queue) == 1
     event = queue.pop_live()
     assert (event.time, event.payload, event.counter) == (1.0, 7, 0)
     assert queue.pop_live() is None
@@ -297,9 +252,7 @@ _OPS = st.lists(
             st.integers(0, 6),
             st.floats(0.0, 50.0, allow_nan=False),
         ),
-        st.tuples(st.just("cancel"), st.integers(0, 6), st.just(0.0)),
         st.tuples(st.just("pop_live"), st.just(0), st.just(0.0)),
-        st.tuples(st.just("peek"), st.just(0), st.just(0.0)),
         st.tuples(st.just("compact"), st.just(0), st.just(0.0)),
     ),
     max_size=80,
@@ -313,17 +266,8 @@ def test_random_interleavings_keep_invariants(ops):
     for op, key, time in ops:
         if op == "schedule":
             q.schedule(time, EventKind.TASK_FINISH, key)
-        elif op == "cancel":
-            q.cancel(EventKind.TASK_FINISH, key)
         elif op == "pop_live":
             q.pop_live()
-        elif op == "peek":
-            head = q.peek_time()
-            if head is not None:
-                # The peeked time is the next live pop.
-                assert head == min(
-                    e[0] for e in q._heap if q._live.get((e[2], e[3])) == e[1]
-                )
         elif op == "compact":
             q.compact()
         q.check_invariants()
@@ -383,15 +327,13 @@ def test_stale_head_before_a_tick_is_dropped_and_counted(queue):
 def test_size_views_count_lane_entries(queue):
     assert not queue and len(queue) == 0
     queue.schedule_tick(0.5, 1)
-    assert queue and len(queue) == 1 and queue.live_count == 1
-    assert queue.peek_time() == 0.5
+    assert queue and len(queue) == 1 and _live_count(queue) == 1
     queue.schedule(2.0, EventKind.TASK_FINISH, 4)
     queue.schedule(0.25, EventKind.TASK_FINISH, 4)  # one tombstone
-    assert len(queue) == 3 and queue.live_count == 2
-    assert queue.peek_time() == 0.25
+    assert len(queue) == 3 and _live_count(queue) == 2
     queue.check_invariants()
     assert queue.pop_live().payload == 4
-    assert queue.peek_time() == 0.5  # the lane head, ahead of a stale 2.0
+    assert len(queue) == 2 and _live_count(queue) == 1
     assert queue.stale_dropped == 0
     queue.check_invariants()
 
@@ -415,7 +357,7 @@ def test_schedule_tick_rejects_bad_times_untouched(queue):
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(SimulationError):
             queue.schedule_tick(bad, 0)
-        assert len(queue) == 2 and queue.live_count == 2
+        assert len(queue) == 2 and _live_count(queue) == 2
         queue.check_invariants()
     # No insertion counter was drawn: a same-time tie still breaks in
     # scheduling order.
@@ -472,7 +414,7 @@ def _check_against_one_heap(ops):
                 assert [got[:3]] == _one_heap_view([want[:3]])
             assert q.stale_dropped == ref.stale_dropped
         q.check_invariants()
-        assert len(q) == len(ref) and q.live_count == ref.live_count
+        assert len(q) == len(ref) and _live_count(q) == _live_count(ref)
     assert _drain_live(q) == _one_heap_view(_drain_live(ref))
     assert q.stale_dropped == ref.stale_dropped
 
@@ -509,7 +451,7 @@ class _NaiveQueue:
     """One list of ``(time, counter, key)`` entries, scanned in full.
 
     The newest counter scheduled for a key is live until it pops or
-    is cancelled; a tick is an entry under a key of its own. Pops and
+    is superseded; a tick is an entry under a key of its own. Pops and
     the compaction rule follow the documented contract.
     """
 
@@ -532,9 +474,6 @@ class _NaiveQueue:
         self.entries.append((time, self.counter, (_TICK, gpu, self.counter)))
         self.counter += 1
 
-    def cancel(self, key):
-        self.newest.pop(key, None)
-
     @property
     def live_count(self):
         return sum(1 for entry in self.entries if self._live(entry))
@@ -555,15 +494,6 @@ class _NaiveQueue:
             return time, key[0], key[1]
         return None
 
-    def peek(self):
-        while self.entries:
-            entry = min(self.entries)
-            if self._live(entry):
-                return entry[0]
-            self.entries.remove(entry)
-            self.stale_dropped += 1
-        return None
-
     def compact(self):
         kept = [entry for entry in self.entries if self._live(entry)]
         self.stale_dropped += len(self.entries) - len(kept)
@@ -578,10 +508,8 @@ _MODEL_OPS = st.lists(
         # Forty reschedules in a row: enough tombstones to reach the
         # auto-compaction threshold within a short sequence.
         st.tuples(st.just("burst"), st.integers(0, 5), _MODEL_TIMES),
-        st.tuples(st.just("cancel"), st.integers(0, 5), st.just(0.0)),
         st.tuples(st.just("tick"), st.integers(0, 3), _MODEL_TIMES),
         st.tuples(st.just("pop"), st.just(0), st.just(0.0)),
-        st.tuples(st.just("peek"), st.just(0), st.just(0.0)),
         st.tuples(st.just("compact"), st.just(0), st.just(0.0)),
     ),
     max_size=200,
@@ -599,9 +527,6 @@ def test_queue_matches_the_naive_model(ops):
             for _ in range(40 if op == "burst" else 1):
                 q.schedule(time, kind, key)
                 model.schedule(time, (kind, key))
-        elif op == "cancel":
-            q.cancel(kind, key)
-            model.cancel((kind, key))
         elif op == "tick":
             q.schedule_tick(time, key)
             model.tick(time, key)
@@ -609,13 +534,11 @@ def test_queue_matches_the_naive_model(ops):
             event = q.pop_live()
             want = model.pop()
             assert (None if event is None else event[:3]) == want
-        elif op == "peek":
-            assert q.peek_time() == model.peek()
         else:
             q.compact()
             model.compact()
         assert q.stale_dropped == model.stale_dropped
-        assert q.live_count == model.live_count
+        assert _live_count(q) == model.live_count
         assert len(q) == len(model.entries)
         q.check_invariants()
     while True:

@@ -110,9 +110,9 @@ def test_backward_emitted_in_reverse_layer_order():
 
 def test_iteration_bundle_totals():
     bundle = build_iteration(MODEL, SHAPE)
-    assert bundle.total_flops > 0
     fwd_flops = sum(k.flops for k in bundle.forward)
     bwd_flops = sum(k.flops for k in bundle.backward)
+    assert fwd_flops > 0
     assert bwd_flops > fwd_flops  # backward ~2x forward
 
 
