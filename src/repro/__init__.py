@@ -13,7 +13,6 @@ from repro.errors import (
     InfeasibleConfigError,
     PlanError,
     ReproError,
-    ShardMergeError,
     SimulationError,
     UnknownSpecError,
 )
@@ -63,7 +62,6 @@ from repro.scenario import (
     get_scenario,
     list_scenarios,
     load_spec_file,
-    merge_scenario,
     register_scenario,
     run_scenario,
     run_spec,
@@ -95,7 +93,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SerialExecutor",
-    "ShardMergeError",
     "ShardPlan",
     "SimConfig",
     "SimJob",
@@ -119,7 +116,6 @@ __all__ = [
     "list_scenarios",
     "load_spec_file",
     "make_node",
-    "merge_scenario",
     "register_scenario",
     "run_experiment",
     "run_scenario",

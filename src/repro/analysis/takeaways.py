@@ -9,9 +9,8 @@ the bench suite asserts they all hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.crossover import batch_trend, overlap_benefit, trend_slope
 from repro.core.experiment import ExperimentConfig
 from repro.core.modes import ExecutionMode
 from repro.exec.service import default_service

@@ -10,10 +10,10 @@ Subcommands mirror the library's layers:
 * ``scenario`` — the declarative sweep API: ``list`` the named paper
   scenarios, ``show`` a spec, ``run`` a scenario (or a JSON/YAML spec
   file) with manifest-backed incremental re-runs — optionally one
-  shard of it (``--shard i/N``) — ``merge`` per-shard manifests
-  into the canonical run record, ``serve`` a fleet coordinator that
-  queues the missing cells for pulling workers, and ``fleet-status``
-  a running coordinator;
+  shard of it (``--shard i/N``) — ``status`` of its cache and
+  manifest, ``serve`` a fleet coordinator that queues the missing
+  cells for pulling workers, and ``fleet-status`` a running
+  coordinator;
 * ``worker`` — join a fleet: lease tasks from a coordinator, run them
   through the local execution service, push the results back;
 * ``microbench`` — the Fig. 8 matmul-vs-all-reduce microbenchmark;
@@ -347,12 +347,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         print(line, file=sys.stderr)
     if report.manifest_file is not None:
         print(f"[scenario] manifest -> {report.manifest_file}", file=sys.stderr)
-    if report.merged_manifest_file is not None:
-        print(
-            f"[scenario] all {report.shard.count} shards complete; "
-            f"merged manifest -> {report.merged_manifest_file}",
-            file=sys.stderr,
-        )
     _print_execution_stats(detailed=getattr(args, "stats", False))
     if args.out:
         from repro.harness.io import write_json
@@ -525,20 +519,6 @@ def _cmd_scenario_diff(args: argparse.Namespace) -> int:
     diff = diff_manifests(manifests[0], manifests[1], tol=args.tol)
     print(diff.describe())
     return 1 if diff.drifted else 0
-
-
-def _cmd_scenario_merge(args: argparse.Namespace) -> int:
-    from repro.scenario.runner import merge_scenario
-
-    _configure_execution(args)
-    report = merge_scenario(args.name, quick=not args.full)
-    print(
-        f"[scenario {report.name}] merged {report.shard_count} shard "
-        f"manifest(s) covering {report.cells} cell(s)"
-    )
-    if report.manifest_file is not None:
-        print(f"[scenario] manifest -> {report.manifest_file}")
-    return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -790,8 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="I/N",
         help="run only shard I of N (deterministic partition of the "
-        "compiled jobs; persists a per-shard manifest and auto-merges "
-        "when the last shard lands)",
+        "compiled jobs); the run that finds every key in the shared "
+        "--cache-dir writes the scenario manifest",
     )
     sc_run.add_argument(
         "--set",
@@ -815,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc_run.set_defaults(func=_cmd_scenario_run)
     sc_status = scenario_sub.add_parser(
         "status",
-        help="report shard, cache-key and manifest state without running",
+        help="report cache-key, shard and manifest state without running",
     )
     sc_status.add_argument("name", help="scenario name or spec file")
     sc_status.add_argument(
@@ -826,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="report on the N-way partitioning (default: the largest "
-        "one found among persisted shard manifests)",
+        help="also count each shard's cached keys under the N-way "
+        "partitioning",
     )
     sc_status.add_argument(
         "--json",
@@ -907,19 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: exact)",
     )
     sc_diff.set_defaults(func=_cmd_scenario_diff)
-    sc_merge = scenario_sub.add_parser(
-        "merge",
-        help="validate and union per-shard manifests into the "
-        "canonical scenario manifest",
-    )
-    sc_merge.add_argument("name", help="scenario name or spec file")
-    sc_merge.add_argument(
-        "--full",
-        action="store_true",
-        help="the shards ran the full paper-scale spec",
-    )
-    _add_execution_args(sc_merge)
-    sc_merge.set_defaults(func=_cmd_scenario_merge)
 
     worker_parser = sub.add_parser(
         "worker",

@@ -32,12 +32,6 @@ class InfeasibleConfigError(ConfigurationError):
     """A workload does not fit on the target system (e.g. out of memory)."""
 
 
-class ShardMergeError(ReproError):
-    """Shard manifests cannot be merged into one canonical run record
-    (missing shards, mismatched spec hashes, overlapping or incomplete
-    job-key sets)."""
-
-
 class FleetError(ReproError):
     """A fleet (coordinator/worker job-queue) operation failed."""
 

@@ -3,8 +3,7 @@
 A :class:`ShardPlan` splits any :class:`~repro.exec.job.SimJob` list
 into ``count`` disjoint shards so independent workers (processes,
 machines) can each run ``scenario run NAME --shard i/N`` against a
-shared ``--cache-dir`` and later merge their manifests into the
-canonical run record.
+shared ``--cache-dir``; the cache is the record of what they did.
 
 The partition is a pure function of the job list itself: the distinct
 cache keys are sorted and dealt round-robin, so every worker computes
@@ -12,7 +11,7 @@ the identical assignment from the spec alone — no coordinator, no
 shared state, no ordering dependence on how the spec happened to
 compile. Jobs with equal cache keys (duplicate cells) always land in
 the same shard, which keeps shards disjoint *by key*, the unit the
-result cache and the manifests account in.
+result cache accounts in.
 """
 
 from __future__ import annotations

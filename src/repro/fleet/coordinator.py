@@ -51,7 +51,11 @@ from repro.fleet.queue import (
 )
 from repro.fleet.protocol import OUTCOME_WAIT_S
 from repro.fleet.task import SimTask, code_version, task_from_job
-from repro.scenario.manifest import ScenarioResult, save_manifest
+from repro.scenario.manifest import (
+    ScenarioResult,
+    canonical_manifest,
+    save_manifest,
+)
 
 #: Default bind host — localhost only; a fleet that spans machines
 #: opts into 0.0.0.0 explicitly.
@@ -282,16 +286,13 @@ class FleetCoordinator:
                 f"unresolved (first: {missing[0][:16]}...)"
             )
         simulated = self.queue.stats.completed
-        manifest = ScenarioResult(
-            scenario=plan.name,
-            spec_hash=plan.spec_hash,
-            job_keys=list(plan.job_keys),
-            summary={
-                "cells": plan.cells,
-                "simulated": simulated,
-                "cache_hits": plan.cells - simulated,
-                "infeasible": sum(1 for k in plan.job_keys if flags[k]),
-            },
+        manifest = canonical_manifest(
+            plan.name,
+            plan.spec_hash,
+            plan.job_keys,
+            simulated,
+            plan.cells - simulated,
+            sum(1 for k in plan.job_keys if flags[k]),
         )
         manifest_file = save_manifest(self.cache.directory, manifest)
         with self._state_lock:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.modes import ExecutionMode
 from repro.harness.figures.grid import grid_rows, grid_spec
 from repro.scenario.registry import register_scenario
 from repro.harness.report import render_table

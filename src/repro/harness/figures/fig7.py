@@ -8,7 +8,7 @@ spikes align with them, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.harness.ascii_plot import line_plot
 from repro.scenario.registry import register_scenario

@@ -1,9 +1,9 @@
-"""Power measurement and power-management experiment helpers.
+"""Power measurement: NVML-like and AMD-SMI-like samplers over the
+simulator's piecewise-constant power traces (matching the paper's
+100 ms / 20 ms / 1 ms sampling intervals).
 
-Implements NVML-like and AMD-SMI-like samplers over the simulator's
-piecewise-constant power traces (matching the paper's 100 ms / 20 ms /
-1 ms sampling intervals), energy integration, and the power-capping
-study harness of Fig. 9.
+Energy needs no helper here: ``SimulationResult.energy_j()`` integrates
+the node (or one GPU's) power segments exactly.
 """
 
 from repro.power.sampling import (
@@ -15,7 +15,6 @@ from repro.power.sampling import (
     nvml_sampler,
     sampler_for,
 )
-from repro.power.energy import node_energy_j
 
 __all__ = [
     "PowerSample",
@@ -23,7 +22,6 @@ __all__ = [
     "SampledTrace",
     "amd_smi_fast_sampler",
     "amd_smi_sampler",
-    "node_energy_j",
     "nvml_sampler",
     "sampler_for",
 ]

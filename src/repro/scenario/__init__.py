@@ -14,25 +14,20 @@ This package is how experiments are *specified* in this repo:
   crossover) is a named, runnable scenario;
 * :mod:`repro.scenario.manifest` — :class:`ScenarioResult` manifests
   persisted next to the result cache, making scenario re-runs
-  incremental, plus the per-shard manifests and the validated
-  shard-manifest merge behind ``--shard i/N``;
+  incremental;
 * :mod:`repro.scenario.runner` — :func:`run_spec` /
-  :func:`run_scenario` / :func:`merge_scenario`, the execution paths
-  behind ``python -m repro scenario run`` and ``scenario merge``.
+  :func:`run_scenario`, the execution paths behind
+  ``python -m repro scenario run`` (``--shard i/N`` included).
 """
 
 from repro.scenario.manifest import (
     ManifestDiff,
     ScenarioResult,
     diff_manifests,
-    find_shard_manifests,
     load_manifest,
     load_manifest_file,
-    load_shard_manifest,
     manifest_path,
-    merge_shard_manifests,
     save_manifest,
-    shard_manifest_path,
 )
 from repro.scenario.registry import (
     Scenario,
@@ -42,12 +37,10 @@ from repro.scenario.registry import (
     register_scenario,
 )
 from repro.scenario.runner import (
-    ScenarioMergeReport,
     ScenarioRunReport,
     ScenarioStatusReport,
     ShardStatus,
     generic_rows,
-    merge_scenario,
     render_generic,
     run_scenario,
     run_spec,
@@ -68,7 +61,6 @@ __all__ = [
     "Constraint",
     "ManifestDiff",
     "Scenario",
-    "ScenarioMergeReport",
     "ScenarioResult",
     "ScenarioRunReport",
     "ScenarioStatusReport",
@@ -76,23 +68,18 @@ __all__ = [
     "SweepSpec",
     "config_from_overrides",
     "diff_manifests",
-    "find_shard_manifests",
     "generic_rows",
     "get_scenario",
     "list_scenarios",
     "load_catalog",
     "load_manifest",
     "load_manifest_file",
-    "load_shard_manifest",
     "load_spec_file",
     "manifest_path",
-    "merge_scenario",
-    "merge_shard_manifests",
     "register_scenario",
     "render_generic",
     "run_scenario",
     "run_spec",
     "save_manifest",
     "scenario_status",
-    "shard_manifest_path",
 ]

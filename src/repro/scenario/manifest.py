@@ -9,12 +9,9 @@ durable record of exactly which keys a scenario covered, which lets a
 re-run report how many of its cells a previous run already completed
 and lets tooling audit or diff what a scenario simulated.
 
-Sharded runs (``scenario run NAME --shard i/N``) persist *per-shard*
-manifests (``<name>.shard-i-of-N.json``) carrying the shard's own job
-keys plus its position; :func:`merge_shard_manifests` unions them into
-the canonical manifest after validating that every shard ran the same
-spec, that their key sets are pairwise disjoint, and that the union
-covers the compiled job list exactly.
+Every writer — an unsharded run, the shard that completes a shared
+cache, the fleet coordinator — builds its manifest through
+:func:`canonical_manifest`, so equally warm runs write identical bytes.
 """
 
 from __future__ import annotations
@@ -25,17 +22,12 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.errors import ShardMergeError
+from typing import Dict, List, Optional, Sequence
 
 MANIFEST_SCHEMA_VERSION = 1
 
 #: Subdirectory of the result-cache directory holding manifests.
 MANIFEST_SUBDIR = "manifests"
-
-#: Summary keys that add across shards when manifests merge.
-_ADDITIVE_SUMMARY_KEYS = ("cells", "simulated", "cache_hits", "infeasible")
 
 
 def _safe_name(name: str) -> str:
@@ -44,75 +36,66 @@ def _safe_name(name: str) -> str:
 
 @dataclass
 class ScenarioResult:
-    """Manifest of one scenario run (or one shard of it)."""
+    """Manifest of one scenario run."""
 
     scenario: str
     spec_hash: str
     job_keys: List[str]
     summary: Dict[str, object] = field(default_factory=dict)
-    #: Set on per-shard manifests only; the canonical (merged or
-    #: unsharded) manifest leaves both as ``None``.
-    shard_index: Optional[int] = None
-    shard_count: Optional[int] = None
-
-    @property
-    def is_shard(self) -> bool:
-        return self.shard_index is not None
 
     def to_payload(self) -> Dict[str, object]:
-        payload = {
+        return {
             "schema": MANIFEST_SCHEMA_VERSION,
             "scenario": self.scenario,
             "spec_hash": self.spec_hash,
             "job_keys": list(self.job_keys),
             "summary": dict(self.summary),
         }
-        if self.shard_index is not None:
-            payload["shard_index"] = self.shard_index
-            payload["shard_count"] = self.shard_count
-        return payload
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> Optional["ScenarioResult"]:
         if payload.get("schema") != MANIFEST_SCHEMA_VERSION:
             return None
         try:
-            shard_index = payload.get("shard_index")
-            shard_count = payload.get("shard_count")
-            # Shard position comes as a pair or not at all: accepting a
-            # half-set pair would hand downstream code a shard with an
-            # unusable count.
-            if (shard_index is None) != (shard_count is None):
-                return None
-            if shard_index is not None:
-                shard_index = int(shard_index)
-                shard_count = int(shard_count)
-                if not 0 <= shard_index < shard_count:
-                    return None
             return cls(
                 scenario=str(payload["scenario"]),
                 spec_hash=str(payload["spec_hash"]),
                 job_keys=[str(k) for k in payload["job_keys"]],
                 summary=dict(payload.get("summary", {})),
-                shard_index=shard_index,
-                shard_count=shard_count,
             )
         except (KeyError, TypeError, ValueError):
             return None
 
 
+def canonical_manifest(
+    name: str,
+    spec_hash: str,
+    job_keys: Sequence[str],
+    simulated: int,
+    cache_hits: int,
+    infeasible: int,
+) -> ScenarioResult:
+    """The manifest of a run that resolved every compiled cell.
+
+    ``job_keys`` is the compiled per-cell key list in compile order
+    (duplicates kept); the summary counts per cell, except
+    ``simulated``, which counts distinct keys simulated.
+    """
+    return ScenarioResult(
+        scenario=name,
+        spec_hash=spec_hash,
+        job_keys=list(job_keys),
+        summary={
+            "cells": len(job_keys),
+            "simulated": simulated,
+            "cache_hits": cache_hits,
+            "infeasible": infeasible,
+        },
+    )
+
+
 def manifest_path(directory: "str | Path", name: str) -> Path:
     return Path(directory) / MANIFEST_SUBDIR / f"{_safe_name(name)}.json"
-
-
-def shard_manifest_path(
-    directory: "str | Path", name: str, index: int, count: int
-) -> Path:
-    return (
-        Path(directory)
-        / MANIFEST_SUBDIR
-        / f"{_safe_name(name)}.shard-{index}-of-{count}.json"
-    )
 
 
 def _load_manifest_file(path: Path) -> Optional[ScenarioResult]:
@@ -136,131 +119,12 @@ def load_manifest(
     return _load_manifest_file(manifest_path(directory, name))
 
 
-def load_shard_manifest(
-    directory: "Optional[str | Path]", name: str, index: int, count: int
-) -> Optional[ScenarioResult]:
-    """The persisted manifest for one shard of ``name``, or ``None``."""
-    if directory is None:
-        return None
-    return _load_manifest_file(
-        shard_manifest_path(directory, name, index, count)
-    )
-
-
-def find_shard_manifests(
-    directory: "Optional[str | Path]", name: str
-) -> Dict[Tuple[int, int], ScenarioResult]:
-    """Every readable shard manifest for ``name``: (index, count) -> it.
-
-    Filenames only locate candidates; the authoritative position is the
-    payload's own ``shard_index``/``shard_count`` (a copied or renamed
-    file must not impersonate another shard).
-    """
-    if directory is None:
-        return {}
-    root = Path(directory) / MANIFEST_SUBDIR
-    if not root.is_dir():
-        return {}
-    pattern = f"{_safe_name(name)}.shard-*-of-*.json"
-    found: Dict[Tuple[int, int], ScenarioResult] = {}
-    for path in sorted(root.glob(pattern)):
-        manifest = _load_manifest_file(path)
-        if manifest is None or not manifest.is_shard:
-            continue
-        found[(manifest.shard_index, manifest.shard_count)] = manifest
-    return found
-
-
-def merge_shard_manifests(
-    name: str,
-    spec_hash: str,
-    expected_keys: Sequence[str],
-    shards: Mapping[Tuple[int, int], ScenarioResult],
-) -> ScenarioResult:
-    """Union shard manifests into the canonical scenario manifest.
-
-    ``expected_keys`` is the freshly compiled job-key list (in compile
-    order — the merged manifest keeps that order, so it is
-    byte-comparable with an unsharded run's). Raises
-    :class:`~repro.errors.ShardMergeError` unless every shard of one
-    consistent ``N`` is present, all ran spec ``spec_hash``, their key
-    sets are pairwise disjoint, and the union is exactly the compiled
-    set.
-    """
-    if not shards:
-        raise ShardMergeError(
-            f"no shard manifests found for scenario {name!r}"
-        )
-    counts = {count for _, count in shards}
-    if len(counts) > 1:
-        raise ShardMergeError(
-            f"scenario {name!r} has shard manifests from different "
-            f"partitionings (counts {sorted(counts)}); remove the stale "
-            f"ones before merging"
-        )
-    count = counts.pop()
-    missing = [i for i in range(count) if (i, count) not in shards]
-    if missing:
-        raise ShardMergeError(
-            f"scenario {name!r} is missing shard(s) "
-            f"{', '.join(f'{i}/{count}' for i in missing)}"
-        )
-    for (index, _), manifest in sorted(shards.items()):
-        if manifest.spec_hash != spec_hash:
-            raise ShardMergeError(
-                f"shard {index}/{count} of {name!r} ran spec "
-                f"{manifest.spec_hash[:12]}..., expected "
-                f"{spec_hash[:12]}... (different fidelity or an edited "
-                f"spec?)"
-            )
-    owner: Dict[str, int] = {}
-    for (index, _), manifest in sorted(shards.items()):
-        for key in manifest.job_keys:
-            # Duplicate cells (e.g. a repeated include) share one cache
-            # key and always land in the same shard, so a repeat within
-            # one manifest is legitimate; only cross-shard ownership is
-            # an overlap.
-            if key in owner and owner[key] != index:
-                raise ShardMergeError(
-                    f"job key {key[:12]}... appears in both shard "
-                    f"{owner[key]}/{count} and shard {index}/{count} "
-                    f"of {name!r}"
-                )
-            owner[key] = index
-    expected = set(expected_keys)
-    extra = set(owner) - expected
-    unclaimed = expected - set(owner)
-    if extra or unclaimed:
-        problems = []
-        if unclaimed:
-            problems.append(f"{len(unclaimed)} compiled job(s) unclaimed")
-        if extra:
-            problems.append(f"{len(extra)} recorded job(s) not in the spec")
-        raise ShardMergeError(
-            f"shard manifests of {name!r} do not cover the compiled "
-            f"job list exactly: {'; '.join(problems)}"
-        )
-    summary: Dict[str, object] = {key: 0 for key in _ADDITIVE_SUMMARY_KEYS}
-    for _, manifest in sorted(shards.items()):
-        for key in _ADDITIVE_SUMMARY_KEYS:
-            value = manifest.summary.get(key)
-            if isinstance(value, (int, float)):
-                summary[key] += value
-    summary["merged_from_shards"] = count
-    return ScenarioResult(
-        scenario=name,
-        spec_hash=spec_hash,
-        job_keys=list(expected_keys),
-        summary=summary,
-    )
-
-
 #: Summary keys whose disagreement constitutes *drift* when diffing
 #: two manifests. Execution accounting (``simulated``, ``cache_hits``)
 #: legitimately varies with cache warmth and sharding, so it is
 #: reported but never fails a diff; coverage and physics-shaped counts
 #: must match.
-_DRIFT_SUMMARY_KEYS = ("cells", "infeasible", "total_cells")
+_DRIFT_SUMMARY_KEYS = ("cells", "infeasible")
 
 
 @dataclass
@@ -346,8 +210,7 @@ def diff_manifests(
 ) -> ManifestDiff:
     """Compare two scenario manifests for drift.
 
-    Checks the spec hashes, the job-key sets (order-insensitive — a
-    merged-from-shards manifest must equal its unsharded twin), and
+    Checks the spec hashes, the job-key sets (order-insensitive), and
     every numeric summary key the two share; only the coverage-shaped
     keys (:data:`_DRIFT_SUMMARY_KEYS`) count toward drift, with ``tol``
     as the relative tolerance.
@@ -388,19 +251,10 @@ def load_manifest_file(path: "str | Path") -> Optional[ScenarioResult]:
 def save_manifest(
     directory: "Optional[str | Path]", result: ScenarioResult
 ) -> Optional[Path]:
-    """Atomically persist ``result``; returns the path (or ``None``).
-
-    Shard manifests land at their ``<name>.shard-i-of-N.json`` path,
-    canonical manifests at ``<name>.json``.
-    """
+    """Atomically persist ``result``; returns the path (or ``None``)."""
     if directory is None:
         return None
-    if result.is_shard:
-        path = shard_manifest_path(
-            directory, result.scenario, result.shard_index, result.shard_count
-        )
-    else:
-        path = manifest_path(directory, result.scenario)
+    path = manifest_path(directory, result.scenario)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.stem, suffix=".tmp"

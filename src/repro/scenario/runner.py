@@ -12,12 +12,11 @@ Two entry points:
   artifact rows, and persist a :class:`ScenarioResult` manifest next
   to the result cache for incremental re-runs.
 
-Sharded execution rides the same entry points: ``run_scenario(...,
-shard=ShardPlan(i, N))`` compiles the full spec, runs only the
-deterministic shard ``i`` and persists a per-shard manifest; when the
-last shard lands (or via :func:`merge_scenario` / ``scenario merge``)
-the shard manifests union into the canonical manifest after
-validating spec hashes and key-set disjointness/completeness.
+Sharded execution rides the same entry point: ``run_scenario(...,
+shard=ShardPlan(i, N))`` compiles the full spec and runs only the
+deterministic shard ``i``. The shared on-disk cache is the only record
+of what the shards did; whichever run finds every compiled key there
+writes the canonical manifest.
 """
 
 from __future__ import annotations
@@ -30,15 +29,14 @@ from typing import Any, List, Mapping, Optional
 
 from repro.core.sweep import GridRow
 from repro.errors import ConfigurationError, UnknownSpecError
+from repro.exec.job import SimJob
 from repro.exec.service import ExecutionService, default_service
 from repro.exec.shard import ShardPlan
 from repro.harness.report import render_table
 from repro.scenario.manifest import (
     ScenarioResult,
-    find_shard_manifests,
+    canonical_manifest,
     load_manifest,
-    load_shard_manifest,
-    merge_shard_manifests,
     save_manifest,
 )
 from repro.scenario.registry import Scenario, get_scenario
@@ -141,15 +139,14 @@ class ScenarioRunReport:
     #: (with a warm cache these are exactly the cells that did not
     #: simulate again).
     previously_completed: int
+    #: The canonical manifest, when this run wrote one (a shard writes
+    #: it only once the shared cache holds every compiled key).
     manifest: Optional[ScenarioResult] = None
     manifest_file: Optional[Path] = None
     #: Set on sharded runs only.
     shard: Optional[ShardPlan] = None
     #: Total compiled cells across all shards (== ``cells`` unsharded).
     total_cells: int = 0
-    #: Canonical manifest path when this run's shard completed the set
-    #: and the auto-merge fired.
-    merged_manifest_file: Optional[Path] = None
 
 
 def resolve_spec(
@@ -253,13 +250,14 @@ def run_scenario(
     cache when one is on disk.
 
     With ``shard=ShardPlan(i, N)`` only the deterministic shard ``i``
-    of the compiled job list runs (see :mod:`repro.exec.shard`) and a
-    per-shard manifest is persisted instead of the canonical one; the
+    of the compiled job list runs (see :mod:`repro.exec.shard`); the
     rows are the generic per-cell records of that shard (a figure's
     own generator would simulate every other shard's cells too, which
-    is exactly what sharding exists to avoid). When the run completes
-    the last outstanding shard, the shard manifests auto-merge into
-    the canonical manifest.
+    is exactly what sharding exists to avoid). A shard writes the
+    canonical manifest only once the on-disk cache holds every
+    compiled key, and then resolves the whole job list through the
+    service, so the manifest is the one a warm unsharded run writes
+    and a torn cache entry re-simulates instead of being trusted.
     """
     scenario, name, spec = resolve_spec(target, quick=quick)
     service = default_service()
@@ -274,14 +272,16 @@ def run_scenario(
         scenario = None
     if shard is not None:
         spec = require_spec(name, spec, "cannot be sharded")
-        return _run_shard(name, spec, shard, service)
+        scenario = None
 
     cache_dir = service.cache.directory if service.cache is not None else None
     previous = None
     job_keys: List[str] = []
+    compiled = []
     jobs = []
     if spec is not None:
-        jobs = spec.compile()
+        compiled = spec.compile()
+        jobs = shard.select(compiled) if shard is not None else compiled
         job_keys = [job.cache_key() for job in jobs]
         previous = load_manifest(cache_dir, name)
     # Keys recorded for an older spec version still count: cells the
@@ -325,20 +325,15 @@ def run_scenario(
         skipped = after.skipped - before.skipped
 
     manifest = None
-    manifest_file = None
-    if spec is not None:
-        manifest = ScenarioResult(
-            scenario=name,
-            spec_hash=spec.spec_hash(),
-            job_keys=job_keys,
-            summary={
-                "cells": len(jobs),
-                "simulated": simulated,
-                "cache_hits": cache_hits,
-                "infeasible": skipped,
-            },
+    if shard is None and spec is not None:
+        manifest = canonical_manifest(
+            name, spec.spec_hash(), job_keys, simulated, cache_hits, skipped
         )
-        manifest_file = save_manifest(cache_dir, manifest)
+    elif shard is not None and cache_dir is not None:
+        manifest = _manifest_if_cached(name, spec, compiled, service)
+    manifest_file = (
+        save_manifest(cache_dir, manifest) if manifest is not None else None
+    )
 
     return ScenarioRunReport(
         name=name,
@@ -352,114 +347,66 @@ def run_scenario(
         previously_completed=previously_completed,
         manifest=manifest,
         manifest_file=manifest_file,
-        total_cells=len(jobs),
+        shard=shard,
+        total_cells=len(compiled),
     )
 
 
-def _run_shard(
+def _manifest_if_cached(
     name: str,
     spec: SweepSpec,
-    shard: ShardPlan,
+    jobs: List[SimJob],
     service: ExecutionService,
-) -> ScenarioRunReport:
-    """One shard of a spec: run it, persist its manifest, auto-merge."""
-    jobs = spec.compile()
-    shard_jobs = shard.select(jobs)
-    shard_keys = [job.cache_key() for job in shard_jobs]
-    cache_dir = service.cache.directory if service.cache is not None else None
+) -> Optional[ScenarioResult]:
+    """The canonical manifest, once the on-disk cache holds every key.
 
-    previous = load_shard_manifest(cache_dir, name, shard.index, shard.count)
-    known = set(previous.job_keys) if previous is not None else set()
-    previously_completed = sum(1 for key in shard_keys if key in known)
-
+    Keys are probed in compile order, stopping at the first absent one.
+    A complete cache is then resolved like any batch, so the summary is
+    a warm run's (0 simulated) unless an entry was torn, in which case
+    that key re-simulates and heals instead of being trusted.
+    """
+    keys = [job.cache_key() for job in jobs]
+    if not all(service.cache.contains(key) for key in keys):
+        return None
     before = dataclasses.replace(service.stats)
-    outcomes = service.run_jobs(shard_jobs)
-    simulated = service.stats.simulated - before.simulated
-    cache_hits = sum(1 for o in outcomes if o.from_cache)
-    skipped = sum(1 for o in outcomes if not o.ran)
-
-    rows = generic_rows(_rows_from(shard_jobs, outcomes))
-    text = render_generic(rows)
-
-    spec_hash = spec.spec_hash()
-    manifest = ScenarioResult(
-        scenario=name,
-        spec_hash=spec_hash,
-        job_keys=shard_keys,
-        summary={
-            "cells": len(shard_jobs),
-            "simulated": simulated,
-            "cache_hits": cache_hits,
-            "infeasible": skipped,
-            "total_cells": len(jobs),
-        },
-        shard_index=shard.index,
-        shard_count=shard.count,
-    )
-    manifest_file = save_manifest(cache_dir, manifest)
-
-    # Auto-merge once every sibling shard of *this* partitioning and
-    # *this* spec version has landed. Stale manifests (another N, an
-    # edited spec) are ignored here — the explicit `scenario merge` is
-    # the strict path that reports them.
-    merged_manifest_file = None
-    if cache_dir is not None:
-        siblings = {
-            key: m
-            for key, m in find_shard_manifests(cache_dir, name).items()
-            if key[1] == shard.count and m.spec_hash == spec_hash
-        }
-        if all((i, shard.count) in siblings for i in range(shard.count)):
-            merged = merge_shard_manifests(
-                name, spec_hash, [job.cache_key() for job in jobs], siblings
-            )
-            merged_manifest_file = save_manifest(cache_dir, merged)
-
-    return ScenarioRunReport(
-        name=name,
-        spec=spec,
-        rows=rows,
-        text=text,
-        cells=len(shard_jobs),
-        simulated=simulated,
-        cache_hits=cache_hits,
-        skipped=skipped,
-        previously_completed=previously_completed,
-        manifest=manifest,
-        manifest_file=manifest_file,
-        shard=shard,
-        total_cells=len(jobs),
-        merged_manifest_file=merged_manifest_file,
+    outcomes = service.run_jobs(jobs)
+    return canonical_manifest(
+        name,
+        spec.spec_hash(),
+        keys,
+        service.stats.simulated - before.simulated,
+        sum(1 for o in outcomes if o.from_cache),
+        sum(1 for o in outcomes if not o.ran),
     )
 
 
 @dataclass
 class ShardStatus:
-    """Whether one shard of a partitioning has landed its manifest."""
+    """How many of one shard's distinct keys the cache holds."""
 
     index: int
     count: int
-    present: bool
-    spec_match: bool
-    cells: int
+    keys: int = 0
+    cached: int = 0
+
+    @property
+    def complete(self) -> bool:
+        return self.cached == self.keys
 
     def describe(self) -> str:
-        if not self.present:
-            return f"shard {self.index}/{self.count}: MISSING"
-        if not self.spec_match:
-            return (
-                f"shard {self.index}/{self.count}: present, STALE spec hash"
-            )
-        return f"shard {self.index}/{self.count}: {self.cells} cell(s) landed"
+        return (
+            f"shard {self.index}/{self.count}: {self.cached}/{self.keys} "
+            f"key(s) cached" + (" — complete" if self.complete else "")
+        )
 
     def to_payload(self) -> dict:
         """Plain-JSON form for ``scenario status --json``."""
         return {
             "index": self.index,
             "count": self.count,
-            "present": self.present,
-            "spec_match": self.spec_match,
-            "cells": self.cells,
+            "keys": self.keys,
+            "cached": self.cached,
+            "complete": self.complete,
         }
 
 
@@ -467,11 +414,11 @@ class ShardStatus:
 class ScenarioStatusReport:
     """Everything ``scenario status`` reports about one scenario.
 
-    Answers the three operational questions of a (possibly sharded,
-    possibly multi-machine) run against a shared cache directory:
-    which shard manifests of the partitioning have landed, which job
-    cache keys are still missing from the result cache, and whether
-    the canonical manifest reflects the current spec.
+    Answers the operational questions of a (possibly sharded, possibly
+    multi-machine) run against a shared cache directory: which job
+    cache keys are still missing from the result cache (per shard of
+    an N-way partitioning, when asked), and whether the canonical
+    manifest reflects the current spec.
     """
 
     name: str
@@ -483,16 +430,8 @@ class ScenarioStatusReport:
     cache_dir: Optional[Path]
     manifest_present: bool
     manifest_current: bool
-    shard_count: Optional[int]
+    #: One entry per shard of the requested partitioning (else empty).
     shards: List[ShardStatus]
-    stale_shard_manifests: int
-
-    @property
-    def shards_complete(self) -> bool:
-        """All shards of the reported partitioning landed, hash-matched."""
-        if self.shard_count is None:
-            return False
-        return all(s.present and s.spec_match for s in self.shards)
 
     def describe(self) -> str:
         lines = [
@@ -518,22 +457,8 @@ class ScenarioStatusReport:
             lines.append(f"  manifest: present, {state}")
         else:
             lines.append("  manifest: absent")
-        if self.shard_count is not None:
-            landed = sum(1 for s in self.shards if s.present and s.spec_match)
-            lines.append(
-                f"  shards ({self.shard_count}-way): {landed}/"
-                f"{self.shard_count} landed"
-                + (" — complete, mergeable" if self.shards_complete else "")
-            )
-            for shard in self.shards:
-                lines.append(f"    {shard.describe()}")
-        elif self.stale_shard_manifests == 0:
-            lines.append("  shards: none found")
-        if self.stale_shard_manifests:
-            lines.append(
-                f"  ignored {self.stale_shard_manifests} stale shard "
-                f"manifest(s) (other partitionings or edited specs)"
-            )
+        for shard in self.shards:
+            lines.append(f"  {shard.describe()}")
         return "\n".join(lines)
 
     def to_payload(self) -> dict:
@@ -541,8 +466,8 @@ class ScenarioStatusReport:
 
         Everything :meth:`describe` prints, as plain JSON types — a
         fleet operator (or the CI smoke job) can gate on
-        ``missing_keys == []`` / ``shards_complete`` without parsing
-        the human rendering.
+        ``missing_keys == []`` or a shard's ``complete`` without
+        parsing the human rendering.
         """
         return {
             "name": self.name,
@@ -556,10 +481,7 @@ class ScenarioStatusReport:
             ),
             "manifest_present": self.manifest_present,
             "manifest_current": self.manifest_current,
-            "shard_count": self.shard_count,
             "shards": [s.to_payload() for s in self.shards],
-            "shards_complete": self.shards_complete,
-            "stale_shard_manifests": self.stale_shard_manifests,
         }
 
 
@@ -568,12 +490,12 @@ def scenario_status(
     quick: bool = True,
     shards: Optional[int] = None,
 ) -> ScenarioStatusReport:
-    """Report shard/cache/manifest state for a scenario without running it.
+    """Report cache/manifest state for a scenario without running it.
 
-    ``shards`` pins the partitioning to report on; by default the
-    largest shard count found among the persisted, hash-matching shard
-    manifests is used. Compiles the spec (at ``quick`` fidelity) but
-    never simulates — the cache is only probed for key presence.
+    With ``shards=N`` it also counts, per shard of the N-way partition
+    (:meth:`ShardPlan.assignments`), how many of that shard's keys the
+    cache holds. Compiles the spec (at ``quick`` fidelity) but never
+    simulates — the cache is only probed for key presence.
     """
     _, name, spec = resolve_spec(target, quick=quick)
     spec = require_spec(name, spec, "has no shard/cache status")
@@ -598,40 +520,15 @@ def scenario_status(
         and manifest.job_keys == keys
     )
 
-    found = find_shard_manifests(cache_dir, name)
-    matching = {
-        key: m for key, m in found.items() if m.spec_hash == spec_hash
-    }
-    if shards is not None:
-        if shards < 1:
-            raise ConfigurationError(
-                f"shard count must be >= 1, got {shards}"
-            )
-        count: Optional[int] = shards
-    else:
-        counts = sorted({c for (_, c) in matching})
-        count = counts[-1] if counts else None
-
     shard_statuses: List[ShardStatus] = []
-    if count is not None:
-        for index in range(count):
-            m = found.get((index, count))
-            shard_statuses.append(
-                ShardStatus(
-                    index=index,
-                    count=count,
-                    present=m is not None,
-                    spec_match=m is not None and m.spec_hash == spec_hash,
-                    cells=len(m.job_keys) if m is not None else 0,
-                )
-            )
-    # Manifests outside the reported partitioning are *ignored*; a
-    # hash-mismatched manifest inside it is already shown per-shard as
-    # "STALE spec hash" and must not be double-counted here.
-    if count is None:
-        stale = len(found)
-    else:
-        stale = sum(1 for (_, c) in found if c != count)
+    if shards is not None:
+        owner = ShardPlan.assignments(jobs, shards)
+        shard_statuses = [ShardStatus(index, shards) for index in range(shards)]
+        absent = set(missing)
+        for key, index in owner.items():
+            shard_statuses[index].keys += 1
+            if key not in absent:
+                shard_statuses[index].cached += 1
 
     return ScenarioStatusReport(
         name=name,
@@ -643,79 +540,5 @@ def scenario_status(
         cache_dir=cache_dir,
         manifest_present=manifest is not None,
         manifest_current=manifest_current,
-        shard_count=count,
         shards=shard_statuses,
-        stale_shard_manifests=stale,
-    )
-
-
-@dataclass
-class ScenarioMergeReport:
-    """What one ``scenario merge`` validated and wrote."""
-
-    name: str
-    shard_count: int
-    cells: int
-    manifest: ScenarioResult
-    manifest_file: Optional[Path]
-
-
-def merge_scenario(target: str, quick: bool = True) -> ScenarioMergeReport:
-    """Union persisted shard manifests into the canonical manifest.
-
-    Recompiles the spec (at the same fidelity the shards ran) to learn
-    the expected job-key set, then merges the first complete,
-    hash-matching partitioning found among the shard manifests next to
-    the result cache (superseded shard sets from an earlier
-    re-partitioning are ignored, keeping the merge idempotent);
-    validation requires no missing shard, matching spec hashes, and
-    pairwise-disjoint key sets whose union is exactly the compiled
-    list. Raises :class:`~repro.errors.ShardMergeError` otherwise.
-    """
-    _, name, spec = resolve_spec(target, quick=quick)
-    spec = require_spec(name, spec, "cannot be sharded or merged")
-    service = default_service()
-    cache_dir = service.cache.directory if service.cache is not None else None
-    if cache_dir is None:
-        raise ConfigurationError(
-            "scenario merge reads shard manifests stored next to the "
-            "on-disk result cache; pass --cache-dir (or set "
-            "$REPRO_CACHE_DIR)"
-        )
-    jobs = spec.compile()
-    spec_hash = spec.spec_hash()
-    shards = find_shard_manifests(cache_dir, name)
-    # A re-partitioned scenario (2-way yesterday, 3-way today) leaves
-    # superseded shard manifests behind; merging must stay possible —
-    # and idempotent — as long as one complete, hash-matching
-    # partitioning exists. Only when none does do we hand the full set
-    # to the merge for its detailed diagnosis (missing shards, stale
-    # hashes, mixed counts).
-    matching = {
-        key: manifest
-        for key, manifest in shards.items()
-        if manifest.spec_hash == spec_hash
-    }
-    complete_counts = [
-        count
-        for count in sorted({key[1] for key in matching})
-        if all((index, count) in matching for index in range(count))
-    ]
-    if complete_counts:
-        count = complete_counts[-1]
-        shards = {
-            key: manifest
-            for key, manifest in matching.items()
-            if key[1] == count
-        }
-    merged = merge_shard_manifests(
-        name, spec_hash, [job.cache_key() for job in jobs], shards
-    )
-    manifest_file = save_manifest(cache_dir, merged)
-    return ScenarioMergeReport(
-        name=name,
-        shard_count=int(merged.summary.get("merged_from_shards", 0)),
-        cells=len(jobs),
-        manifest=merged,
-        manifest_file=manifest_file,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.task import TaskCategory

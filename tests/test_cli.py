@@ -16,7 +16,6 @@ def test_parser_knows_all_subcommands():
         ["scenario", "list"],
         ["scenario", "show", "fig9"],
         ["scenario", "run", "fig9"],
-        ["scenario", "merge", "fig9"],
         ["microbench"],
         ["roofline"],
         ["takeaways"],

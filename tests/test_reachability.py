@@ -5,6 +5,10 @@ it, directly or through other modules, or it is named below with the
 reason it stays anyway. The walk is static: every ``import`` and
 ``from ... import`` in a module's body counts, function-local and
 relative ones included (``src/`` has no ``importlib`` imports).
+
+Because the walk counts every import, an import the module never reads
+could keep an orphan "reached"; a second test therefore requires every
+module-level import to be read.
 """
 
 import ast
@@ -83,3 +87,72 @@ def test_every_module_is_reached_from_a_user_entry_point():
     # The allowlist names only modules that exist and stay unreached.
     assert listed <= set(modules), sorted(listed - set(modules))
     assert not listed & reached, sorted(listed & reached)
+
+
+def _module_level_imports(tree):
+    """Import statements in a module's body, outside any def or class."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            pending.extend(node.body + node.orelse)
+            pending.extend(getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                pending.extend(handler.body)
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (
+                args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg]
+            ):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names_read(tree):
+    """Names a module reads: ``Name`` nodes, string annotations, ``__all__``."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                names.update(
+                    n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                )
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_every_module_level_import_is_read():
+    unused = []
+    for name, path in sorted(_modules().items()):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        read = _names_read(tree)
+        for node in _module_level_imports(tree):
+            statement = lines[node.lineno - 1 : node.end_lineno]
+            # Side-effect imports (the scenario catalog's) say so.
+            if any("# noqa: F401" in line for line in statement):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read:
+                    unused.append(f"{name}:{node.lineno} {bound}")
+    assert not unused, f"imported but never read: {unused}"

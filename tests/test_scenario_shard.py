@@ -1,28 +1,25 @@
-"""Sharded scenario runs, per-shard manifests, and the validated merge.
+"""Sharded scenario runs over a shared cache directory.
 
-The acceptance criterion of the sharding layer: running shards 0/2 and
-1/2 of a scenario then merging yields a manifest with the same spec
-hash and exact job-key set as a single unsharded run, with zero
-duplicate simulator invocations across shards.
+The shared on-disk result cache is the only record of a sharded run: a
+shard writes no manifest of its own, and the run that finds every
+compiled key in the cache writes the canonical manifest, byte for byte
+the one a warm unsharded run writes. Each shard below runs on a fresh
+default service, as a separate worker process would, so nothing it
+reads comes from another shard's in-memory cache.
 """
-
-import json
 
 import pytest
 
-from repro.errors import ConfigurationError, ShardMergeError
+from repro.cli import main
+from repro.errors import ConfigurationError
+from repro.exec.cache import CACHE_DIR_ENV, ResultCache
 from repro.exec.shard import ShardPlan
-from repro.exec.service import configure, default_service, reset_default_service
+from repro.exec.service import configure, reset_default_service
 from repro.scenario import (
-    ScenarioResult,
-    find_shard_manifests,
     load_manifest,
-    load_shard_manifest,
-    merge_scenario,
-    merge_shard_manifests,
+    manifest_path,
     run_scenario,
-    save_manifest,
-    shard_manifest_path,
+    scenario_status,
 )
 
 
@@ -33,137 +30,113 @@ def fresh_service():
     reset_default_service()
 
 
+def _run(cache_dir, target="fig9", shard=None):
+    """One run as its own worker process would do it."""
+    reset_default_service()
+    configure(cache=True, cache_dir=str(cache_dir))
+    return run_scenario(target, shard=shard)
+
+
 def test_sharded_runs_merge_to_the_unsharded_manifest(tmp_path):
     shard_dir = tmp_path / "sharded"
     solo_dir = tmp_path / "solo"
 
-    configure(cache=True, cache_dir=str(shard_dir))
-    first = run_scenario("fig9", shard=ShardPlan(0, 2))
+    first = _run(shard_dir, shard=ShardPlan(0, 2))
     assert first.shard == ShardPlan(0, 2)
     assert first.total_cells == 3
     assert first.cells + 1 == first.total_cells  # 3 cells split 2/1
-    assert first.merged_manifest_file is None  # sibling still missing
-    assert load_shard_manifest(shard_dir, "fig9", 0, 2) is not None
-    assert load_manifest(shard_dir, "fig9") is None
+    # No manifest of any kind until the cache holds every key.
+    assert first.manifest_file is None
+    assert not (shard_dir / "manifests").exists()
 
-    second = run_scenario("fig9", shard=ShardPlan(1, 2))
-    # The last shard triggers the auto-merge.
-    assert second.merged_manifest_file is not None
-
+    second = _run(shard_dir, shard=ShardPlan(1, 2))
+    assert second.manifest_file == manifest_path(shard_dir, "fig9")
     # Zero duplicate simulator invocations across the two shards.
     assert first.simulated + second.simulated == first.total_cells
-    assert default_service().executor.jobs_executed == first.total_cells
 
-    configure(cache=True, cache_dir=str(solo_dir))
-    solo = run_scenario("fig9")
+    _run(solo_dir)
+    sharded = load_manifest(shard_dir, "fig9")
+    solo = load_manifest(solo_dir, "fig9")
+    assert sharded.spec_hash == solo.spec_hash
+    assert sharded.job_keys == solo.job_keys  # same keys, same order
 
-    merged = load_manifest(shard_dir, "fig9")
-    unsharded = load_manifest(solo_dir, "fig9")
-    assert merged is not None and unsharded is not None
-    assert merged.spec_hash == unsharded.spec_hash
-    assert merged.job_keys == unsharded.job_keys  # same keys, same order
-    assert merged.summary["cells"] == solo.cells
-    assert merged.summary["merged_from_shards"] == 2
-
-    # The shards fully warmed the shared cache: an unsharded run over
-    # the same cache dir re-simulates nothing.
-    configure(cache=True, cache_dir=str(shard_dir))
-    warm = run_scenario("fig9")
+    # A warm unsharded run over the shared dir simulates nothing and
+    # writes the completing shard's manifest byte for byte.
+    written = second.manifest_file.read_bytes()
+    warm = _run(shard_dir)
     assert warm.simulated == 0
+    assert warm.manifest_file.read_bytes() == written
 
 
 def test_explicit_merge_is_idempotent_and_validated(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    run_scenario("fig9", shard=ShardPlan(0, 2))
-    run_scenario("fig9", shard=ShardPlan(1, 2))
-
-    report = merge_scenario("fig9")
-    assert report.shard_count == 2
-    assert report.cells == 3
-    again = merge_scenario("fig9")  # merging twice is harmless
-    assert again.manifest.job_keys == report.manifest.job_keys
+    # A plain run over the complete cache does what an explicit merge
+    # would: it resolves (so validates) every entry, simulates nothing
+    # and writes the same manifest however often it runs.
+    _run(tmp_path, shard=ShardPlan(0, 2))
+    _run(tmp_path, shard=ShardPlan(1, 2))
+    path = manifest_path(tmp_path, "fig9")
+    written = path.read_bytes()
+    for _ in range(2):
+        assert _run(tmp_path).simulated == 0
+        assert path.read_bytes() == written
 
 
 def test_merge_reports_missing_shards(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    run_scenario("fig9", shard=ShardPlan(0, 3))
-    with pytest.raises(ShardMergeError, match="missing shard"):
-        merge_scenario("fig9")
-
-
-def test_merge_rejects_mixed_partitionings(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    run_scenario("fig9", shard=ShardPlan(0, 2))
-    run_scenario("fig9", shard=ShardPlan(0, 3))
-    # Neither partitioning is complete: the detailed diagnosis fires.
-    with pytest.raises(ShardMergeError, match="different partitioning"):
-        merge_scenario("fig9")
+    # An incomplete shard set writes no manifest; status names, per
+    # shard, what the cache still lacks.
+    report = _run(tmp_path, shard=ShardPlan(0, 3))
+    assert report.manifest is None
+    assert load_manifest(tmp_path, "fig9") is None
+    status = scenario_status("fig9", shards=3)
+    assert [s.complete for s in status.shards] == [True, False, False]
+    assert len(status.missing_keys) == 2
 
 
 def test_merge_survives_repartitioning(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    # A complete 2-way run, later re-run 3-way into the same cache dir:
-    # the superseded 2-way shard manifests must not wedge the strict
-    # merge — it picks the complete partitioning and stays idempotent.
-    run_scenario("fig9", shard=ShardPlan(0, 2))
-    run_scenario("fig9", shard=ShardPlan(1, 2))
+    # A complete 2-way run, later re-run 3-way into the same cache dir,
+    # needs no cleanup: every 3-way shard finds the cache complete,
+    # simulates nothing and writes the same manifest.
+    _run(tmp_path, shard=ShardPlan(0, 2))
+    _run(tmp_path, shard=ShardPlan(1, 2))
+    written = manifest_path(tmp_path, "fig9").read_bytes()
     for index in range(3):
-        run_scenario("fig9", shard=ShardPlan(index, 3))
-    report = merge_scenario("fig9")
-    assert report.shard_count == 3
-    again = merge_scenario("fig9")
-    assert again.manifest.job_keys == report.manifest.job_keys
+        report = _run(tmp_path, shard=ShardPlan(index, 3))
+        assert report.simulated == 0
+        assert report.manifest_file.read_bytes() == written
 
 
-def test_merge_rejects_stale_spec_hash(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    run_scenario("fig9", shard=ShardPlan(0, 2))
-    run_scenario("fig9", shard=ShardPlan(1, 2))
-    # Tamper with one shard as if it had run an older spec version.
-    path = shard_manifest_path(tmp_path, "fig9", 1, 2)
-    payload = json.loads(path.read_text())
-    payload["spec_hash"] = "f" * 64
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ShardMergeError, match="ran spec"):
-        merge_scenario("fig9")
+def test_auto_merge_ignores_stale_partitionings(tmp_path):
+    # A leftover 3-way shard from an earlier attempt only pre-warms the
+    # cache for the 2-way run: the run that completes the key set
+    # writes the manifest, and no cell simulates twice.
+    runs = [
+        _run(tmp_path, shard=ShardPlan(0, 3)),
+        _run(tmp_path, shard=ShardPlan(0, 2)),
+    ]
+    assert load_manifest(tmp_path, "fig9") is None
+    runs.append(_run(tmp_path, shard=ShardPlan(1, 2)))
+    assert runs[-1].manifest_file is not None
+    assert sum(r.simulated for r in runs) == runs[-1].total_cells
 
 
-def test_merge_rejects_overlapping_and_incomplete_key_sets():
-    shard0 = ScenarioResult(
-        scenario="s", spec_hash="h", job_keys=["a", "b"],
-        shard_index=0, shard_count=2,
-    )
-    shard1 = ScenarioResult(
-        scenario="s", spec_hash="h", job_keys=["b", "c"],
-        shard_index=1, shard_count=2,
-    )
-    with pytest.raises(ShardMergeError, match="both shard"):
-        merge_shard_manifests(
-            "s", "h", ["a", "b", "c"],
-            {(0, 2): shard0, (1, 2): shard1},
-        )
-    shard1_disjoint = ScenarioResult(
-        scenario="s", spec_hash="h", job_keys=["c"],
-        shard_index=1, shard_count=2,
-    )
-    with pytest.raises(ShardMergeError, match="unclaimed"):
-        merge_shard_manifests(
-            "s", "h", ["a", "b", "c", "d"],
-            {(0, 2): shard0, (1, 2): shard1_disjoint},
-        )
-    with pytest.raises(ShardMergeError, match="not in the spec"):
-        merge_shard_manifests(
-            "s", "h", ["a", "b"],
-            {(0, 2): shard0, (1, 2): shard1_disjoint},
-        )
-    with pytest.raises(ShardMergeError, match="no shard manifests"):
-        merge_shard_manifests("s", "h", ["a"], {})
+def test_completing_shard_heals_a_torn_cache_entry(tmp_path):
+    first = _run(tmp_path, shard=ShardPlan(0, 2))
+    job = ShardPlan(0, 2).select(first.spec.compile())[0]
+    entry = tmp_path / f"{job.cache_key()}.json"
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])
+
+    _run(tmp_path, shard=ShardPlan(1, 2))
+    # The completing shard read the torn entry, re-simulated that one
+    # key and wrote it back whole.
+    assert load_manifest(tmp_path, "fig9").summary["simulated"] == 1
+    assert ResultCache(tmp_path).get(job) is not None
 
 
 def test_duplicate_cells_within_a_shard_still_merge(tmp_path):
     # A spec may legitimately compile duplicate cells (a repeated
-    # include); they share a cache key and land in the same shard, and
-    # the merge must not mistake the repeat for a cross-shard overlap.
+    # include); they share a cache key, land in the same shard, and
+    # stay duplicated in the manifest, as in an unsharded run.
     spec_file = tmp_path / "dup.yaml"
     spec_file.write_text(
         "name: dup\n"
@@ -178,181 +151,87 @@ def test_duplicate_cells_within_a_shard_still_merge(tmp_path):
         "modes: [overlapped, sequential]\n"
     )
     cache_dir = tmp_path / "cache"
-    configure(cache=True, cache_dir=str(cache_dir))
-    run_scenario(str(spec_file), shard=ShardPlan(0, 2))
-    report = run_scenario(str(spec_file), shard=ShardPlan(1, 2))
-    assert report.merged_manifest_file is not None
-    merged = merge_scenario(str(spec_file))  # strict path agrees
-    assert len(merged.manifest.job_keys) == 3  # duplicates preserved
-    assert len(set(merged.manifest.job_keys)) == 2
+    _run(cache_dir, str(spec_file), ShardPlan(0, 2))
+    report = _run(cache_dir, str(spec_file), ShardPlan(1, 2))
+    assert len(report.manifest.job_keys) == 3  # duplicates preserved
+    assert len(set(report.manifest.job_keys)) == 2
+    assert report.manifest.summary["cache_hits"] == 3
 
 
-def test_merge_is_independent_of_shard_delivery_order():
-    # A fleet or multi-machine run lands shard manifests in whatever
-    # order the workers finish; the merge must not care.
-    shard0 = ScenarioResult(
-        scenario="s", spec_hash="h", job_keys=["a", "b"],
-        summary={"cells": 2, "simulated": 2, "cache_hits": 0, "infeasible": 0},
-        shard_index=0, shard_count=2,
+def test_merge_is_independent_of_shard_delivery_order(tmp_path):
+    # Workers finish in whatever order they finish; the manifest must
+    # not care which shard completed the set.
+    for index in (0, 1):
+        _run(tmp_path / "in_order", shard=ShardPlan(index, 2))
+    for index in (1, 0):
+        _run(tmp_path / "reversed", shard=ShardPlan(index, 2))
+    assert (
+        manifest_path(tmp_path / "in_order", "fig9").read_bytes()
+        == manifest_path(tmp_path / "reversed", "fig9").read_bytes()
     )
-    shard1 = ScenarioResult(
-        scenario="s", spec_hash="h", job_keys=["c"],
-        summary={"cells": 1, "simulated": 1, "cache_hits": 0, "infeasible": 0},
-        shard_index=1, shard_count=2,
-    )
-    in_order = merge_shard_manifests(
-        "s", "h", ["a", "b", "c"], {(0, 2): shard0, (1, 2): shard1}
-    )
-    reversed_order = merge_shard_manifests(
-        "s", "h", ["a", "b", "c"], {(1, 2): shard1, (0, 2): shard0}
-    )
-    assert in_order.job_keys == reversed_order.job_keys == ["a", "b", "c"]
-    assert in_order.summary == reversed_order.summary
-    assert in_order.to_payload() == reversed_order.to_payload()
 
 
-def test_merge_is_idempotent_over_repeated_delivery():
-    shard0 = ScenarioResult(
-        scenario="s", spec_hash="h", job_keys=["a"],
-        summary={"cells": 1, "simulated": 1, "cache_hits": 0, "infeasible": 0},
-        shard_index=0, shard_count=2,
-    )
-    shard1 = ScenarioResult(
-        scenario="s", spec_hash="h", job_keys=["b"],
-        summary={"cells": 1, "simulated": 0, "cache_hits": 1, "infeasible": 1},
-        shard_index=1, shard_count=2,
-    )
-    shards = {(0, 2): shard0, (1, 2): shard1}
-    first = merge_shard_manifests("s", "h", ["a", "b"], shards)
-    again = merge_shard_manifests("s", "h", ["a", "b"], dict(shards))
-    assert first.to_payload() == again.to_payload()
+def test_merge_is_idempotent_over_repeated_delivery(tmp_path):
+    # The whole shard set delivered again (a requeued batch of workers)
+    # simulates nothing and leaves the manifest's bytes alone.
+    for index in (0, 1):
+        _run(tmp_path, shard=ShardPlan(index, 2))
+    written = manifest_path(tmp_path, "fig9").read_bytes()
+    again = [_run(tmp_path, shard=ShardPlan(index, 2)) for index in (0, 1)]
+    assert [r.simulated for r in again] == [0, 0]
+    assert manifest_path(tmp_path, "fig9").read_bytes() == written
 
 
 def test_redelivered_shard_manifest_merges_identically(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    run_scenario("fig9", shard=ShardPlan(0, 2))
-    run_scenario("fig9", shard=ShardPlan(1, 2))
-    baseline = merge_scenario("fig9").manifest.to_payload()
-
-    # Shard 1 re-runs against the warm cache (a requeued/re-delivered
-    # shard in fleet terms) and overwrites its manifest; the re-run
-    # simulated nothing, and the merged record must not change in any
-    # drift-relevant way.
-    redelivered = run_scenario("fig9", shard=ShardPlan(1, 2))
+    # Shard 0 delivered twice before shard 1 lands: the second delivery
+    # simulates nothing and writes nothing, and the completed record is
+    # the one a single delivery gives.
+    _run(tmp_path / "once", shard=ShardPlan(0, 2))
+    _run(tmp_path / "once", shard=ShardPlan(1, 2))
+    _run(tmp_path / "twice", shard=ShardPlan(0, 2))
+    redelivered = _run(tmp_path / "twice", shard=ShardPlan(0, 2))
     assert redelivered.simulated == 0
-    merged = merge_scenario("fig9").manifest.to_payload()
-    assert merged["job_keys"] == baseline["job_keys"]
-    assert merged["spec_hash"] == baseline["spec_hash"]
-    assert merged["summary"]["cells"] == baseline["summary"]["cells"]
+    assert redelivered.manifest is None
+    _run(tmp_path / "twice", shard=ShardPlan(1, 2))
     assert (
-        merged["summary"]["infeasible"] == baseline["summary"]["infeasible"]
+        manifest_path(tmp_path / "twice", "fig9").read_bytes()
+        == manifest_path(tmp_path / "once", "fig9").read_bytes()
     )
-    # A third delivery of the identical manifest is a pure no-op.
-    assert merge_scenario("fig9").manifest.to_payload() == merged
-
-
-def test_from_payload_rejects_half_set_shard_position():
-    base = {
-        "schema": 1,
-        "scenario": "s",
-        "spec_hash": "h",
-        "job_keys": ["a"],
-    }
-    assert ScenarioResult.from_payload(dict(base)) is not None
-    assert ScenarioResult.from_payload(
-        {**base, "shard_index": 0, "shard_count": 2}
-    ) is not None
-    # index without count (and vice versa) is unusable downstream and
-    # must read as a bad manifest, not crash the merge later.
-    assert ScenarioResult.from_payload({**base, "shard_index": 0}) is None
-    assert ScenarioResult.from_payload({**base, "shard_count": 2}) is None
-    assert ScenarioResult.from_payload(
-        {**base, "shard_index": 2, "shard_count": 2}
-    ) is None
-    assert ScenarioResult.from_payload(
-        {**base, "shard_index": 0, "shard_count": None}
-    ) is None
-
-
-def test_auto_merge_ignores_stale_partitionings(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    # A leftover 3-way shard from an earlier attempt must not block the
-    # 2-way run's auto-merge (the strict `scenario merge` still would).
-    run_scenario("fig9", shard=ShardPlan(0, 3))
-    run_scenario("fig9", shard=ShardPlan(0, 2))
-    report = run_scenario("fig9", shard=ShardPlan(1, 2))
-    assert report.merged_manifest_file is not None
-    merged = load_manifest(tmp_path, "fig9")
-    assert merged.summary["merged_from_shards"] == 2
-
-
-def test_find_shard_manifests_trusts_payload_not_filename(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    run_scenario("fig9", shard=ShardPlan(0, 2))
-    # A shard manifest copied to another shard's filename must not
-    # impersonate it: the payload's own position wins.
-    source = shard_manifest_path(tmp_path, "fig9", 0, 2)
-    fake = shard_manifest_path(tmp_path, "fig9", 1, 2)
-    fake.write_text(source.read_text())
-    found = find_shard_manifests(tmp_path, "fig9")
-    assert set(found) == {(0, 2)}
 
 
 def test_sharding_a_specless_scenario_is_rejected():
     with pytest.raises(ConfigurationError, match="cannot be sharded"):
         run_scenario("fig8", shard=ShardPlan(0, 2))
-    with pytest.raises(ConfigurationError, match="cannot be sharded"):
-        merge_scenario("fig8")
 
 
-def test_merge_without_cache_dir_is_rejected():
-    configure(cache=True, cache_dir=None)
-    if default_service().cache.directory is not None:
-        pytest.skip("$REPRO_CACHE_DIR set in the environment")
-    with pytest.raises(ConfigurationError, match="cache"):
-        merge_scenario("fig9")
-
-
-def test_sharded_run_without_cache_still_runs(tmp_path):
+def test_sharded_run_without_cache_still_runs(monkeypatch):
     configure(cache=False)
     report = run_scenario("fig9", shard=ShardPlan(0, 2))
     assert report.cells == 2
     assert report.simulated == 2
     assert report.manifest_file is None  # nowhere to persist
-    assert report.merged_manifest_file is None
-
-
-def test_shard_manifest_records_position_and_totals(tmp_path):
-    configure(cache=True, cache_dir=str(tmp_path))
-    report = run_scenario("fig9", shard=ShardPlan(1, 2))
-    manifest = load_shard_manifest(tmp_path, "fig9", 1, 2)
-    assert manifest.is_shard
-    assert (manifest.shard_index, manifest.shard_count) == (1, 2)
-    assert manifest.summary["total_cells"] == report.total_cells
-    assert manifest.job_keys == [
-        job.cache_key() for job in ShardPlan(1, 2).select(
-            report.spec.compile()
-        )
-    ]
+    # An in-memory cache that holds every key is no shared record
+    # either: the lone shard 0/1 writes no manifest.
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    configure(cache=True, cache_dir=None)
+    report = run_scenario("fig9", shard=ShardPlan(0, 1))
+    assert report.cells == 3
+    assert report.manifest is None
 
 
 def test_cli_shard_and_merge_round_trip(tmp_path, capsys):
-    from repro.cli import main
-
-    cache = str(tmp_path / "cli-cache")
-    assert main(
-        ["scenario", "run", "fig9", "--cache-dir", cache, "--shard", "0/2"]
-    ) == 0
-    assert main(
-        ["scenario", "run", "fig9", "--cache-dir", cache, "--shard", "1/2"]
-    ) == 0
+    cache = tmp_path / "cli-cache"
+    run = ["scenario", "run", "fig9", "--cache-dir", str(cache)]
+    assert main(run + ["--shard", "0/2"]) == 0
     err = capsys.readouterr().err
-    assert "shard 1/2" in err
-    assert "merged manifest" in err
-    assert main(["scenario", "merge", "fig9", "--cache-dir", cache]) == 0
-    out = capsys.readouterr().out
-    assert "merged 2 shard manifest(s)" in out
+    assert "shard 0/2: 2 of 3 cell(s)" in err
+    assert "manifest ->" not in err
+    assert main(run + ["--shard", "1/2"]) == 0
+    err = capsys.readouterr().err
+    assert "shard 1/2: 1 of 3 cell(s): 1 simulated" in err
+    assert f"manifest -> {manifest_path(cache, 'fig9')}" in err
+    # The completing shard is the merge; there is no merge verb.
+    with pytest.raises(SystemExit):
+        main(["scenario", "merge", "fig9", "--cache-dir", str(cache)])
     # Bad shard spellings fail loudly at the CLI boundary.
-    assert main(
-        ["scenario", "run", "fig9", "--cache-dir", cache, "--shard", "9/2"]
-    ) == 1
+    assert main(run + ["--shard", "9/2"]) == 1

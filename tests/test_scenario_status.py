@@ -1,4 +1,4 @@
-"""``scenario status`` and ``scenario diff``: shard/cache/manifest
+"""``scenario status`` and ``scenario diff``: cache/shard/manifest
 introspection and drift detection between run manifests."""
 
 import json
@@ -38,61 +38,42 @@ def test_status_cold_cache_reports_everything_missing(tmp_path):
     assert report.cached_keys == 0
     assert len(report.missing_keys) == report.distinct_keys == 3
     assert not report.manifest_present
-    assert report.shard_count is None
-    assert not report.shards_complete
+    assert report.shards == []
     assert "3 cell(s)" in report.describe()
 
 
 def test_status_tracks_shards_landing(tmp_path):
     configure(cache=True, cache_dir=str(tmp_path))
     run_scenario("fig9", shard=ShardPlan(0, 2))
-    report = scenario_status("fig9")
-    assert report.shard_count == 2
-    assert [s.present for s in report.shards] == [True, False]
-    assert not report.shards_complete
+    report = scenario_status("fig9", shards=2)
+    assert [(s.keys, s.cached) for s in report.shards] == [(2, 2), (1, 0)]
+    assert [s.complete for s in report.shards] == [True, False]
     assert report.cached_keys == 2  # shard 0 carries 2 of 3 cells
     assert len(report.missing_keys) == 1
+    assert not report.manifest_present
 
     run_scenario("fig9", shard=ShardPlan(1, 2))
-    report = scenario_status("fig9")
-    assert report.shards_complete
+    report = scenario_status("fig9", shards=2)
+    assert all(s.complete for s in report.shards)
     assert report.cached_keys == 3 and not report.missing_keys
-    # The last shard auto-merged, so the canonical manifest is current.
+    # The completing shard wrote the canonical manifest.
     assert report.manifest_present and report.manifest_current
 
 
 def test_status_explicit_partitioning_overrides_detection(tmp_path):
     configure(cache=True, cache_dir=str(tmp_path))
     run_scenario("fig9", shard=ShardPlan(0, 2))
+    # Any partitioning can be asked about: the counts come from the
+    # cache, not from which partitioning filled it.
     report = scenario_status("fig9", shards=3)
-    assert report.shard_count == 3
-    assert [s.present for s in report.shards] == [False, False, False]
-    # The 2-way shard manifest is not part of the requested partitioning.
-    assert report.stale_shard_manifests == 1
-
-
-def test_status_hash_mismatched_shards_not_double_counted(tmp_path):
-    """A shard of the reported partitioning with a stale spec hash is
-    shown per-shard, not also counted among the ignored manifests."""
-    configure(cache=True, cache_dir=str(tmp_path))
-    run_scenario("fig9", shard=ShardPlan(0, 2))
-    current = scenario_status("fig9")
-    spec_hash = current.spec_hash
-    stale_shard = ScenarioResult(
-        scenario="fig9",
-        spec_hash="deadbeef",
-        job_keys=["k"],
-        shard_index=1,
-        shard_count=2,
-    )
-    save_manifest(tmp_path, stale_shard)
-    report = scenario_status("fig9", shards=2)
-    assert report.spec_hash == spec_hash
-    assert [s.present for s in report.shards] == [True, True]
-    assert [s.spec_match for s in report.shards] == [True, False]
-    assert not report.shards_complete
-    assert report.stale_shard_manifests == 0  # both already shown above
-    assert "STALE spec hash" in report.describe()
+    assert [(s.index, s.count, s.keys) for s in report.shards] == [
+        (0, 3, 1), (1, 3, 1), (2, 3, 1),
+    ]
+    assert [s.complete for s in report.shards] == [True, False, True]
+    assert "shard 1/3: 0/1 key(s) cached" in report.describe()
+    assert scenario_status("fig9").shards == []
+    with pytest.raises(ConfigurationError, match="shard count"):
+        scenario_status("fig9", shards=0)
 
 
 def test_status_detects_stale_manifest(tmp_path):
@@ -126,14 +107,14 @@ def test_status_cli_roundtrip(tmp_path, capsys):
 def test_status_json_matches_the_report(tmp_path, capsys):
     configure(cache=True, cache_dir=str(tmp_path))
     run_scenario("fig9", shard=ShardPlan(0, 2))
-    report = scenario_status("fig9")
+    report = scenario_status("fig9", shards=2)
     reset_default_service()
 
     assert (
         main(
             [
                 "scenario", "status", "fig9",
-                "--cache-dir", str(tmp_path), "--json",
+                "--cache-dir", str(tmp_path), "--shards", "2", "--json",
             ]
         )
         == 0
@@ -145,9 +126,10 @@ def test_status_json_matches_the_report(tmp_path, capsys):
     assert payload["cells"] == 3
     assert payload["cached_keys"] == 2
     assert len(payload["missing_keys"]) == 1
-    assert payload["shard_count"] == 2
-    assert payload["shards_complete"] is False
-    assert [s["present"] for s in payload["shards"]] == [True, False]
+    assert payload["shards"] == [
+        {"index": 0, "count": 2, "keys": 2, "cached": 2, "complete": True},
+        {"index": 1, "count": 2, "keys": 1, "cached": 0, "complete": False},
+    ]
     assert payload["cache_dir"] == str(tmp_path)
 
 

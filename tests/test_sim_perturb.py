@@ -428,8 +428,8 @@ def test_degradation_scenarios_registered():
         # cell precedes its degraded siblings.
         assert jobs[0].config.perturbations == ()
         assert any(job.config.perturbations for job in jobs)
-        # The spec round-trips through its JSON form (so spec files and
-        # shard manifests can carry perturbation axes).
+        # The spec round-trips through its JSON form (so spec files can
+        # carry perturbation axes).
         from repro.scenario.spec import SweepSpec
 
         again = SweepSpec.from_dict(spec.to_dict())

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.datapath import FP16_TENSOR
 from repro.sim.engine import reset_shared_evaluators
 from repro.workloads.kernels import KernelKind
 from repro.workloads.registry import get_model
