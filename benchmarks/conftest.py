@@ -1,24 +1,10 @@
-"""Shared benchmark configuration.
-
-Set ``REPRO_BENCH_FULL=1`` to run the full paper-scale sweeps instead of
-the quick subsets (the full grid takes tens of minutes).
-"""
-
-import os
-
-import pytest
-
-
-@pytest.fixture(scope="session")
-def quick() -> bool:
-    """Whether benches run the reduced quick grids (default: yes)."""
-    return os.environ.get("REPRO_BENCH_FULL", "0") != "1"
+"""Shared benchmark configuration."""
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Run a figure generator exactly once under pytest-benchmark.
+    """Run a sweep exactly once under pytest-benchmark.
 
-    The generators are full experiment sweeps; statistical repetition
+    The sweeps are full experiment grids; statistical repetition
     happens *inside* them (the paper's N-run averaging), so the bench
     harness should not re-run them.
     """

@@ -9,8 +9,9 @@
 * :mod:`repro.analysis.crossover` — locating the operating points where
   overlapped execution stops paying off (power-cap crossovers, batch
   trends).
-* :mod:`repro.analysis.takeaways` — programmatic validation of the
-  paper's seven takeaways against fresh simulation runs.
+
+The paper's takeaways are checked with its other claims in
+:mod:`repro.harness.claims`.
 """
 
 from repro.analysis.crossover import (
@@ -24,17 +25,14 @@ from repro.analysis.sensitivity import (
     sweep_parameter,
     tornado,
 )
-from repro.analysis.takeaways import TakeawayCheck, validate_takeaways
 
 __all__ = [
     "RooflinePoint",
     "SensitivityPoint",
-    "TakeawayCheck",
     "batch_trend",
     "find_cap_crossover",
     "overlap_benefit",
     "roofline_report",
     "sweep_parameter",
     "tornado",
-    "validate_takeaways",
 ]

@@ -18,7 +18,6 @@ Subcommands mirror the library's layers:
   through the local execution service, push the results back;
 * ``microbench`` — the Fig. 8 matmul-vs-all-reduce microbenchmark;
 * ``roofline`` — per-kernel roofline report for a workload on a GPU;
-* ``takeaways`` — validate the paper's seven takeaways;
 * ``trace`` — simulate one iteration and export a Chrome trace.
 """
 
@@ -587,16 +586,6 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_takeaways(args: argparse.Namespace) -> int:
-    from repro.analysis.takeaways import render_takeaways, validate_takeaways
-
-    _configure_execution(args)
-    checks = validate_takeaways(runs=args.runs)
-    print(render_takeaways(checks))
-    _print_execution_stats()
-    return 0 if all(c.holds for c in checks) else 1
-
-
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.analysis.sensitivity import (
         DEFAULT_TORNADO_CONFIG,
@@ -945,13 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     roof_parser.add_argument("--no-tensor-cores", action="store_true")
     roof_parser.add_argument("--top", type=int, default=15)
     roof_parser.set_defaults(func=_cmd_roofline)
-
-    take_parser = sub.add_parser(
-        "takeaways", help="validate the paper's seven takeaways"
-    )
-    take_parser.add_argument("--runs", type=int, default=1)
-    _add_execution_args(take_parser)
-    take_parser.set_defaults(func=_cmd_takeaways)
 
     sens_parser = sub.add_parser(
         "sensitivity",

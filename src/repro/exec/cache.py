@@ -3,8 +3,7 @@
 Two tiers behind one interface:
 
 * an in-memory dict, always on, which deduplicates repeated cells
-  within one process (e.g. the same baseline config appearing in
-  several takeaway checks);
+  within one process (e.g. the grid cells that Figs. 4-6 share);
 * an optional on-disk JSON store (one file per job hash), which lets a
   figure rerun or a follow-up analysis session skip every cell an
   earlier run already simulated.
@@ -45,7 +44,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_MAX_ENV = "REPRO_CACHE_MAX"
 
 
-def write_json_atomic(path: Path, payload: dict) -> None:
+def write_json_atomic(
+    path: Path, payload: dict, indent: Optional[int] = None
+) -> None:
     """Write ``payload`` to ``path`` so readers never see a torn file.
 
     Unique temp name per writer (concurrent processes sharing the
@@ -53,6 +54,8 @@ def write_json_atomic(path: Path, payload: dict) -> None:
     ``os.replace``: any number of writers may race on the same key and
     the file is always one writer's complete JSON — last writer wins,
     which is safe here because equal keys mean equal payloads.
+    ``indent`` is ``json.dump``'s: cache entries are compact, scenario
+    manifests indent by 2.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
@@ -60,7 +63,7 @@ def write_json_atomic(path: Path, payload: dict) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            json.dump(payload, handle, indent=indent)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -118,8 +118,8 @@ class ExecutionService:
     def prefetch(self, jobs: Sequence[SimJob]) -> None:
         """Warm the cache for a batch of jobs.
 
-        Callers whose control flow needs results one at a time (the
-        takeaway checks, tornado excursions) prefetch their cells here
+        Callers whose control flow needs results one at a time (tornado
+        excursions, crossover searches) prefetch their cells here
         so a parallel executor can fan them out; the subsequent
         per-cell reads resolve from cache. A no-op without a cache —
         nothing would be retained, and every cell would simulate twice.

@@ -1,10 +1,10 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
 Each ``figures.figN`` module produces the data behind the corresponding
-paper artifact and renders it as text tables / ASCII plots; the
-``benchmarks/`` tree wires each one into pytest-benchmark.
-``python -m repro.harness.experiments_md`` writes a paper-vs-measured
-report.
+paper artifact and renders it as text tables / ASCII plots;
+:mod:`repro.harness.claims` checks the paper's claims against those
+rows (``python -m repro scenario run claims`` renders
+``EXPERIMENTS.md``).
 """
 
 from repro.harness.report import format_row, render_table

@@ -13,5 +13,6 @@
 | fig11  | Tensor-core (TF32) vs FP32 slowdown and power |
 
 Each module exposes ``generate(quick=...)`` returning plain data rows
-and ``render(rows)`` producing the text report printed by the bench.
+and ``render(rows)`` producing the text report ``figure N`` prints;
+:mod:`repro.harness.claims` reads the same rows.
 """

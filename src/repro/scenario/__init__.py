@@ -10,7 +10,7 @@ This package is how experiments are *specified* in this repo:
   ``examples/scenarios/*.yaml`` (restricted YAML subset) and ``.json``
   spec files round-trip into :class:`SweepSpec`;
 * :mod:`repro.scenario.registry` — the ``@register_scenario`` registry
-  under which every paper artifact (figures, takeaways, sensitivity,
+  under which every paper artifact (figures, claims, sensitivity,
   crossover) is a named, runnable scenario;
 * :mod:`repro.scenario.manifest` — :class:`ScenarioResult` manifests
   persisted next to the result cache, making scenario re-runs

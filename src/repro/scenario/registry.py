@@ -1,6 +1,6 @@
 """The named scenario registry.
 
-Every paper artifact (figures 1 and 4-11, the takeaway validation, the
+Every paper artifact (figures 1 and 4-11, the paper's claims, the
 sensitivity tornado, the crossover search) registers itself here as a
 :class:`Scenario`: a name, a spec builder describing the cells it
 simulates, the row generator, and the text renderer. The CLI's

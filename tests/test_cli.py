@@ -18,7 +18,6 @@ def test_parser_knows_all_subcommands():
         ["scenario", "run", "fig9"],
         ["microbench"],
         ["roofline"],
-        ["takeaways"],
         ["trace"],
     ):
         args = parser.parse_args(command)
@@ -178,8 +177,7 @@ def test_infeasible_run_returns_error(capsys):
 
 def test_execution_flags_parse():
     parser = build_parser()
-    for command in ("run", "figure", "takeaways"):
-        prefix = [command, "4"] if command == "figure" else [command]
+    for prefix in (["run"], ["figure", "4"], ["scenario", "run", "claims"]):
         args = parser.parse_args(prefix + ["--jobs", "4", "--no-cache"])
         assert args.jobs == 4
         assert args.no_cache is True
@@ -231,7 +229,7 @@ def test_scenario_list_names_every_artifact(capsys):
     out = capsys.readouterr().out
     for name in (
         "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-        "fig10", "fig11", "takeaways", "sensitivity", "crossover",
+        "fig10", "fig11", "claims", "sensitivity", "crossover",
     ):
         assert name in out
 

@@ -24,7 +24,7 @@ SPEC_JOBS = [
 
 def test_every_spec_backed_scenario_is_covered():
     names = {name for name, _ in SPEC_JOBS}
-    assert {"fig4", "fig9", "fig10", "fig11", "takeaways"} <= names
+    assert {"fig4", "fig9", "fig10", "fig11"} <= names
 
 
 @pytest.mark.parametrize(

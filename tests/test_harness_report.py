@@ -37,7 +37,9 @@ def test_render_table_rejects_ragged_rows():
 
 
 def test_table1_matches_paper_values():
-    rows = {r["gpu"]: r for r in table1_gpus()}
+    table = table1_gpus()
+    assert len(table) == 4
+    rows = {r["gpu"]: r for r in table}
     assert rows["A100"]["year"] == 2020
     assert rows["H100"]["memory_gb"] == 80
     assert rows["MI210"]["peak_fp32_tflops"] == 22.6
@@ -45,7 +47,9 @@ def test_table1_matches_paper_values():
 
 
 def test_table2_matches_paper_architectures():
-    rows = {r["model"]: r for r in table2_workloads()}
+    table = table2_workloads()
+    assert len(table) == 5
+    rows = {r["model"]: r for r in table}
     assert rows["gpt3-xl"]["layers"] == 24
     assert rows["gpt3-13b"]["attention_heads"] == 40
     assert rows["llama2-13b"]["hidden_dim"] == 5120

@@ -1,8 +1,11 @@
 """Integration tests pinning the paper's headline qualitative shapes.
 
-The benchmark suite regenerates the full figures; these tests check the
-same directional claims on single cells so a regression in the
-contention, power or scheduling models fails fast in `pytest tests/`.
+The claims registry (``repro.harness.claims``, pinned by
+``tests/test_harness_claims.py``) checks the paper's claims over the
+figures' rows; these tests check directional claims on single cells,
+including cells no figure simulates (batch 64, tensor parallelism, a
+frequency cap), so a regression in the contention, power or scheduling
+models fails fast in `pytest tests/`.
 """
 
 import pytest

@@ -21,9 +21,6 @@ ROOTS = ("repro", "repro.__main__")
 #: Modules no user path imports, each with the reason it stays.
 UNREACHED_ON_PURPOSE = {
     "repro.sim.invariants": "the tests' oracle for simulated runs",
-    "repro.harness.experiments_md": (
-        "the paper-gap report; the ROADMAP's paper-gap item decides it"
-    ),
 }
 
 

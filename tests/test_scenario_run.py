@@ -33,7 +33,7 @@ EXPECTED_SCENARIOS = {
     "fig9",
     "fig10",
     "fig11",
-    "takeaways",
+    "claims",
     "sensitivity",
     "crossover",
 }
@@ -53,7 +53,7 @@ def test_spec_backed_scenarios_compile():
     for scenario in list_scenarios():
         spec = scenario.spec(quick=True)
         if spec is None:
-            assert scenario.name in {"fig1", "fig7", "fig8"}
+            assert scenario.name in {"fig1", "fig7", "fig8", "claims"}
             continue
         jobs = spec.compile()
         assert jobs, scenario.name
