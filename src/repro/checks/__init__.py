@@ -8,9 +8,8 @@ wire vocabulary.
 
 This package encodes those contracts as AST-level checks over the
 source tree (no module under check is ever imported), surfaced through
-``repro check``. Findings carry stable codes; individual lines opt out
-with ``# repro: allow[CODE]`` pragmas and legacy findings can be
-grandfathered through a JSON baseline file.
+``repro check``. Findings carry stable codes; the one way to suppress
+a finding is a justified ``# repro: allow[CODE]`` pragma on its line.
 """
 
 from repro.checks.findings import CODES, Finding

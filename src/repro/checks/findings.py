@@ -41,7 +41,7 @@ class Finding:
     """One checker hit, anchored to a source location.
 
     ``file`` is the path relative to the scanned root (posix form), so
-    findings are stable across checkouts and usable as baseline keys.
+    findings are stable across checkouts.
     """
 
     code: str
@@ -56,14 +56,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.file, self.line, self.col, self.code)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used for baseline matching.
-
-        Deliberately excludes the line number so a baseline survives
-        unrelated edits above the grandfathered finding.
-        """
-        return (self.code, self.file, self.message)
 
     def to_payload(self) -> Dict[str, Any]:
         return {

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.checks.baseline import load_baseline, split_by_baseline
 from repro.checks.cachekey import check_cachekey
 from repro.checks.determinism import check_determinism
 from repro.checks.findings import CODES, Finding
@@ -38,8 +37,6 @@ class CheckReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    grandfathered: List[Finding] = field(default_factory=list)
-    stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
     series: Tuple[str, ...] = ALL_SERIES
     files_scanned: int = 0
 
@@ -54,8 +51,6 @@ class CheckReport:
             "files_scanned": self.files_scanned,
             "findings": [f.to_payload() for f in self.findings],
             "suppressed": [f.to_payload() for f in self.suppressed],
-            "grandfathered": [f.to_payload() for f in self.grandfathered],
-            "stale_baseline": [list(key) for key in self.stale_baseline],
         }
 
 
@@ -78,11 +73,7 @@ def normalize_series(selection: Optional[str]) -> Tuple[str, ...]:
     return tuple(series) or ALL_SERIES
 
 
-def run_checks(
-    root: Path,
-    select: Optional[str] = None,
-    baseline: Optional[Path] = None,
-) -> CheckReport:
+def run_checks(root: Path, select: Optional[str] = None) -> CheckReport:
     """Run the selected checker series over the tree at ``root``."""
     project = Project.load(Path(root))
     series = normalize_series(select)
@@ -107,17 +98,9 @@ def run_checks(
         else:
             active.append(finding)
 
-    grandfathered: List[Finding] = []
-    stale: List[Tuple[str, str, str]] = []
-    if baseline is not None:
-        entries = load_baseline(baseline)
-        active, grandfathered, stale = split_by_baseline(active, entries)
-
     return CheckReport(
         findings=active,
         suppressed=suppressed,
-        grandfathered=grandfathered,
-        stale_baseline=stale,
         series=series,
         files_scanned=len(project.files),
     )
@@ -139,21 +122,9 @@ def format_findings(report: CheckReport, fmt: str = "text") -> str:
         f"{len(report.findings)} finding(s) from {names} "
         f"over {report.files_scanned} file(s)"
     )
-    extras: List[str] = []
     if report.suppressed:
-        extras.append(f"{len(report.suppressed)} pragma-suppressed")
-    if report.grandfathered:
-        extras.append(f"{len(report.grandfathered)} baselined")
-    if report.stale_baseline:
-        extras.append(f"{len(report.stale_baseline)} stale baseline entries")
-    if extras:
-        summary += f" ({'; '.join(extras)})"
+        summary += f" ({len(report.suppressed)} pragma-suppressed)"
     lines.append(summary)
-    if report.stale_baseline:
-        for code, relpath, message in report.stale_baseline:
-            lines.append(
-                f"stale baseline entry: {code} {relpath}: {message}"
-            )
     return "\n".join(lines)
 
 

@@ -2,23 +2,27 @@
 
 Subcommands mirror the library's layers:
 
-* ``list-gpus`` / ``list-models`` — the registries (Tables I and II);
+* ``list-gpus`` / ``list-models`` — the registries, printed as the
+  paper's Tables I and II;
 * ``run`` — one experiment cell with full Eq. 1-5 metrics;
 * ``figure N`` — regenerate a paper figure (1, 4-11); an alias of
   ``scenario run figN``;
-* ``table N`` — regenerate a paper table (1, 2);
 * ``scenario`` — the declarative sweep API: ``list`` the named paper
-  scenarios, ``show`` a spec, ``run`` a scenario (or a JSON/YAML spec
+  scenarios, ``show`` a spec, ``run`` a scenario (or a JSON spec
   file) with manifest-backed incremental re-runs — optionally one
   shard of it (``--shard i/N``) — ``status`` of its cache and
   manifest, ``serve`` a fleet coordinator that queues the missing
   cells for pulling workers, and ``fleet-status`` a running
   coordinator;
-* ``worker`` — join a fleet: lease tasks from a coordinator, run them
-  through the local execution service, push the results back;
+* ``worker`` — join a fleet: lease one task at a time from a
+  coordinator, run it through the local execution service, push its
+  result back;
 * ``microbench`` — the Fig. 8 matmul-vs-all-reduce microbenchmark;
 * ``roofline`` — per-kernel roofline report for a workload on a GPU;
-* ``trace`` — simulate one iteration and export a Chrome trace.
+* ``sensitivity`` — tornado analysis of the contention-calibration
+  coefficients;
+* ``trace`` — simulate one iteration and export a Chrome trace;
+* ``check`` — the static invariant checks over the source tree.
 """
 
 from __future__ import annotations
@@ -484,7 +488,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     worker = FleetWorker(
         url=args.url,
         executor=default_service().executor,
-        batch=getattr(args, "batch", 1),
         max_tasks=args.max_tasks,
         max_idle_s=args.max_idle,
     )
@@ -518,19 +521,6 @@ def _cmd_scenario_diff(args: argparse.Namespace) -> int:
     diff = diff_manifests(manifests[0], manifests[1], tol=args.tol)
     print(diff.describe())
     return 1 if diff.drifted else 0
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    from repro.harness.tables import render_table1, render_table2
-
-    if args.number == "1":
-        print(render_table1())
-    elif args.number == "2":
-        print(render_table2())
-    else:
-        print(f"unknown table {args.number!r} (available: 1, 2)", file=sys.stderr)
-        return 2
-    return 0
 
 
 def _cmd_microbench(args: argparse.Namespace) -> int:
@@ -644,7 +634,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.checks import format_findings, run_checks
-    from repro.checks.baseline import save_baseline
     from repro.checks.runner import iter_codes
 
     if args.list_codes:
@@ -655,18 +644,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         root = Path(args.root)
     else:
         root = Path(__file__).resolve().parent
-    report = run_checks(
-        root,
-        select=args.select,
-        baseline=Path(args.baseline) if args.baseline else None,
-    )
-    if args.write_baseline:
-        save_baseline(Path(args.write_baseline), report.findings)
-        print(
-            f"wrote {len(report.findings)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
+    report = run_checks(root, select=args.select)
     print(format_findings(report, args.format))
     return 0 if report.ok else 1
 
@@ -712,10 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     # No --shard/--set/--stats: a figure is the whole, canonical run.
     fig_parser.set_defaults(func=_cmd_figure, shard=None)
 
-    table_parser = sub.add_parser("table", help="regenerate a paper table")
-    table_parser.add_argument("number", help="table number (1 or 2)")
-    table_parser.set_defaults(func=_cmd_table)
-
     scenario_parser = sub.add_parser(
         "scenario", help="the declarative sweep-spec API"
     )
@@ -747,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc_show.set_defaults(func=_cmd_scenario_show)
     sc_run = scenario_sub.add_parser(
-        "run", help="run a named scenario or a JSON/YAML spec file"
+        "run", help="run a named scenario or a JSON spec file"
     )
     sc_run.add_argument("name", help="scenario name or spec file")
     sc_run.add_argument(
@@ -900,14 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after S seconds with nothing leasable "
         "(default: wait for the coordinator to drain)",
     )
-    worker_parser.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        metavar="K",
-        help="lease up to K tasks per round-trip and push their "
-        "results as one batch (default: 1, the legacy wire shape)",
-    )
     _add_execution_args(worker_parser)
     worker_parser.set_defaults(func=_cmd_worker)
 
@@ -977,18 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument(
         "--format", choices=("text", "json"), default="text"
-    )
-    check_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="JSON baseline of grandfathered findings",
-    )
-    check_parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write current unsuppressed findings as a new baseline and exit",
     )
     check_parser.add_argument(
         "--root",

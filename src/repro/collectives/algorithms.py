@@ -135,34 +135,3 @@ def select_algorithm(
         op, Algorithm.TREE, link, effective_bandwidth, launch_overhead_s
     )
     return tree if tree.duration_s < ring.duration_s else ring
-
-
-def crossover_bytes(
-    op_kind: CollectiveKind,
-    world_size: int,
-    link: LinkSpec,
-    effective_bandwidth: float,
-) -> float:
-    """Payload size at which ring and tree durations are equal.
-
-    Below this size the tree's lower hop count wins; above it the
-    ring's lower wire volume wins. Infinite when tree always loses
-    (its extra wire bytes outweigh the saved hops at any size).
-    """
-    if not supports_tree(op_kind):
-        return 0.0
-    probe = CollectiveOp(
-        key="crossover-probe",
-        kind=op_kind,
-        payload_bytes=1.0,
-        participants=tuple(range(world_size)),
-    )
-    hop_gain = (ring_hops(probe) - tree_hops(probe)) * link.latency_s
-    wire_penalty_per_byte = (
-        tree_wire_bytes(probe) - ring_wire_bytes(probe)
-    ) / effective_bandwidth
-    if hop_gain <= 0:
-        return 0.0
-    if wire_penalty_per_byte <= 0:
-        return float("inf")
-    return hop_gain / wire_penalty_per_byte

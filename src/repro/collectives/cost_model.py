@@ -115,13 +115,6 @@ class CollectiveCostModel:
             return op.payload_bytes
         return op.payload_bytes / op.world_size * max(op.world_size - 1, 1)
 
-    def effective_link_bandwidth(self, op: CollectiveOp) -> float:
-        """Achieved per-direction bytes/s for this op's message size."""
-        ramped = self.link.ramp_bandwidth(
-            self.message_bytes(op), self.calibration.msg_half_bytes
-        )
-        return ramped * _LINK_EFF_PER_KIND.get(op.kind, 1.0)
-
     def cost(self, op: CollectiveOp) -> CollectiveCost:
         """Full cost bundle for one rank of ``op``, memoized.
 

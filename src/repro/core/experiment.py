@@ -168,16 +168,6 @@ class ModeStats:
     min_clock_frac: float
     e2e_samples: List[float] = field(default_factory=list)
 
-    @property
-    def e2e_std_s(self) -> float:
-        """Run-to-run standard deviation of iteration latency."""
-        n = len(self.e2e_samples)
-        if n < 2:
-            return 0.0
-        mean = sum(self.e2e_samples) / n
-        var = sum((x - mean) ** 2 for x in self.e2e_samples) / (n - 1)
-        return var ** 0.5
-
 
 @dataclass
 class ExperimentResult:

@@ -33,14 +33,6 @@ class FeasibilityReport:
     capacity_bytes: float
     reason: str
 
-    @property
-    def required_gib(self) -> float:
-        return self.footprint.total_bytes / GIB
-
-    @property
-    def capacity_gib(self) -> float:
-        return self.capacity_bytes / GIB
-
 
 def check_feasibility(
     node: NodeSpec,

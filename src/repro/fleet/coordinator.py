@@ -61,11 +61,6 @@ from repro.scenario.manifest import (
 #: opts into 0.0.0.0 explicitly.
 DEFAULT_HOST = "127.0.0.1"
 
-#: Ceiling on tasks handed out per batched lease request. A worker
-#: holding a huge batch serializes the fleet (nothing for anyone else
-#: to lease) and risks every lease in it expiring together.
-MAX_LEASE_BATCH = 32
-
 
 @dataclass
 class FleetPlan:
@@ -307,23 +302,12 @@ class FleetCoordinator:
         worker = str(body.get("worker") or "anonymous")
         if self.queue.closed:
             return {"state": "drained"}
-        batched = "n" in body
-        if batched:
-            try:
-                n = int(body["n"])
-            except (TypeError, ValueError):
-                raise TaskContractError("lease 'n' must be an integer")
-            if n < 1:
-                raise TaskContractError("lease 'n' must be >= 1")
-            n = min(n, MAX_LEASE_BATCH)
-        else:
-            n = 1
         # An idle worker's request is held for up to one poll interval
         # until a task becomes pending, so it hears of new work at once.
-        leased, hint = self.queue.lease_many_with_hint(
-            worker, n, hold=self.poll_interval
+        leased, hint = self.queue.lease_with_hint(
+            worker, hold=self.poll_interval
         )
-        if not leased:
+        if leased is None:
             # Nothing leasable *right now*: tasks may be in flight, in
             # backoff, or (bare-queue mode) not submitted yet. Workers
             # wait; only the drain flip answers drained.
@@ -338,56 +322,20 @@ class FleetCoordinator:
             # a drain) and flag the wait so it does not count as idle.
             retry = min(max(hint, self.poll_interval), 30.0)
             return {"state": "wait", "retry_after_s": retry, "backoff": True}
-        lease, task = leased[0]
-        response = {
+        lease, task = leased
+        return {
             "state": "task",
             "lease": lease.lease_id,
             "deadline_s": self.queue.lease_timeout,
             "heartbeat_s": self.queue.lease_timeout / 3.0,
             "task": task.to_payload(),
         }
-        if batched:
-            # Batch shape only for workers that asked for it ("n" in
-            # the request, even n=1); a legacy worker keeps receiving
-            # the exact single-task response above.
-            response["tasks"] = [
-                {"lease": lse.lease_id, "task": tsk.to_payload()}
-                for lse, tsk in leased
-            ]
-        return response
 
     def handle_heartbeat(self, body: dict) -> dict:
         lease_id = str(body.get("lease") or "")
         return {"ok": self.queue.heartbeat(lease_id)}
 
     def handle_result(self, body: dict) -> dict:
-        raw = body.get("results")
-        if raw is None:
-            return self._handle_one_result(body)
-        if not isinstance(raw, list) or not raw:
-            raise TaskContractError(
-                "batched result push needs a non-empty 'results' list"
-            )
-        # Per-element outcomes: one malformed entry must not discard
-        # its siblings' finished simulations (each element is validated
-        # and landed exactly as a single push would be).
-        states = []
-        for item in raw:
-            if not isinstance(item, dict):
-                states.append(
-                    {"ok": False, "error": "result entry must be an object"}
-                )
-                continue
-            try:
-                states.append(self._handle_one_result(item))
-            except (TaskContractError, ConfigurationError) as exc:
-                states.append({"ok": False, "error": str(exc)})
-        return {
-            "ok": all(state.get("ok", False) for state in states),
-            "states": states,
-        }
-
-    def _handle_one_result(self, body: dict) -> dict:
         key = body.get("key")
         lease_id = body.get("lease")
         if not isinstance(key, str) or not key:

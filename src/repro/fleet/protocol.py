@@ -12,16 +12,12 @@ localhost-friendly):
   is held for up to the coordinator's poll interval until a task
   arrives; a hold that ends empty answers ``retry_after_s`` 0. A
   backoff wait (every pending task is gated) is answered at once.
-* ``POST /lease {"worker": id, "n": k}`` -> the single-task shape
-  above plus ``"tasks": [{"lease": id, "task": ...}, ...]`` holding
-  up to ``k`` independently leased tasks (the first one repeated).
+  A worker leases one task per request.
 * ``POST /heartbeat {"lease": id}`` -> ``{"ok": bool}``
 * ``POST /result {"lease": id, "key": k, "payload": outcome}`` /
   ``POST /result {"lease": id, "key": k, "error": msg}`` ->
-  ``{"ok": true, "state": "done" | "duplicate" | "requeued"}``
-* ``POST /result {"results": [result bodies]}`` ->
-  ``{"ok": bool, "states": [...]}``, one single-result answer (or
-  ``{"ok": false, "error": msg}``) per body, in order
+  ``{"ok": true, "state": "done" | "duplicate" | "requeued"}``, one
+  result per request
 * ``POST /submit {"tasks": [task payloads]}`` ->
   ``{"accepted": n, "tasks": [{"key": k, "state": "cached" |
   "queued" | "known"}, ...]}``

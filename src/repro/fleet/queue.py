@@ -20,7 +20,7 @@ replacement lease is dropped on push.
 The queue also carries the coordinator's long-poll holds: one
 condition over the queue lock is notified whenever a task becomes
 pending, completes or dead-letters, so an idle worker's lease
-(:meth:`TaskQueue.lease_many_with_hint` with ``hold``) and a client
+(:meth:`TaskQueue.lease_with_hint` with ``hold``) and a client
 waiting on its keys (:meth:`TaskQueue.await_settled`) block on it
 instead of polling. :meth:`TaskQueue.close` ends every hold.
 """
@@ -173,7 +173,7 @@ class TaskQueue:
         return self.lease_with_hint(worker)[0]
 
     def lease_with_hint(
-        self, worker: str
+        self, worker: str, hold: float = 0.0
     ) -> Tuple[Optional[Tuple[Lease, SimTask]], Optional[float]]:
         """:meth:`lease`, plus a retry hint when nothing is leasable.
 
@@ -185,56 +185,38 @@ class TaskQueue:
         so callers fall back to their poll interval). Computed under
         the same lock as the lease scan so the hint can never refer to
         a task another worker took first.
-        """
-        leased, hint = self.lease_many_with_hint(worker, 1)
-        return (leased[0] if leased else None), hint
-
-    def lease_many_with_hint(
-        self, worker: str, n: int, hold: float = 0.0
-    ) -> Tuple[List[Tuple[Lease, SimTask]], Optional[float]]:
-        """Lease up to ``n`` eligible tasks to ``worker`` in one pass.
-
-        Each task gets its own independent lease (same deadlines,
-        heartbeats and reaping as single leases — a batch is purely an
-        amortization of the HTTP round-trip, never a new failure
-        domain). Tasks come out in queue order, so a one-worker fleet
-        draining in batches still runs cells in compile order. The
-        retry hint follows the :meth:`lease_with_hint` contract and is
-        only meaningful when the returned list is empty.
 
         With ``hold > 0``, a pass that finds nothing pending at all
         (no task leased, no backoff hint) blocks for up to ``hold``
         seconds until a task becomes pending or the queue closes, then
         leases once more.
         """
-        if n < 1:
-            raise FleetError("lease batch size must be >= 1")
         with self._lock:
-            leased, hint = self._lease_many_locked(worker, n)
-            if leased or hint is not None or hold <= 0 or self._closed:
+            leased, hint = self._lease_with_hint_locked(worker)
+            if (
+                leased is not None
+                or hint is not None
+                or hold <= 0
+                or self._closed
+            ):
                 return leased, hint
             self._cond.wait_for(
                 lambda: self._pending or self._closed, hold
             )
-            return self._lease_many_locked(worker, n)
+            return self._lease_with_hint_locked(worker)
 
-    def _lease_many_locked(
-        self, worker: str, n: int
-    ) -> Tuple[List[Tuple[Lease, SimTask]], Optional[float]]:
+    def _lease_with_hint_locked(
+        self, worker: str
+    ) -> Tuple[Optional[Tuple[Lease, SimTask]], Optional[float]]:
         now = self._clock()
         self._reap_locked(now)
-        leased: List[Tuple[Lease, SimTask]] = []
-        while len(leased) < n:
-            one = self._lease_locked(worker, now)
-            if one is None:
-                break
-            leased.append(one)
-        if leased:
+        leased = self._lease_locked(worker, now)
+        if leased is not None:
             return leased, None
         if self._pending:
             gate = min(s.not_before for s in self._pending.values())
-            return [], max(0.0, gate - now)
-        return [], None
+            return None, max(0.0, gate - now)
+        return None, None
 
     def _lease_locked(
         self, worker: str, now: float

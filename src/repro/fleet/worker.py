@@ -94,13 +94,6 @@ class FleetWorker:
     url: str
     executor: Executor = field(default_factory=SerialExecutor)
     worker_id: str = field(default_factory=default_worker_id)
-    #: Tasks to request per lease round-trip. With ``batch > 1`` the
-    #: worker opts into the batched wire shape: one ``/lease`` may
-    #: return up to ``batch`` independently leased tasks and their
-    #: outcomes push back as one ``/result`` list — same payload bytes
-    #: per task, fewer round-trips. ``batch=1`` keeps the legacy
-    #: single-task exchange.
-    batch: int = 1
     #: Exit after this many completed tasks (None = run to drain).
     max_tasks: Optional[int] = None
     #: Exit after this many seconds with nothing leasable (None = wait
@@ -112,19 +105,16 @@ class FleetWorker:
 
     def __post_init__(self) -> None:
         self.url = normalize_url(self.url)
-        if self.batch < 1:
-            raise FleetError("worker batch size must be >= 1")
 
     # ------------------------------------------------------------------
 
     def _lease(self) -> Optional[dict]:
-        body = {"worker": self.worker_id}
-        if self.batch > 1:
-            body["n"] = self.batch
         failures = 0
         while True:
             try:
-                return request_json(f"{self.url}/lease", body)
+                return request_json(
+                    f"{self.url}/lease", {"worker": self.worker_id}
+                )
             except CoordinatorUnreachable:
                 failures += 1
                 if failures > self.connect_retries:
@@ -193,63 +183,6 @@ class FleetWorker:
                 self.stats.infeasible += 1
         return acked
 
-    def run_batch(self, lease_body: dict) -> bool:
-        """Handle one batched lease response (the ``tasks`` list shape).
-
-        Every lease in the batch is heartbeated for the whole batch's
-        duration — later tasks would otherwise expire while earlier
-        ones execute — and all outcomes push back as a single
-        ``/result`` list, whose per-element acks drive exactly the
-        accounting a sequence of single pushes would.
-        """
-        items = lease_body.get("tasks")
-        if not items:
-            return self.run_one(lease_body)
-        mine = code_version()
-        tasks = []
-        for item in items:
-            task = SimTask.from_payload(item["task"])
-            if task.code_version != mine:
-                raise TaskContractError(
-                    f"task code version {task.code_version!r} != worker "
-                    f"{mine!r}; upgrade one side before serving this fleet"
-                )
-            tasks.append((item["lease"], task))
-        heartbeat_s = float(lease_body.get("heartbeat_s", 5.0))
-        hearts = [
-            _HeartbeatThread(self.url, lease_id, heartbeat_s)
-            for lease_id, _ in tasks
-        ]
-        for heart in hearts:
-            heart.start()
-        results = []
-        try:
-            for lease_id, task in tasks:
-                body = self._execute(task)
-                body["lease"] = lease_id
-                results.append(body)
-        finally:
-            for heart in hearts:
-                heart.stop()
-        response = self._push_result({"results": results})
-        states = response.get("states") or []
-        any_acked = False
-        for i, body in enumerate(results):
-            state = states[i] if i < len(states) else None
-            acked = (
-                bool(state.get("ok", False))
-                if isinstance(state, dict)
-                else False
-            )
-            if "error" in body:
-                self.stats.errors += 1
-            elif acked:
-                any_acked = True
-                self.stats.completed += 1
-                if "infeasible" in body["payload"]:
-                    self.stats.infeasible += 1
-        return any_acked
-
     def run(self) -> WorkerStats:
         """Drain tasks until the coordinator reports ``drained``.
 
@@ -300,10 +233,7 @@ class FleetWorker:
                 )
             idle_since = None
             try:
-                if "tasks" in lease:
-                    self.run_batch(lease)
-                else:
-                    self.run_one(lease)
+                self.run_one(lease)
             except CoordinatorUnreachable:
                 # The result push exhausted its retries: the work is
                 # lost to us (the lease will expire and requeue), and a

@@ -93,11 +93,6 @@ class FrequencyGovernor:
         self._primed = False
         self.clock_frac: float = policy.max_clock_frac
 
-    @property
-    def ewma_power_w(self) -> float:
-        """Current smoothed power estimate."""
-        return self._ewma_w
-
     def observe(self, instantaneous_power_w: float) -> float:
         """Feed one power sample; returns the new clock fraction."""
         if instantaneous_power_w < 0:
@@ -133,9 +128,3 @@ class FrequencyGovernor:
                 self._max_clock_frac, self.clock_frac * step
             )
         return self.clock_frac
-
-    def reset(self) -> None:
-        """Return to the unthrottled state."""
-        self._ewma_w = 0.0
-        self._primed = False
-        self.clock_frac = self._max_clock_frac

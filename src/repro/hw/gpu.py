@@ -78,16 +78,6 @@ class GpuSpec:
                 f"{self.name} does not support {path} (supported: {supported})"
             ) from None
 
-    def supports(self, path: ComputePath) -> bool:
-        """Whether this GPU has a peak-FLOPS entry for ``path``."""
-        return path in self.peak_flops
-
-    @property
-    def is_dual_die(self) -> bool:
-        """MI250 is a dual-GCD package; modelled as one logical GPU with
-        aggregate resources, matching how the paper reports it."""
-        return self.name.upper().startswith("MI250")
-
     def sm_fraction(self, num_sms: float) -> float:
         """Fraction of the GPU's SMs/CUs represented by ``num_sms``."""
         return min(max(num_sms / self.num_sms, 0.0), 1.0)

@@ -151,15 +151,6 @@ class PowerEvaluator:
         #: holds it and calls :meth:`clock_term` only on a miss.
         self._clock_pow: dict = {}
 
-    def evaluate(self, activity: GpuActivity) -> float:
-        """Board power for ``activity``; identical to :func:`gpu_power`."""
-        return self.evaluate_parts(
-            activity.clock_frac,
-            activity.hbm_frac,
-            activity.link_frac,
-            tuple(activity.sm_util.items()),
-        )
-
     def evaluate_parts(
         self,
         clock_frac: float,

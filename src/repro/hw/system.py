@@ -30,11 +30,6 @@ class NodeSpec:
                 self, "calibration", calibration_for(self.gpu.vendor)
             )
 
-    @property
-    def total_memory_bytes(self) -> int:
-        """Aggregate HBM capacity across the node."""
-        return self.gpu.memory.capacity_bytes * self.num_gpus
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (

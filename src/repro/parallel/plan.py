@@ -161,14 +161,6 @@ class ExecutionPlan:
                     kernel=self.kernels[self.refs[row]],
                 )
 
-    def tasks_on(self, gpu: int, stream: str = None) -> List[Task]:  # type: ignore[assignment]
-        """Tasks of one GPU (optionally one stream), in program order."""
-        return [
-            t
-            for t in self.tasks
-            if t.gpu == gpu and (stream is None or t.stream == stream)
-        ]
-
     def dep_rows(self) -> Tuple[Tuple[int, ...], ...]:
         """Per-row dependencies as row numbers (``()`` for none).
 

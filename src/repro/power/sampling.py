@@ -50,14 +50,6 @@ class SampledTrace:
             return 0.0
         return sum(s.power_w for s in self.samples) / len(self.samples)
 
-    def normalized(self, tdp_w: float) -> List[PowerSample]:
-        """Samples with power expressed as a fraction of TDP."""
-        if tdp_w <= 0:
-            raise ConfigurationError("TDP must be positive")
-        return [
-            PowerSample(s.time_s, s.power_w / tdp_w) for s in self.samples
-        ]
-
 
 class PowerSampler:
     """Samples a piecewise-constant power trace with window averaging."""

@@ -5,10 +5,9 @@ This package is how experiments are *specified* in this repo:
 * :mod:`repro.scenario.spec` — :class:`SweepSpec`, a serializable
   description of a sweep (cross-product + zipped axes, fixed base
   overrides, declarative constraints, execution modes) that compiles
-  deterministically to :class:`~repro.exec.job.SimJob` lists;
-* :mod:`repro.scenario.yaml_lite` — a zero-dependency loader so
-  ``examples/scenarios/*.yaml`` (restricted YAML subset) and ``.json``
-  spec files round-trip into :class:`SweepSpec`;
+  deterministically to :class:`~repro.exec.job.SimJob` lists, and
+  :func:`load_spec_file`, which reads one from a JSON spec file such
+  as ``examples/scenarios/*.json``;
 * :mod:`repro.scenario.registry` — the ``@register_scenario`` registry
   under which every paper artifact (figures, claims, sensitivity,
   crossover) is a named, runnable scenario;
@@ -52,8 +51,8 @@ from repro.scenario.spec import (
     Constraint,
     SweepSpec,
     config_from_overrides,
+    load_spec_file,
 )
-from repro.scenario.yaml_lite import load_spec_file
 
 __all__ = [
     "CONFIG_FIELDS",

@@ -40,8 +40,7 @@ from repro.scenario.manifest import (
     save_manifest,
 )
 from repro.scenario.registry import Scenario, get_scenario
-from repro.scenario.spec import SweepSpec
-from repro.scenario.yaml_lite import load_spec_file
+from repro.scenario.spec import SweepSpec, load_spec_file
 
 
 def _rows_from(jobs, outcomes) -> List[GridRow]:
@@ -167,7 +166,7 @@ def resolve_spec(
         if os.path.exists(target):
             spec = load_spec_file(target)
             return None, spec.name, spec
-        if os.sep in target or target.endswith((".yaml", ".yml", ".json")):
+        if os.sep in target or target.endswith(".json"):
             # Clearly meant as a path: a registry listing would only
             # mislead.
             raise ConfigurationError(

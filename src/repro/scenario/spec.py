@@ -7,7 +7,8 @@ execution modes to simulate. It compiles deterministically to the list
 of :class:`~repro.exec.job.SimJob` the execution service runs, and it
 round-trips through plain dicts (:meth:`SweepSpec.to_dict` /
 :meth:`SweepSpec.from_dict`), so whole sweeps can be saved, shared and
-re-run without writing Python.
+re-run without writing Python: a spec file is that dict as JSON
+(:func:`load_spec_file`).
 
 Axis semantics:
 
@@ -41,6 +42,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.experiment import ExperimentConfig
@@ -143,7 +145,7 @@ def coerce_field(name: str, value: Any) -> Any:
                 f"bad calibration override {dict(value)!r}: {exc}"
             ) from None
     if name == "perturbations":
-        # JSON/YAML axes carry perturbations as lists of mappings;
+        # JSON axes carry perturbations as lists of mappings;
         # ExperimentConfig would normalize anyway, but validating here
         # fails at spec-load time with the field name in hand.
         return normalize_perturbations(value)
@@ -541,9 +543,8 @@ class SweepSpec:
                     f"sweep spec {key!r} must be a string, "
                     f"got {value!r}"
                 )
-        # A bare key in a YAML file ('base:' with every entry commented
-        # out) parses to None; treat it like the key being absent. An
-        # *explicit* 'modes: []' is not defaulted — it reaches
+        # A null section ('"base": null') means the section is absent.
+        # An *explicit* '"modes": []' is not defaulted — it reaches
         # _coerce_modes and fails loudly like any other bad mode list.
         modes = payload.get("modes")
         if modes is None:
@@ -564,3 +565,35 @@ class SweepSpec:
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def load_spec_file(path: "str | Path") -> SweepSpec:
+    """A :class:`SweepSpec` from a JSON spec file.
+
+    An unnamed spec takes the file's stem as its name. A key repeated
+    within one object is an error, not a silent last-one-wins.
+    """
+    path = Path(path)
+
+    def unique_keys(pairs):
+        keys = [key for key, _ in pairs]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise ConfigurationError(
+                    f"spec file {path}: duplicate key {key!r}"
+                )
+        return dict(pairs)
+
+    try:
+        payload = json.loads(path.read_bytes(), object_pairs_hook=unique_keys)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read spec file {path}: {exc}"
+        ) from None
+    except ValueError as exc:  # a JSON syntax or text-encoding error
+        raise ConfigurationError(
+            f"spec file {path} is not JSON ({exc}); spec files are JSON"
+        ) from None
+    if isinstance(payload, dict) and not payload.get("name"):
+        payload = {**payload, "name": path.stem}
+    return SweepSpec.from_dict(payload)

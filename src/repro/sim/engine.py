@@ -730,9 +730,10 @@ class Simulator:
     ) -> None:
         """Evaluate and publish one GPU's board power.
 
-        The kernel terms match the module-level ``sm_utilization``/
-        ``hbm_demand`` functions bit-for-bit; the kernel parameters
-        come pre-resolved from the launch table. The memoized value
+        The kernel terms match the module-level ``sm_utilization``
+        bit-for-bit, and a kernel's HBM demand is its rate over its
+        arithmetic intensity; the kernel parameters come pre-resolved
+        from the launch table. The memoized value
         feeds the governor's view and the power-segment roll.
         """
         sm_util: Dict[Datapath, float] = {}

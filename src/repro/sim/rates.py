@@ -63,14 +63,6 @@ def isolated_duration(kernel: KernelSpec, gpu: GpuSpec) -> float:
     return kernel.flops / rate
 
 
-def hbm_demand(kernel: KernelSpec, rate_flops_per_s: float) -> float:
-    """HBM bandwidth (bytes/s) the kernel consumes at a given rate."""
-    ai = kernel.arithmetic_intensity
-    if ai == float("inf") or ai <= 0:
-        return 0.0
-    return rate_flops_per_s / ai
-
-
 def sm_utilization(
     kernel: KernelSpec,
     gpu: GpuSpec,
@@ -130,16 +122,6 @@ class RateModel:
             value = self.gpu.peak(kernel.path) * kernel.efficiency
             self._peak_eff[key] = value
         return value
-
-    def kernel_params(self, kernel: KernelSpec) -> Tuple[float, float]:
-        """``(peak * efficiency, arithmetic intensity)`` for one kernel.
-
-        The engine resolves these once per task at launch and feeds
-        them back through :meth:`rate_from_params` /
-        :meth:`sm_utilization_from_params`, which skips the per-event
-        kernel-table hashing without changing a single float.
-        """
-        return self._peak_eff_for(kernel), kernel.arithmetic_intensity
 
     @staticmethod
     def rate_from_params(

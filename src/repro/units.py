@@ -33,28 +33,3 @@ GFLOPS = 1e9
 # --- frequency ------------------------------------------------------------
 MHZ = 1e6
 GHZ = 1e9
-
-
-def bytes_to_gib(num_bytes: float) -> float:
-    """Convert a byte count to GiB."""
-    return num_bytes / GIB
-
-
-def bytes_to_gb(num_bytes: float) -> float:
-    """Convert a byte count to decimal GB."""
-    return num_bytes / GB
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds / MS
-
-
-def ms_to_seconds(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds * MS
-
-
-def flops_to_tflops(flops: float) -> float:
-    """Convert a FLOP/s rate to TFLOP/s."""
-    return flops / TFLOPS

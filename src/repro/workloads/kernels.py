@@ -142,7 +142,6 @@ class KernelSpec:
 
 _KERNEL_INTERN: dict = {}
 _KERNEL_INTERN_MAX = 65536
-_INTERN_STATS = {"hits": 0, "misses": 0}
 
 
 def intern_kernel(spec: KernelSpec) -> KernelSpec:
@@ -156,28 +155,15 @@ def intern_kernel(spec: KernelSpec) -> KernelSpec:
     """
     canonical = _KERNEL_INTERN.get(spec)
     if canonical is not None:
-        _INTERN_STATS["hits"] += 1
         return canonical
     if len(_KERNEL_INTERN) >= _KERNEL_INTERN_MAX:
         _KERNEL_INTERN.clear()
-    _INTERN_STATS["misses"] += 1
     return _KERNEL_INTERN.setdefault(spec, spec)
 
 
-def kernel_intern_stats() -> dict:
-    """Intern-table hit/miss counters plus current size (for benches)."""
-    return {
-        "hits": _INTERN_STATS["hits"],
-        "misses": _INTERN_STATS["misses"],
-        "size": len(_KERNEL_INTERN),
-    }
-
-
 def reset_kernel_intern() -> None:
-    """Drop the intern table and zero the counters (test isolation)."""
+    """Drop the intern table (test isolation)."""
     _KERNEL_INTERN.clear()
-    _INTERN_STATS["hits"] = 0
-    _INTERN_STATS["misses"] = 0
 
 
 def _gemm_efficiency(m: int, n: int, k: int) -> float:

@@ -38,11 +38,6 @@ class ModelSpec:
             raise ConfigurationError(f"{self.name}: vocab_size must be positive")
 
     @property
-    def head_dim(self) -> int:
-        """Per-head projection width."""
-        return self.hidden_dim // self.num_heads
-
-    @property
     def ffn_dim(self) -> int:
         """Feed-forward inner width."""
         return int(self.hidden_dim * self.ffn_multiplier)

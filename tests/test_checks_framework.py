@@ -1,13 +1,9 @@
-"""Framework behavior: pragmas, baselines, report payloads, CLI, meta-check."""
+"""Framework behavior: pragmas, report payloads, CLI, meta-check."""
 
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.checks import CODES, run_checks
-from repro.checks.baseline import load_baseline, save_baseline
-from repro.checks.findings import Finding
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "checks"
@@ -67,55 +63,6 @@ def test_pragma_multiple_codes_one_line(tmp_path):
     report = run_checks(tmp_path, select="D")
     assert report.findings == []
     assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------
-
-
-def test_baseline_round_trip_grandfathers_everything(tmp_path):
-    fresh = run_checks(FIXTURES / "d_tree", select="D")
-    assert len(fresh.findings) == 7
-    baseline = tmp_path / "baseline.json"
-    save_baseline(baseline, fresh.findings)
-
-    entries = load_baseline(baseline)
-    assert len(entries) == 7
-    assert all({"code", "file", "message"} <= set(e) for e in entries)
-
-    rerun = run_checks(FIXTURES / "d_tree", select="D", baseline=baseline)
-    assert rerun.findings == []
-    assert len(rerun.grandfathered) == 7
-    assert rerun.stale_baseline == []
-    assert rerun.ok
-
-
-def test_baseline_reports_stale_entries(tmp_path):
-    fresh = run_checks(FIXTURES / "d_tree", select="D")
-    stale_finding = Finding(
-        code="D101",
-        message="call to time.time() in simulation scope",
-        file="sim/deleted_module.py",
-        line=1,
-        col=0,
-    )
-    baseline = tmp_path / "baseline.json"
-    save_baseline(baseline, list(fresh.findings) + [stale_finding])
-
-    rerun = run_checks(FIXTURES / "d_tree", select="D", baseline=baseline)
-    assert rerun.findings == []
-    assert len(rerun.stale_baseline) == 1
-    assert rerun.stale_baseline[0][1] == "sim/deleted_module.py"
-
-
-def test_baseline_rejects_wrong_version(tmp_path):
-    from repro.errors import ConfigurationError
-
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(ConfigurationError):
-        load_baseline(bad)
 
 
 # ---------------------------------------------------------------------
@@ -179,24 +126,6 @@ def test_cli_list_codes(capsys):
     assert rc == 0
     for code in CODES:
         assert code in out
-
-
-def test_cli_write_then_use_baseline(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    rc = main([
-        "check", "--root", str(FIXTURES / "c_tree"),
-        "--select", "C", "--write-baseline", str(baseline),
-    ])
-    assert rc == 0
-    assert baseline.exists()
-    capsys.readouterr()
-    rc = main([
-        "check", "--root", str(FIXTURES / "c_tree"),
-        "--select", "C", "--baseline", str(baseline),
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "baselined" in out
 
 
 # ---------------------------------------------------------------------

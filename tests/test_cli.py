@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -12,7 +14,6 @@ def test_parser_knows_all_subcommands():
         ["list-models"],
         ["run"],
         ["figure", "4"],
-        ["table", "1"],
         ["scenario", "list"],
         ["scenario", "show", "fig9"],
         ["scenario", "run", "fig9"],
@@ -40,11 +41,14 @@ def test_scenario_run_accepts_shard_and_executor_flags():
     )
     assert args.shard == "1/4"
     assert args.executor == "process"
-    for kind in ("threads", "async"):
+    for argv in (
+        ["scenario", "run", "fig9", "--executor", "threads"],
+        ["scenario", "run", "fig9", "--executor", "async"],
+        # A worker leases one task per request.
+        ["worker", "127.0.0.1:8765", "--batch", "2"],
+    ):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["scenario", "run", "fig9", "--executor", kind]
-            )
+            build_parser().parse_args(argv)
 
 
 def test_run_defaults():
@@ -60,6 +64,7 @@ def test_list_gpus_prints_table1(capsys):
     out = capsys.readouterr().out
     for gpu in ("A100", "H100", "MI210", "MI250"):
         assert gpu in out
+    assert "19.5" in out  # A100 FP32 TFLOPS
 
 
 def test_list_models_prints_table2(capsys):
@@ -67,15 +72,6 @@ def test_list_models_prints_table2(capsys):
     out = capsys.readouterr().out
     assert "gpt3-13b" in out
     assert "llama2-13b" in out
-
-
-def test_table_command(capsys):
-    assert main(["table", "1"]) == 0
-    assert "19.5" in capsys.readouterr().out  # A100 FP32 TFLOPS
-
-
-def test_table_rejects_unknown(capsys):
-    assert main(["table", "9"]) == 2
 
 
 def test_figure_rejects_unknown(capsys):
@@ -255,16 +251,20 @@ def test_scenario_unknown_name_is_an_error(capsys):
 def test_scenario_run_spec_file(tmp_path, capsys):
     from repro.exec.service import reset_default_service
 
-    spec_file = tmp_path / "cell.yaml"
+    spec_file = tmp_path / "cell.json"
     spec_file.write_text(
-        "base:\n"
-        "  gpu: A100\n"
-        "  model: gpt3-xl\n"
-        "  batch_size: 8\n"
-        "  runs: 1\n"
-        "modes: [overlapped, sequential]\n"
-        "include:\n"
-        "  - batch_size: 8\n"
+        json.dumps(
+            {
+                "base": {
+                    "gpu": "A100",
+                    "model": "gpt3-xl",
+                    "batch_size": 8,
+                    "runs": 1,
+                },
+                "modes": ["overlapped", "sequential"],
+                "include": [{"batch_size": 8}],
+            }
+        )
     )
     try:
         code = main(

@@ -5,7 +5,6 @@ import pytest
 from repro.collectives.algorithms import (
     Algorithm,
     candidate_cost,
-    crossover_bytes,
     ring_hops,
     ring_wire_bytes,
     select_algorithm,
@@ -82,21 +81,32 @@ def test_four_ranks_always_ring():
 
 
 def test_crossover_between_regimes():
-    crossover = crossover_bytes(CollectiveKind.ALL_REDUCE, 8, LINK, BW)
-    assert 0 < crossover < float("inf")
-    below = select_algorithm(
-        _op(world=8, payload=crossover * 0.5), LINK, BW, 0.0
-    )
-    above = select_algorithm(
-        _op(world=8, payload=crossover * 2.0), LINK, BW, 0.0
-    )
-    assert below.algorithm is Algorithm.TREE
-    assert above.algorithm is Algorithm.RING
+    # At eight ranks the tree's saved hops win small payloads and the
+    # ring's lower wire volume wins large ones (the crossover sits
+    # near 2.9 MB on this link).
+    for payload, algorithm in (
+        (1.0 * KB, Algorithm.TREE),
+        (1.0 * MB, Algorithm.TREE),
+        (8 * MB, Algorithm.RING),
+        (256 * MB, Algorithm.RING),
+    ):
+        selected = select_algorithm(
+            _op(world=8, payload=payload), LINK, BW, 0.0
+        )
+        assert selected.algorithm is algorithm
 
 
 def test_crossover_zero_when_tree_never_wins():
-    assert crossover_bytes(CollectiveKind.ALL_REDUCE, 4, LINK, BW) == 0.0
-    assert crossover_bytes(CollectiveKind.ALL_GATHER, 8, LINK, BW) == 0.0
+    # Four ranks gain no hops from a tree, and all-gather has none.
+    for kind, world in (
+        (CollectiveKind.ALL_REDUCE, 4),
+        (CollectiveKind.ALL_GATHER, 8),
+    ):
+        for payload in (1.0, 1.0 * KB, 1.0 * MB, 256 * MB):
+            selected = select_algorithm(
+                _op(kind=kind, world=world, payload=payload), LINK, BW, 0.0
+            )
+            assert selected.algorithm is Algorithm.RING
 
 
 def test_candidate_cost_duration_decomposition():
@@ -122,11 +132,11 @@ def test_cost_model_records_selected_algorithm():
     for payload in (1.0 * KB, 4 * MB, 256 * MB):
         op = _op(world=8, payload=payload)
         cost = model.cost(op)
+        bandwidth = LINK.ramp_bandwidth(
+            model.message_bytes(op), NVIDIA_CALIBRATION.msg_half_bytes
+        )
         expected = select_algorithm(
-            op,
-            LINK,
-            model.effective_link_bandwidth(op),
-            NCCL.launch_overhead_s,
+            op, LINK, bandwidth, NCCL.launch_overhead_s
         )
         assert cost.algorithm == expected.algorithm.value
 

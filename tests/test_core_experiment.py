@@ -127,7 +127,6 @@ def test_run_averaging_tightens_estimates():
     )
     stats = single.modes[ExecutionMode.OVERLAPPED]
     assert len(stats.e2e_samples) == 3
-    assert stats.e2e_std_s >= 0.0
 
 
 def test_zero_jitter_removes_variance():
@@ -135,9 +134,8 @@ def test_zero_jitter_removes_variance():
         ExperimentConfig(**QUICK).with_updates(runs=3, jitter_sigma=0.0),
         modes=(ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL),
     )
-    assert result.modes[ExecutionMode.OVERLAPPED].e2e_std_s == pytest.approx(
-        0.0, abs=1e-12
-    )
+    samples = result.modes[ExecutionMode.OVERLAPPED].e2e_samples
+    assert max(samples) - min(samples) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

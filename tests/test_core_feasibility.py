@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.feasibility import check_feasibility
 from repro.hw.system import make_node
+from repro.units import GIB
 from repro.workloads.memory_footprint import tensor_parallel_footprint
 from repro.workloads.registry import get_model
 from repro.workloads.transformer import TrainingShape
@@ -16,8 +17,8 @@ SHAPE = TrainingShape(batch_size=8)
 def test_report_contains_capacity_and_requirement():
     report = check_feasibility(A100, get_model("gpt3-xl"), SHAPE, "fsdp")
     assert report.fits
-    assert report.capacity_gib == pytest.approx(40.0, rel=0.15)
-    assert 0 < report.required_gib < report.capacity_gib
+    assert report.capacity_bytes / GIB == pytest.approx(40.0, rel=0.15)
+    assert 0 < report.footprint.total_bytes < report.capacity_bytes
     assert "fits" in report.reason
 
 

@@ -39,11 +39,6 @@ def test_eq4_ideal_removes_slowdown():
     assert m.e2e_ideal_s == pytest.approx(1.5 - 0.2)
 
 
-def test_eq5_sequential_adds_hidden_comm():
-    m = _metrics()
-    assert m.e2e_sequential_derived_s == pytest.approx(m.e2e_ideal_s + 0.4)
-
-
 def test_sequential_penalty_sign():
     m = _metrics()
     assert m.sequential_vs_overlapped == pytest.approx(1.8 / 1.5 - 1.0)
@@ -118,7 +113,7 @@ def test_compute_metrics_end_to_end():
     assert m.overlap_ratio == pytest.approx(0.4 / 0.6)
     assert m.e2e_sequential_measured_s == pytest.approx(0.9)
     # Eq. 5 consistency: ideal + hidden comm == sequential.
-    assert m.e2e_sequential_derived_s == pytest.approx(0.9)
+    assert m.e2e_ideal_s + m.overlapped_comm_s == pytest.approx(0.9)
 
 
 def test_ideal_simulated_passthrough():

@@ -280,7 +280,7 @@ def test_rate_model_param_helpers_are_bit_exact(kernel):
     """The engine's pre-resolved param path equals the module math."""
     gpu = NODES[4].gpu
     model = RateModel(gpu)
-    peak_eff, ai = model.kernel_params(kernel)
+    peak_eff, ai, _ = model.kernel_row(kernel)
     assert ai == kernel.arithmetic_intensity
     for sm in (1.0, 0.4, 0.05):
         for bw in (gpu.memory.effective_bandwidth, 1e11):

@@ -265,36 +265,12 @@ def test_snapshot_reports_counts_workers_and_stats(queue):
     assert snap["stats"]["leased"] == 1
 
 
-def test_lease_many_returns_up_to_n_in_order(queue):
-    tasks = [_task(b) for b in (8, 16, 32)]
-    for task in tasks:
-        queue.add(task)
-    leased, hint = queue.lease_many_with_hint("w", 2)
-    assert hint is None
-    assert [t.cache_key for _, t in leased] == [
-        t.cache_key for t in tasks[:2]
-    ]
-    # Each element carries its own independent lease.
-    assert len({lease.lease_id for lease, _ in leased}) == 2
-    # Asking for more than remains returns the short tail, and a
-    # further call with everything in flight reports no gate hint.
-    leased2, _ = queue.lease_many_with_hint("w", 5)
-    assert [t.cache_key for _, t in leased2] == [tasks[2].cache_key]
-    empty, hint = queue.lease_many_with_hint("w", 3)
-    assert empty == [] and hint is None
-
-
-def test_lease_many_rejects_non_positive_batch(queue):
-    with pytest.raises(FleetError, match="batch size"):
-        queue.lease_many_with_hint("w", 0)
-
-
-def test_lease_many_surfaces_backoff_hint(queue, clock):
+def test_lease_with_hint_surfaces_backoff_hint(queue, clock):
     queue.add(_task(8))
     lease, task = queue.lease("w")
     queue.fail(lease.lease_id, "boom")
-    leased, hint = queue.lease_many_with_hint("w", 4)
-    assert leased == []
+    leased, hint = queue.lease_with_hint("w")
+    assert leased is None
     assert hint is not None and hint > 0
 
 
@@ -329,7 +305,7 @@ def test_close_ends_holds_at_once(queue):
     queue.close()
     assert queue.closed
     start = time.monotonic()
-    assert queue.lease_many_with_hint("w", 1, hold=5.0) == ([], None)
+    assert queue.lease_with_hint("w", hold=5.0) == (None, None)
     queue.add(task)  # submission still works on a closed queue
     assert queue.await_settled([task.cache_key], 5.0) == (
         [task.cache_key], {}

@@ -114,40 +114,6 @@ def test_fleet_run_is_bit_identical_to_serial_run(tmp_path):
     assert sum(w.stats.errors for w in workers) == 0
 
 
-def test_batched_fleet_run_is_bit_identical_to_serial_run(tmp_path):
-    """A batch-leasing worker lands byte-identical cache + manifest.
-
-    The batched wire shape (``n`` tasks per ``/lease``, one ``/result``
-    list per batch) is pure transport: the payload bytes per key and
-    the finalized manifest must match a serial ``run_scenario`` of the
-    same spec exactly.
-    """
-    solo_dir = tmp_path / "solo"
-    fleet_dir = tmp_path / "fleet"
-
-    configure(cache=True, cache_dir=str(solo_dir))
-    solo = run_scenario("fig9")
-    assert solo.simulated == solo.cells > 0
-
-    plan = compile_fleet_plan("fig9")
-    coordinator = FleetCoordinator(cache=ResultCache(fleet_dir))
-    coordinator.seed_scenario(plan)
-    coordinator.start()
-    workers, threads = _start_workers(coordinator.url, 2, batch=3)
-    assert coordinator.serve_until_drained(timeout=120, grace=0.5) is True
-    for thread in threads:
-        thread.join(timeout=10)
-    assert coordinator.manifest_file is not None
-
-    assert _tree_bytes(fleet_dir) == _tree_bytes(solo_dir)
-
-    stats = coordinator.queue.stats
-    assert stats.completed == len(plan.jobs_by_key)
-    assert stats.requeued == stats.retries == stats.failed == 0
-    assert sum(w.stats.completed for w in workers) == stats.completed
-    assert sum(w.stats.errors for w in workers) == 0
-
-
 def test_killed_worker_loses_no_tasks(tmp_path):
     solo_dir = tmp_path / "solo"
     fleet_dir = tmp_path / "fleet"

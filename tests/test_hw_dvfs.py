@@ -54,16 +54,7 @@ def test_ewma_smooths_transients():
     gov.observe(300.0)
     # One 2 ms spike inside an 80 ms window barely moves the EWMA.
     gov.observe(1200.0)
-    assert gov.ewma_power_w < 350.0
-
-
-def test_reset_restores_initial_state():
-    gov = make_governor(limit=300.0)
-    for _ in range(100):
-        gov.observe(500.0)
-    gov.reset()
-    assert gov.clock_frac == 1.0
-    assert gov.ewma_power_w == 0.0
+    assert gov._ewma_w < 350.0
 
 
 def test_policy_validation():

@@ -68,14 +68,9 @@ def test_h100_simulation_peak_is_dense_not_sparse():
 def test_unsupported_path_raises():
     gpu = get_gpu("A100")
     bogus = ComputePath(Precision.BF16, Datapath.VECTOR)
-    assert not gpu.supports(bogus)
+    assert bogus not in gpu.peak_flops
     with pytest.raises(ConfigurationError):
         gpu.peak(bogus)
-
-
-def test_mi250_is_dual_die():
-    assert get_gpu("MI250").is_dual_die
-    assert not get_gpu("MI210").is_dual_die
 
 
 def test_links_match_paper_section_iv():

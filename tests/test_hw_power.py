@@ -113,7 +113,6 @@ def test_evaluate_parts_matches_gpu_power():
     ]
     for activity in cases:
         expected = gpu_power(TDP, coeffs, activity)
-        assert evaluator.evaluate(activity) == expected
         assert (
             evaluator.evaluate_parts(
                 activity.clock_frac,

@@ -49,7 +49,7 @@ def test_custom_calibration_override():
 
 def test_total_memory():
     node = make_node("A100", 4)
-    assert node.total_memory_bytes == 4 * 40 * GIB
+    assert node.num_gpus * node.gpu.memory.capacity_bytes == 4 * 40 * GIB
 
 
 def test_describe_mentions_fabric():

@@ -173,13 +173,13 @@ def test_first_stage_carries_embedding_compute():
     plan = build_pipeline_plan(NODE, MODEL, SHAPE)
     stage0 = [
         t.kernel.name
-        for t in plan.tasks_on(0)
-        if isinstance(t, ComputeTask)
+        for t in plan.tasks
+        if t.gpu == 0 and isinstance(t, ComputeTask)
     ]
     last = [
         t.kernel.name
-        for t in plan.tasks_on(NODE.num_gpus - 1)
-        if isinstance(t, ComputeTask)
+        for t in plan.tasks
+        if t.gpu == NODE.num_gpus - 1 and isinstance(t, ComputeTask)
     ]
     assert any("embed" in n for n in stage0)
     assert any("lm_head" in n for n in last)

@@ -76,17 +76,6 @@ def test_deps_by_gpu_wires_per_rank_dependencies():
     assert by_id[out[1]].deps == frozenset([b])
 
 
-def test_tasks_on_filters_gpu_and_stream():
-    builder = _builder()
-    builder.add_compute(0, KERNEL)
-    builder.add_compute(1, KERNEL)
-    builder.add_collective(CollectiveKind.ALL_REDUCE, 1024.0, [0, 1])
-    plan = builder.build()
-    assert len(plan.tasks_on(0)) == 2
-    assert len(plan.tasks_on(0, COMPUTE_STREAM)) == 1
-    assert len(plan.tasks_on(1, COMM_STREAM)) == 1
-
-
 def test_validate_rejects_duplicate_ids():
     t1 = ComputeTask(task_id=0, gpu=0, stream="s", label="a", kernel=KERNEL)
     t2 = ComputeTask(task_id=0, gpu=0, stream="s", label="b", kernel=KERNEL)

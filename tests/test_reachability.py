@@ -9,9 +9,20 @@ relative ones included (``src/`` has no ``importlib`` imports).
 Because the walk counts every import, an import the module never reads
 could keep an orphan "reached"; a second test therefore requires every
 module-level import to be read.
+
+A reached module can still carry functions that only tests call. A
+third test requires every public top-level function and method under
+``src/repro`` to be named by code outside ``tests/``: in ``src/``,
+``benchmarks/``, ``examples/`` or ``perfbench/``, as a loaded name or
+attribute, an import, or an identifier string (perfbench wraps
+``Planner.plan_for`` and others by string). The match is by bare name:
+a local variable, another class's attribute or a string that spells
+the same name counts, so the check can miss a dead function but does
+not fail on one a user path names.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -21,6 +32,21 @@ ROOTS = ("repro", "repro.__main__")
 #: Modules no user path imports, each with the reason it stays.
 UNREACHED_ON_PURPOSE = {
     "repro.sim.invariants": "the tests' oracle for simulated runs",
+}
+
+#: Trees whose code is a user of ``src/repro`` (their ``tests/`` aside).
+USER_TREES = ("src", "benchmarks", "examples", "perfbench")
+
+#: Methods a stdlib base class calls by name: ``ast.NodeVisitor`` and
+#: ``http.server.BaseHTTPRequestHandler``.
+DISPATCHED_BY_NAME = re.compile(r"visit_\w+|do_[A-Z]+|log_message")
+
+#: Public functions and methods no user path names, each with the
+#: reason it stays.
+KEPT_ON_PURPOSE = {
+    "repro.sim.events.EventQueue.check_invariants": (
+        "the tests' oracle for the event heap"
+    ),
 }
 
 
@@ -153,3 +179,70 @@ def test_every_module_level_import_is_read():
                 if bound not in read:
                     unused.append(f"{name}:{node.lineno} {bound}")
     assert not unused, f"imported but never read: {unused}"
+
+
+def _public_functions(modules):
+    """Qualified name -> bare name of each public function and method.
+
+    Top-level functions and the methods of top-level classes count;
+    the modules in :data:`UNREACHED_ON_PURPOSE` do not.
+    """
+    found = {}
+    for module, path in modules.items():
+        if module in UNREACHED_ON_PURPOSE:
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            members, owner = [node], ""
+            if isinstance(node, ast.ClassDef):
+                members, owner = node.body, f"{node.name}."
+            for item in members:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                    and not DISPATCHED_BY_NAME.fullmatch(item.name)
+                ):
+                    found[f"{module}.{owner}{item.name}"] = item.name
+    return found
+
+
+def _names_used_outside_tests():
+    """Names that code in :data:`USER_TREES` loads, imports or spells."""
+    root = SRC.parent
+    names = set()
+    for tree in USER_TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.isidentifier()
+                ):
+                    names.add(node.value)
+    return names
+
+
+def test_every_public_function_is_named_outside_the_tests():
+    used = _names_used_outside_tests()
+    unnamed = {
+        qualified
+        for qualified, name in _public_functions(_modules()).items()
+        if name not in used
+    }
+    listed = set(KEPT_ON_PURPOSE)
+    assert not unnamed - listed, (
+        f"only tests name {sorted(unnamed - listed)}: give each a user "
+        "path, delete it with its tests, or keep it in KEPT_ON_PURPOSE "
+        "with the reason"
+    )
+    # The allowlist names only functions that exist and stay unnamed.
+    assert listed <= unnamed, sorted(listed - unnamed)

@@ -104,16 +104,16 @@ def test_scenario_rerun_with_manifest_simulates_nothing(tmp_path):
 
 
 def test_file_spec_runs_and_only_new_cells_simulate(tmp_path):
-    spec_file = tmp_path / "sweep.yaml"
+    spec_file = tmp_path / "sweep.json"
     spec_file.write_text(
-        "name: sweep\n"
-        "base:\n"
-        "  gpu: A100\n"
-        "  model: gpt3-xl\n"
-        "  runs: 1\n"
-        "axes:\n"
-        "  - batch_size: [8]\n"
-        "modes: [overlapped, sequential]\n"
+        json.dumps(
+            {
+                "name": "sweep",
+                "base": {"gpu": "A100", "model": "gpt3-xl", "runs": 1},
+                "axes": [{"batch_size": [8]}],
+                "modes": ["overlapped", "sequential"],
+            }
+        )
     )
     cache_dir = tmp_path / "cache"
     try:
@@ -158,16 +158,17 @@ def test_specless_scenarios_report_no_manifest():
 
 
 def test_file_spec_compiling_to_zero_jobs_reports_cleanly(tmp_path):
-    spec_file = tmp_path / "empty.yaml"
+    spec_file = tmp_path / "empty.json"
     spec_file.write_text(
-        "base:\n"
-        "  gpu: A100\n"
-        "axes:\n"
-        "  - batch_size: [8]\n"
-        "constraints:\n"
-        "  - field: batch_size\n"
-        "    op: ge\n"
-        "    value: 16\n"
+        json.dumps(
+            {
+                "base": {"gpu": "A100"},
+                "axes": [{"batch_size": [8]}],
+                "constraints": [
+                    {"field": "batch_size", "op": "ge", "value": 16}
+                ],
+            }
+        )
     )
     report = run_scenario(str(spec_file))
     assert report.cells == 0
@@ -188,9 +189,9 @@ def test_missing_spec_file_path_reports_file_not_found():
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError, match="spec file not found"):
-        run_scenario("no/such/dir/sweep.yaml")
+        run_scenario("no/such/dir/sweep.json")
     with pytest.raises(ConfigurationError, match="spec file not found"):
-        run_scenario("missing.yaml")
+        run_scenario("missing.json")
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ default service, as a separate worker process would, so nothing it
 reads comes from another shard's in-memory cache.
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -137,18 +139,17 @@ def test_duplicate_cells_within_a_shard_still_merge(tmp_path):
     # A spec may legitimately compile duplicate cells (a repeated
     # include); they share a cache key, land in the same shard, and
     # stay duplicated in the manifest, as in an unsharded run.
-    spec_file = tmp_path / "dup.yaml"
+    spec_file = tmp_path / "dup.json"
     spec_file.write_text(
-        "name: dup\n"
-        "base:\n"
-        "  gpu: A100\n"
-        "  model: gpt3-xl\n"
-        "  runs: 1\n"
-        "axes:\n"
-        "  - batch_size: [8, 16]\n"
-        "include:\n"
-        "  - batch_size: 8\n"
-        "modes: [overlapped, sequential]\n"
+        json.dumps(
+            {
+                "name": "dup",
+                "base": {"gpu": "A100", "model": "gpt3-xl", "runs": 1},
+                "axes": [{"batch_size": [8, 16]}],
+                "include": [{"batch_size": 8}],
+                "modes": ["overlapped", "sequential"],
+            }
+        )
     )
     cache_dir = tmp_path / "cache"
     _run(cache_dir, str(spec_file), ShardPlan(0, 2))

@@ -1,4 +1,8 @@
-"""SweepSpec semantics: compilation, round-trip, constraints, validation."""
+"""SweepSpec semantics: compilation, round-trip, constraints, validation,
+and the JSON spec files."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +10,14 @@ from repro.core.modes import ExecutionMode
 from repro.errors import ConfigurationError
 from repro.hw.calibration import NVIDIA_CALIBRATION
 from repro.hw.datapath import Precision
-from repro.scenario.spec import Constraint, SweepSpec, config_from_overrides
+from repro.scenario.spec import (
+    Constraint,
+    SweepSpec,
+    config_from_overrides,
+    load_spec_file,
+)
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 
 def demo_spec() -> SweepSpec:
@@ -265,3 +276,84 @@ def test_mode_order_is_canonicalized():
     assert (
         flipped.compile()[0].cache_key() == canonical.compile()[0].cache_key()
     )
+
+
+# ----------------------------------------------------------------------
+# JSON spec files
+# ----------------------------------------------------------------------
+
+
+def test_example_power_cap_sweep_loads_and_compiles():
+    spec = load_spec_file(EXAMPLES / "power_cap_sweep.json")
+    assert spec.name == "power_cap_sweep"
+    jobs = spec.compile()
+    # Batch 8 keeps all six caps; the constraint drops 100 W at batch 16.
+    assert len(jobs) == 11
+    b8 = [j.config.power_limit_w for j in jobs if j.config.batch_size == 8]
+    b16 = [j.config.power_limit_w for j in jobs if j.config.batch_size == 16]
+    assert b8 == [400, 300, 250, 200, 150, 100]
+    assert b16 == [400, 300, 250, 200, 150]
+    assert all(j.config.gpu == "A100" for j in jobs)
+
+
+def test_example_quick_grid_loads_and_compiles():
+    spec = load_spec_file(EXAMPLES / "quick_grid.json")
+    jobs = spec.compile()
+    assert [j.config.batch_size for j in jobs] == [8, 16]
+    assert all(len(j.modes) == 2 for j in jobs)
+
+
+def test_json_spec_files_load_too(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        '{"name": "j", "base": {"gpu": "A100"}, '
+        '"axes": [{"batch_size": [8]}], '
+        '"modes": ["overlapped", "sequential"]}'
+    )
+    spec = load_spec_file(path)
+    assert spec.name == "j"
+    assert len(spec.compile()) == 1
+
+
+def test_unknown_field_in_file_is_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    for field, value in (("gpus", "A100"), ("engine_tier", "fast")):
+        path.write_text(json.dumps({"name": "bad", "base": {field: value}}))
+        with pytest.raises(
+            ConfigurationError, match="unknown experiment field"
+        ):
+            load_spec_file(path)
+
+
+def test_duplicate_mapping_keys_rejected(tmp_path):
+    path = tmp_path / "dup.json"
+    for text in (
+        '{"base": {"gpu": "A100"}, "base": {"model": "gpt3-13b"}}',
+        '{"base": {"gpu": "A100", "gpu": "MI250"}}',
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="duplicate key"):
+            load_spec_file(path)
+
+
+def test_unnamed_file_spec_takes_its_stem(tmp_path):
+    path = tmp_path / "my_sweep.json"
+    path.write_text('{"base": {"gpu": "A100"}, "axes": [{"batch_size": [8]}]}')
+    assert load_spec_file(path).name == "my_sweep"
+
+
+@pytest.mark.parametrize(
+    "filename,text",
+    [
+        ("sweep.yaml", "base:\n  gpu: A100\naxes:\n  - batch_size: [8]\n"),
+        ("sweep.json", '{"base": {"gpu": "A100"},}'),
+    ],
+    ids=["yaml", "malformed-json"],
+)
+def test_spec_file_that_is_not_json_is_rejected(tmp_path, filename, text):
+    path = tmp_path / filename
+    path.write_text(text)
+    with pytest.raises(ConfigurationError) as exc:
+        load_spec_file(path)
+    assert str(path) in str(exc.value)
+    assert "spec files are JSON" in str(exc.value)

@@ -1,19 +1,8 @@
-"""Unit-conversion helpers."""
+"""Unit constants."""
 
 import pytest
 
-from repro.units import (
-    GB,
-    GIB,
-    MS,
-    TFLOPS,
-    US,
-    bytes_to_gb,
-    bytes_to_gib,
-    flops_to_tflops,
-    ms_to_seconds,
-    seconds_to_ms,
-)
+from repro.units import GB, GIB, MS, US
 
 
 def test_decimal_and_binary_sizes_differ():
@@ -22,17 +11,6 @@ def test_decimal_and_binary_sizes_differ():
     assert GIB > GB
 
 
-def test_byte_conversions_roundtrip():
-    assert bytes_to_gib(40 * GIB) == pytest.approx(40.0)
-    assert bytes_to_gb(1.5 * GB) == pytest.approx(1.5)
-
-
 def test_time_conversions():
-    assert seconds_to_ms(0.25) == pytest.approx(250.0)
-    assert ms_to_seconds(250.0) == pytest.approx(0.25)
     assert MS == pytest.approx(1e-3)
     assert US == pytest.approx(1e-6)
-
-
-def test_flops_conversion():
-    assert flops_to_tflops(19.5 * TFLOPS) == pytest.approx(19.5)

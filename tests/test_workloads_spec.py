@@ -61,7 +61,7 @@ def test_llama_uses_gated_ffn_and_smaller_vocab():
 def test_head_dim_divides():
     for name in list_models():
         model = get_model(name)
-        assert model.head_dim * model.num_heads == model.hidden_dim
+        assert model.hidden_dim % model.num_heads == 0
 
 
 def test_params_per_layer_formula():
