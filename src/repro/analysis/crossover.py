@@ -10,11 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.experiment import ExperimentConfig
+from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.modes import ExecutionMode
-from repro.errors import ConfigurationError, InfeasibleConfigError
+from repro.core.sweep import GridRow
+from repro.errors import ConfigurationError
 from repro.exec.service import default_service
 from repro.scenario.registry import register_scenario
+from repro.scenario.runner import run_configs
+from repro.scenario.spec import SweepSpec
+
+_MODES = (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
 
 
 @dataclass(frozen=True)
@@ -36,19 +41,41 @@ class BenefitPoint:
         return self.e2e_sequential_s / self.e2e_overlapped_s - 1.0
 
 
-def overlap_benefit(config: ExperimentConfig, label: str = "") -> BenefitPoint:
-    """Measure the overlap benefit for one configuration (cached)."""
-    result = default_service().run_config(
-        config, modes=(ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
-    )
+def _point(result: ExperimentResult, label: str) -> BenefitPoint:
     m = result.metrics
     return BenefitPoint(
-        label=label or config.describe(),
+        label=label,
         e2e_overlapped_s=m.e2e_overlapping_s,
         e2e_sequential_s=m.e2e_sequential_measured_s,
         compute_slowdown=m.compute_slowdown,
         overlap_ratio=m.overlap_ratio,
     )
+
+
+def _trend(cells: Sequence[GridRow]) -> List[BenefitPoint]:
+    """Benefit points of the feasible cells, in order, labelled by batch."""
+    return [
+        _point(cell.result, f"b{cell.config.batch_size}")
+        for cell in cells
+        if cell.ran
+    ]
+
+
+def _crossover(cells: Sequence[GridRow]) -> Optional[float]:
+    """The first cap, loosest first, at which overlap stops beating
+    sequential, or ``None``."""
+    for cell in sorted(
+        cells, key=lambda c: c.config.power_limit_w, reverse=True
+    ):
+        if _point(cell.unwrap(), "").benefit <= 0:
+            return cell.config.power_limit_w
+    return None
+
+
+def overlap_benefit(config: ExperimentConfig, label: str = "") -> BenefitPoint:
+    """Measure the overlap benefit for one configuration (cached)."""
+    result = default_service().run_config(config, modes=_MODES)
+    return _point(result, label or config.describe())
 
 
 def find_cap_crossover(
@@ -57,46 +84,41 @@ def find_cap_crossover(
 ) -> Optional[float]:
     """Highest power cap at which overlap *stops* beating sequential.
 
-    Sweeps ``caps_w`` from loosest to strictest and returns the first
-    cap where the overlap benefit goes non-positive, or ``None`` if
-    overlap wins everywhere. Under strict caps the combined
-    compute+comm power draw forces deeper throttling of the overlapped
-    schedule, which is exactly the contention amplification of Fig. 9.
+    Resolves every cap in one batch, then walks ``caps_w`` from loosest
+    to strictest and returns the first cap where the overlap benefit
+    goes non-positive, or ``None`` if overlap wins everywhere. Under
+    strict caps the combined compute+comm power draw forces deeper
+    throttling of the overlapped schedule, which is exactly the
+    contention amplification of Fig. 9.
     """
     if not caps_w:
         raise ConfigurationError("caps_w must not be empty")
-    for cap in sorted(caps_w, reverse=True):
-        if cap <= 0:
-            raise ConfigurationError("power caps must be positive")
-        point = overlap_benefit(
-            config.with_updates(power_limit_w=cap), label=f"cap={cap:.0f}W"
+    if any(cap <= 0 for cap in caps_w):
+        raise ConfigurationError("power caps must be positive")
+    return _crossover(
+        run_configs(
+            [config.with_updates(power_limit_w=cap) for cap in caps_w], _MODES
         )
-        if point.benefit <= 0:
-            return cap
-    return None
+    )
 
 
 def batch_trend(
     config: ExperimentConfig,
     batch_sizes: Sequence[int],
 ) -> List[BenefitPoint]:
-    """Overlap benefit across batch sizes (skipping OOM cells).
+    """Overlap benefit across batch sizes (skipping OOM cells), resolved
+    in one batch.
 
     FSDP's benefit shrinks with batch (communication amortizes);
     pipeline parallelism's grows (more in-flight microbatches overlap
     more) — the opposite trends of Fig. 4.
     """
-    points: List[BenefitPoint] = []
-    for batch in batch_sizes:
-        try:
-            points.append(
-                overlap_benefit(
-                    config.with_updates(batch_size=batch), label=f"b{batch}"
-                )
-            )
-        except InfeasibleConfigError:
-            continue
-    return points
+    return _trend(
+        run_configs(
+            [config.with_updates(batch_size=batch) for batch in batch_sizes],
+            _MODES,
+        )
+    )
 
 
 def trend_slope(points: List[BenefitPoint], attribute: str) -> float:
@@ -131,15 +153,13 @@ _CROSSOVER_GPU = "A100"
 _CROSSOVER_MODEL = "gpt3-2.7b"
 
 
-def scenario_spec(quick: bool = True, runs: int = 1) -> "SweepSpec":
+def scenario_spec(quick: bool = True) -> SweepSpec:
     """Strategy x batch benefit trends plus the power-cap excursions."""
-    from repro.scenario.spec import SweepSpec
-
     batches = QUICK_CROSSOVER_BATCHES if quick else CROSSOVER_BATCHES
     return SweepSpec(
         name="crossover",
         description="overlap-benefit trends and the power-cap crossover",
-        base={"gpu": _CROSSOVER_GPU, "model": _CROSSOVER_MODEL, "runs": runs},
+        base={"gpu": _CROSSOVER_GPU, "model": _CROSSOVER_MODEL, "runs": 1},
         axes=[
             {"strategy": ["fsdp", "pipeline"]},
             {"batch_size": list(batches)},
@@ -152,25 +172,22 @@ def scenario_spec(quick: bool = True, runs: int = 1) -> "SweepSpec":
             }
             for cap in CROSSOVER_CAPS_W
         ],
-        modes=(ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL),
+        modes=_MODES,
     )
 
 
-def scenario_generate(quick: bool = True) -> Dict[str, object]:
+def scenario_generate(cells: Sequence[GridRow]) -> Dict[str, object]:
     """Benefit trend rows per strategy plus the cap crossover point."""
-    spec = scenario_spec(quick=quick)
-    default_service().prefetch(spec.compile())
-    batches = QUICK_CROSSOVER_BATCHES if quick else CROSSOVER_BATCHES
     trends: List[Dict[str, object]] = []
     for strategy in ("fsdp", "pipeline"):
-        config = ExperimentConfig(
-            gpu=_CROSSOVER_GPU,
-            model=_CROSSOVER_MODEL,
-            batch_size=batches[0],
-            strategy=strategy,
-            runs=1,
+        points = _trend(
+            [
+                cell
+                for cell in cells
+                if cell.config.strategy == strategy
+                and cell.config.power_limit_w is None
+            ]
         )
-        points = batch_trend(config, batches)
         for point in points:
             trends.append(
                 {
@@ -190,15 +207,8 @@ def scenario_generate(quick: bool = True) -> Dict[str, object]:
                 "overlap_ratio": None,
             }
         )
-    cap = find_cap_crossover(
-        ExperimentConfig(
-            gpu=_CROSSOVER_GPU,
-            model=_CROSSOVER_MODEL,
-            batch_size=batches[0],
-            strategy="fsdp",
-            runs=1,
-        ),
-        CROSSOVER_CAPS_W,
+    cap = _crossover(
+        [cell for cell in cells if cell.config.power_limit_w is not None]
     )
     return {"trends": trends, "cap_crossover_w": cap}
 

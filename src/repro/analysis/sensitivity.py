@@ -16,11 +16,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.modes import ExecutionMode
+from repro.core.sweep import GridRow
 from repro.errors import ConfigurationError
-from repro.exec.service import default_service
 from repro.hw.calibration import ContentionCalibration, calibration_for
 from repro.scenario.registry import register_scenario
+from repro.scenario.runner import run_configs, run_spec
 from repro.scenario.spec import SweepSpec
+
+_MODES = (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
 
 #: Coefficients worth sweeping (all floats of ContentionCalibration).
 SWEEPABLE = (
@@ -63,20 +66,20 @@ def sweep_parameter(
     values: Sequence[float],
     base: Optional[ContentionCalibration] = None,
 ) -> List[SensitivityPoint]:
-    """Run ``config`` once per calibration value of ``parameter``."""
+    """Run ``config`` once per calibration value of ``parameter``, all
+    values in one batch."""
     if base is None:
         base = config.node().calibration
+    # The calibration override is part of the job's cache key, so
+    # every sweep point is cached independently.
+    configs = [
+        config.with_updates(calibration=_with_value(base, parameter, value))
+        for value in values
+    ]
+    cells = run_configs(configs, _MODES)
     points: List[SensitivityPoint] = []
-    for value in values:
-        calibrated = config.with_updates(
-            calibration=_with_value(base, parameter, value)
-        )
-        # The calibration override is part of the job's cache key, so
-        # every sweep point is cached independently.
-        result = default_service().run_config(
-            calibrated,
-            modes=(ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL),
-        )
+    for value, cell in zip(values, cells):
+        result = cell.unwrap()
         avg, peak = result.power_vs_tdp(ExecutionMode.OVERLAPPED)
         points.append(
             SensitivityPoint(
@@ -136,9 +139,10 @@ def tornado_spec(
 ) -> SweepSpec:
     """The tornado's cells as a declarative spec.
 
-    The baseline cell plus every +-excursion, each carrying its full
-    calibration override as a serializable include cell — what
-    :func:`tornado` prefetches and ``scenario run sensitivity`` runs.
+    The baseline cell, then each parameter's low and high excursion,
+    each carrying its full calibration override as a serializable
+    include cell: what :func:`tornado` and ``scenario run
+    sensitivity`` resolve.
     """
     base = config.node().calibration
     base_overrides = {
@@ -156,8 +160,33 @@ def tornado_spec(
         description="calibration tornado excursions",
         base=base_overrides,
         include=include,
-        modes=(ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL),
+        modes=_MODES,
     )
+
+
+def _bars(
+    cells: Sequence[GridRow],
+    rel_delta: float,
+    parameters: Sequence[str] = SWEEPABLE,
+) -> List[TornadoBar]:
+    """Tornado bars of :func:`tornado_spec`'s resolved cells, sorted by
+    swing, largest first."""
+    base = cells[0].config.node().calibration  # the baseline cell's
+    spans = _excursions(base, rel_delta, parameters)
+    slowdowns = [cell.unwrap().metrics.compute_slowdown for cell in cells]
+    bars = [
+        TornadoBar(
+            parameter=parameter,
+            low_value=low,
+            high_value=high,
+            slowdown_at_low=slowdowns[1 + 2 * index],
+            slowdown_at_high=slowdowns[2 + 2 * index],
+            baseline_slowdown=slowdowns[0],
+        )
+        for index, (parameter, low, high) in enumerate(spans)
+    ]
+    bars.sort(key=lambda b: b.swing, reverse=True)
+    return bars
 
 
 def tornado(
@@ -170,36 +199,11 @@ def tornado(
     Each coefficient is scaled by (1 - rel_delta) and (1 + rel_delta),
     clamped to its valid range; bars come back sorted by swing, largest
     first — the mechanisms that matter most for this configuration.
+    Every cell resolves in one batch, so ``--jobs N`` runs them in
+    parallel.
     """
-    base = config.node().calibration
-    spans = _excursions(base, rel_delta, parameters)
-
-    # Prefetch every excursion in one batch so --jobs N runs them in
-    # parallel; the per-point reads below resolve from cache.
-    default_service().prefetch(
-        tornado_spec(config, rel_delta, parameters).compile()
-    )
-
-    baseline = default_service().run_config(
-        config, modes=(ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
-    ).metrics.compute_slowdown
-
-    bars: List[TornadoBar] = []
-    for parameter, low, high in spans:
-        low_point = sweep_parameter(config, parameter, [low], base=base)[0]
-        high_point = sweep_parameter(config, parameter, [high], base=base)[0]
-        bars.append(
-            TornadoBar(
-                parameter=parameter,
-                low_value=low,
-                high_value=high,
-                slowdown_at_low=low_point.compute_slowdown,
-                slowdown_at_high=high_point.compute_slowdown,
-                baseline_slowdown=baseline,
-            )
-        )
-    bars.sort(key=lambda b: b.swing, reverse=True)
-    return bars
+    cells = run_spec(tornado_spec(config, rel_delta, parameters))
+    return _bars(cells, rel_delta, parameters)
 
 
 def render_tornado(bars: List[TornadoBar]) -> str:
@@ -228,7 +232,8 @@ def mechanism_attribution(
     """Slowdown attribution by zeroing one mechanism at a time.
 
     Returns the slowdown *recovered* when each mechanism is switched
-    off (larger = that mechanism explains more of the contention).
+    off (larger = that mechanism explains more of the contention). The
+    full cell and the three ablated ones resolve in one batch.
     """
     base = calibration_for(config.node().gpu.vendor)
     zeroed = {
@@ -238,30 +243,17 @@ def mechanism_attribution(
         "hbm_interference": dataclasses.replace(base, interference_factor=0.0),
         "hbm_traffic": dataclasses.replace(base, hbm_wire_scale=1e-6),
     }
-    modes = (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
-    # Prefetch all four cells so --jobs N runs them in parallel.
-    from repro.exec.job import SimJob
-
-    default_service().prefetch(
-        [SimJob(config=config, modes=modes)]
-        + [
-            SimJob(
-                config=config.with_updates(calibration=calibration),
-                modes=modes,
-            )
-            for calibration in zeroed.values()
-        ]
-    )
-    full = default_service().run_config(
-        config, modes=modes
-    ).metrics.compute_slowdown
+    configs = [config] + [
+        config.with_updates(calibration=calibration)
+        for calibration in zeroed.values()
+    ]
+    full, *ablated = [
+        cell.unwrap().metrics.compute_slowdown
+        for cell in run_configs(configs, _MODES)
+    ]
     attribution: Dict[str, float] = {"total": full}
-    for name, calibration in zeroed.items():
-        result = default_service().run_config(
-            config.with_updates(calibration=calibration),
-            modes=(ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL),
-        )
-        attribution[name] = full - result.metrics.compute_slowdown
+    for name, slowdown in zip(zeroed, ablated):
+        attribution[name] = full - slowdown
     return attribution
 
 
@@ -278,9 +270,8 @@ def scenario_spec(quick: bool = True) -> SweepSpec:
     )
 
 
-def scenario_generate(quick: bool = True) -> List[Dict[str, object]]:
+def scenario_generate(cells: Sequence[GridRow]) -> List[Dict[str, object]]:
     """JSON-able tornado bars for the default configuration."""
-    bars = tornado(ExperimentConfig(**DEFAULT_TORNADO_CONFIG), rel_delta=0.5)
     return [
         {
             "parameter": bar.parameter,
@@ -291,7 +282,7 @@ def scenario_generate(quick: bool = True) -> List[Dict[str, object]]:
             "baseline_slowdown": bar.baseline_slowdown,
             "swing": bar.swing,
         }
-        for bar in bars
+        for bar in _bars(cells, rel_delta=0.5)
     ]
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.core.experiment import ExperimentConfig, ExperimentResult
+from repro.errors import InfeasibleConfigError
 
 
 @dataclass
@@ -29,6 +30,14 @@ class GridRow:
     @property
     def ran(self) -> bool:
         return self.result is not None
+
+    def unwrap(self) -> ExperimentResult:
+        """The result, raising the cell's infeasibility otherwise."""
+        if self.result is None:
+            raise InfeasibleConfigError(
+                self.skipped_reason or "cell did not produce a result"
+            )
+        return self.result
 
 
 def feasible_rows(rows: Iterable[GridRow]) -> List[GridRow]:

@@ -3,10 +3,10 @@
 An :class:`ExecutionService` resolves each submitted job against the
 result cache, fans the misses out through its executor, stores the
 fresh outcomes and stitches everything back together in submission
-order. The process-wide default service is what the scenario runner,
-the figure generators and the analyses use implicitly; the CLI
-reconfigures it via ``--jobs`` / ``--executor`` / ``--no-cache`` /
-``--cache-dir``.
+order. The process-wide default service is what the scenario runner
+and the analyses use implicitly (the figure generators only shape the
+cells the runner resolved); the CLI reconfigures it via ``--jobs`` /
+``--executor`` / ``--no-cache`` / ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -114,18 +114,6 @@ class ExecutionService:
     def run_job(self, job: SimJob) -> JobOutcome:
         """Resolve a single job."""
         return self.run_jobs([job])[0]
-
-    def prefetch(self, jobs: Sequence[SimJob]) -> None:
-        """Warm the cache for a batch of jobs.
-
-        Callers whose control flow needs results one at a time (tornado
-        excursions, crossover searches) prefetch their cells here
-        so a parallel executor can fan them out; the subsequent
-        per-cell reads resolve from cache. A no-op without a cache —
-        nothing would be retained, and every cell would simulate twice.
-        """
-        if self.cache is not None:
-            self.run_jobs(list(jobs))
 
     def run_config(
         self,
@@ -239,7 +227,7 @@ def configure(
 
 
 def default_service() -> ExecutionService:
-    """The shared service used by sweeps, figures and analyses."""
+    """The shared service used by scenario runs and analyses."""
     global _default_service
     if _default_service is None:
         _default_service = _settings.build_service()

@@ -487,6 +487,16 @@ class _Handler(BaseHTTPRequestHandler):
     def coordinator(self) -> FleetCoordinator:
         return self.server.coordinator  # type: ignore[attr-defined]
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            # The client reset the connection between requests (e.g.
+            # while the handler waited for its next keep-alive
+            # request): there is no one to answer, and socketserver
+            # would print the error as a traceback.
+            pass
+
     def _send(self, code: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(code)

@@ -163,19 +163,15 @@ class TaskQueue:
     # Leasing
     # ------------------------------------------------------------------
 
-    def lease(self, worker: str) -> Optional[Tuple[Lease, SimTask]]:
-        """Hand the next eligible task to ``worker``, or ``None``.
-
-        ``None`` means "nothing leasable right now" — the queue may
-        still hold leased tasks or backoff-gated retries; callers
-        distinguish via :meth:`drained`.
-        """
-        return self.lease_with_hint(worker)[0]
-
     def lease_with_hint(
         self, worker: str, hold: float = 0.0
     ) -> Tuple[Optional[Tuple[Lease, SimTask]], Optional[float]]:
-        """:meth:`lease`, plus a retry hint when nothing is leasable.
+        """Hand the next eligible task to ``worker``, plus a retry hint
+        when nothing is leasable.
+
+        No task (``None``) means "nothing leasable right now": the
+        queue may still hold leased tasks or backoff-gated retries;
+        callers distinguish via :meth:`drained`.
 
         The hint is the delta (seconds) until the earliest pending
         task's backoff gate opens — i.e. how long a worker can sleep

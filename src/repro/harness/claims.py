@@ -1,7 +1,10 @@
 """The paper's claims, each checked against a registered scenario's rows.
 
 A :class:`Claim` names the scenario it reads (fig1, fig4-fig11) and a
-measure over that scenario's ``generate(quick=...)`` rows. A shape
+measure over that scenario's rows: a spec-backed scenario's
+``generate(cells)`` over its spec's resolved cells, or a spec-less
+one's ``generate(quick=...)``. Each distinct spec resolves once, so
+Figs. 4-6 share one resolution of the evaluation grid. A shape
 claim (who wins, which way a trend goes) gets a verdict. A magnitude
 claim also carries the paper's number: it gets the measured value and
 the gap in percentage points, and no verdict, because the absolute
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.scenario.registry import get_scenario, register_scenario
+from repro.scenario.runner import run_spec
 
 AMD = ("MI210", "MI250")
 THIRTEEN_B = ("gpt3-13b", "llama2-13b")
@@ -432,15 +436,29 @@ CLAIMS = (
 )
 
 
-def generate(quick: bool = True) -> List[Dict[str, object]]:
-    """One row per claim; each named scenario's rows are generated once."""
+def _scenario_rows(quick: bool) -> Dict[str, Any]:
+    """Each claimed scenario's rows; a spec shared by several scenarios
+    (the Figs. 4-6 grid) is resolved once."""
+    cells_of: Dict[str, Any] = {}
     rows_of: Dict[str, Any] = {}
+    for name in dict.fromkeys(claim.scenario for claim in CLAIMS):
+        scenario = get_scenario(name)
+        spec = scenario.spec(quick=quick)
+        if spec is None:
+            rows_of[name] = scenario.generate(quick=quick)
+            continue
+        key = spec.spec_hash()
+        if key not in cells_of:
+            cells_of[key] = run_spec(spec)
+        rows_of[name] = scenario.generate(cells_of[key])
+    return rows_of
+
+
+def generate(quick: bool = True) -> List[Dict[str, object]]:
+    """One row per claim over its scenario's rows."""
+    rows_of = _scenario_rows(quick)
     out: List[Dict[str, object]] = []
     for claim in CLAIMS:
-        if claim.scenario not in rows_of:
-            rows_of[claim.scenario] = get_scenario(claim.scenario).generate(
-                quick=quick
-            )
         value = claim.measure(rows_of[claim.scenario])
         shape = claim.paper is None
         holds, evidence = value if shape else (None, None)

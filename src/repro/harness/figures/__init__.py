@@ -12,7 +12,12 @@
 | fig10  | FP32 vs FP16 slowdown and power |
 | fig11  | Tensor-core (TF32) vs FP32 slowdown and power |
 
-Each module exposes ``generate(quick=...)`` returning plain data rows
-and ``render(rows)`` producing the text report ``figure N`` prints;
-:mod:`repro.harness.claims` reads the same rows.
+Each module exposes ``generate`` returning plain data rows and
+``render(rows)`` producing the text report ``figure N`` prints;
+:mod:`repro.harness.claims` reads the same rows. A module with a sweep
+spec (Figs. 4-6 share :mod:`~repro.harness.figures.grid`'s; Figs. 9-11
+and :mod:`~repro.harness.figures.degradation` have their own) exposes
+``generate(cells)``, a pure function of the spec's cells as the
+scenario runner resolved them. Figs. 1, 7 and 8 simulate directly and
+expose ``generate(quick=...)``.
 """

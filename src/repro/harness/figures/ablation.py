@@ -5,49 +5,45 @@ numeric precision for Fig. 10, tensor-core usage for Fig. 11 — and
 report the same slowdown/overlap/power columns per cell. Each figure
 expresses its sweep as a :class:`~repro.scenario.spec.SweepSpec`
 (workload pairs as a zipped axis group, the knob as the inner axis);
-this helper owns compiling the spec, the batch submission and the row
-shape, while the figure modules supply the knob column's name and
-rendering.
+this helper owns the row shape of the spec's resolved cells, while the
+figure modules supply the knob column's name and rendering.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.modes import ExecutionMode
-from repro.exec.service import default_service
-from repro.scenario.spec import SweepSpec
+from repro.core.sweep import GridRow
 
 
 def ablation_rows(
-    spec: SweepSpec,
+    cells: Sequence[GridRow],
     label_field: str,
     label_for: Callable[[ExperimentConfig], str],
 ) -> List[Dict[str, object]]:
-    """Simulate the spec's cells as one batch and shape the figure rows.
+    """Shape the spec's resolved cells into the figure rows.
 
     ``label_field``/``label_for`` name and render the knob column
     (``precision`` for Fig. 10, ``datapath`` for Fig. 11), reading the
-    knob off each compiled cell's config. Infeasible cells become rows
-    with a ``skipped`` reason, like the grid figures.
+    knob off each cell's config. Infeasible cells become rows with a
+    ``skipped`` reason, like the grid figures.
     """
-    jobs = spec.compile()
-    outcomes = default_service().run_jobs(jobs)
     rows: List[Dict[str, object]] = []
-    for job, outcome in zip(jobs, outcomes):
-        config = job.config
+    for cell in cells:
+        config = cell.config
         row: Dict[str, object] = {
             "gpu": config.gpu,
             "model": config.model,
             "batch": config.batch_size,
             label_field: label_for(config),
         }
-        if not outcome.ran:
-            row["skipped"] = outcome.skipped_reason
+        if not cell.ran:
+            row["skipped"] = cell.skipped_reason
             rows.append(row)
             continue
-        result = outcome.result
+        result = cell.result
         avg, peak = result.power_vs_tdp(ExecutionMode.OVERLAPPED)
         row.update(
             {

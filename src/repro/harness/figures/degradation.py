@@ -22,10 +22,10 @@ rather than vs a different operating point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.modes import ExecutionMode
-from repro.exec.service import default_service
+from repro.core.sweep import GridRow
 from repro.harness.report import render_table
 from repro.scenario.registry import register_scenario
 from repro.scenario.spec import SweepSpec
@@ -89,20 +89,16 @@ def _degradation_spec(
     magnitudes: Tuple[float, ...],
     start_s: float,
     duration_s: float,
-    gpu: str,
-    model: str,
-    batch: int,
-    runs: int,
 ) -> SweepSpec:
     """The shared magnitude x strategy x cap grid for one fault kind."""
     return SweepSpec(
         name=name,
         description=description,
         base={
-            "gpu": gpu,
-            "model": model,
-            "batch_size": batch,
-            "runs": runs,
+            "gpu": "A100",
+            "model": "gpt3-2.7b",
+            "batch_size": 8,
+            "runs": 1,
         },
         axes=[
             {"strategy": list(STRATEGIES)},
@@ -117,21 +113,19 @@ def _degradation_spec(
     )
 
 
-def _degradation_rows(spec: SweepSpec) -> List[Dict[str, object]]:
+def generate(cells: Sequence[GridRow]) -> List[Dict[str, object]]:
     """One row per cell, with slowdowns vs the same-cell healthy twin.
 
     The perturbation axis is innermost and baseline-first, so within
     each (strategy, cap) block the healthy cell is always seen before
     its degraded siblings.
     """
-    jobs = spec.compile()
-    outcomes = default_service().run_jobs(jobs)
     rows: List[Dict[str, object]] = []
     healthy: Dict[Tuple[str, Optional[float]], Dict[ExecutionMode, float]]
     healthy = {}
-    for job, outcome in zip(jobs, outcomes):
-        config = job.config
-        result = outcome.unwrap()
+    for cell in cells:
+        config = cell.config
+        result = cell.unwrap()
         e2e = {
             mode: result.modes[mode].e2e_s
             for mode in (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
@@ -195,13 +189,7 @@ def _render_rows(title: str, rows: List[Dict[str, object]]) -> str:
     return title + "\n" + render_table(headers, body)
 
 
-def straggler_spec(
-    quick: bool = True,
-    gpu: str = "A100",
-    model: str = "gpt3-2.7b",
-    batch: int = 8,
-    runs: int = 1,
-) -> SweepSpec:
+def straggler_spec(quick: bool = True) -> SweepSpec:
     """Straggler grid: derate rank 0's SM throughput for the whole run."""
     magnitudes = (
         QUICK_STRAGGLER_MAGNITUDES if quick else STRAGGLER_MAGNITUDES
@@ -213,23 +201,6 @@ def straggler_spec(
         magnitudes=magnitudes,
         start_s=0.0,
         duration_s=WHOLE_RUN_S,
-        gpu=gpu,
-        model=model,
-        batch=batch,
-        runs=runs,
-    )
-
-
-def straggler_generate(
-    quick: bool = True,
-    gpu: str = "A100",
-    model: str = "gpt3-2.7b",
-    batch: int = 8,
-    runs: int = 1,
-) -> List[Dict[str, object]]:
-    return _degradation_rows(
-        straggler_spec(quick=quick, gpu=gpu, model=model, batch=batch,
-                       runs=runs)
     )
 
 
@@ -239,13 +210,7 @@ def straggler_render(rows: List[Dict[str, object]]) -> str:
     )
 
 
-def linkfail_spec(
-    quick: bool = True,
-    gpu: str = "A100",
-    model: str = "gpt3-2.7b",
-    batch: int = 8,
-    runs: int = 1,
-) -> SweepSpec:
+def linkfail_spec(quick: bool = True) -> SweepSpec:
     """Flaky-link grid: rank 0's links degrade for a bounded window."""
     magnitudes = QUICK_LINK_MAGNITUDES if quick else LINK_MAGNITUDES
     return _degradation_spec(
@@ -255,23 +220,6 @@ def linkfail_spec(
         magnitudes=magnitudes,
         start_s=LINK_WINDOW_START_S,
         duration_s=LINK_WINDOW_DURATION_S,
-        gpu=gpu,
-        model=model,
-        batch=batch,
-        runs=runs,
-    )
-
-
-def linkfail_generate(
-    quick: bool = True,
-    gpu: str = "A100",
-    model: str = "gpt3-2.7b",
-    batch: int = 8,
-    runs: int = 1,
-) -> List[Dict[str, object]]:
-    return _degradation_rows(
-        linkfail_spec(quick=quick, gpu=gpu, model=model, batch=batch,
-                      runs=runs)
     )
 
 
@@ -288,7 +236,7 @@ register_scenario(
         "Straggler-rank degradation: magnitude x strategy x power cap"
     ),
     spec=straggler_spec,
-    generate=straggler_generate,
+    generate=generate,
     render=straggler_render,
 )
 
@@ -298,6 +246,6 @@ register_scenario(
         "Flaky-link degradation: transient outage x strategy x power cap"
     ),
     spec=linkfail_spec,
-    generate=linkfail_generate,
+    generate=generate,
     render=linkfail_render,
 )

@@ -8,8 +8,9 @@ takeaway 7.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.core.sweep import GridRow
 from repro.harness.figures.ablation import ablation_rows
 from repro.harness.report import render_table
 from repro.hw.datapath import Precision
@@ -29,9 +30,7 @@ QUICK_WORKLOADS: Tuple[Tuple[str, int], ...] = (
 )
 
 
-def scenario_spec(
-    quick: bool = True, gpu: str = "H100", runs: int = 1
-) -> SweepSpec:
+def scenario_spec(quick: bool = True) -> SweepSpec:
     """Workload pairs (zipped) x precision knob (zipped with datapath).
 
     FP32 runs on the general (vector) datapath in this ablation;
@@ -42,7 +41,7 @@ def scenario_spec(
     return SweepSpec(
         name="fig10",
         description="FP32 vs FP16 ablation (Fig. 10)",
-        base={"gpu": gpu, "strategy": "fsdp", "runs": runs},
+        base={"gpu": "H100", "strategy": "fsdp", "runs": 1},
         axes=[
             {
                 "model": [model for model, _ in workloads],
@@ -57,12 +56,10 @@ def scenario_spec(
     )
 
 
-def generate(
-    quick: bool = True, gpu: str = "H100", runs: int = 1
-) -> List[Dict[str, object]]:
+def generate(cells: Sequence[GridRow]) -> List[Dict[str, object]]:
     """Rows: workload x {fp32, fp16} with slowdown and power columns."""
     return ablation_rows(
-        scenario_spec(quick=quick, gpu=gpu, runs=runs),
+        cells,
         label_field="precision",
         label_for=lambda config: config.precision.value,
     )

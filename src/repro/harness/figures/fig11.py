@@ -7,8 +7,9 @@ datapath: vector ALUs vs tensor cores via TF32 conversion (PyTorch's
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.core.sweep import GridRow
 from repro.harness.figures.ablation import ablation_rows
 from repro.harness.report import render_table
 from repro.hw.datapath import Precision
@@ -27,19 +28,17 @@ QUICK_WORKLOADS: Tuple[Tuple[str, int], ...] = (
 )
 
 
-def scenario_spec(
-    quick: bool = True, gpu: str = "H100", runs: int = 1
-) -> SweepSpec:
+def scenario_spec(quick: bool = True) -> SweepSpec:
     """Workload pairs (zipped) x the tensor-core toggle at FP32."""
     workloads = QUICK_WORKLOADS if quick else WORKLOADS
     return SweepSpec(
         name="fig11",
         description="vector FP32 vs tensor-core TF32 ablation (Fig. 11)",
         base={
-            "gpu": gpu,
+            "gpu": "H100",
             "strategy": "fsdp",
             "precision": Precision.FP32,
-            "runs": runs,
+            "runs": 1,
         },
         axes=[
             {
@@ -52,12 +51,10 @@ def scenario_spec(
     )
 
 
-def generate(
-    quick: bool = True, gpu: str = "H100", runs: int = 1
-) -> List[Dict[str, object]]:
+def generate(cells: Sequence[GridRow]) -> List[Dict[str, object]]:
     """Rows: workload x {vector FP32, tensor-core TF32}."""
     return ablation_rows(
-        scenario_spec(quick=quick, gpu=gpu, runs=runs),
+        cells,
         label_field="datapath",
         label_for=lambda config: (
             "tf32-tensor" if config.use_tensor_cores else "fp32-vector"

@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.core.sweep import summarize_slowdowns
-from repro.harness.figures.grid import grid_rows, grid_spec
+from repro.core.sweep import GridRow, summarize_slowdowns
+from repro.harness.figures.grid import grid_spec
 from repro.scenario.registry import register_scenario
 from repro.harness.report import render_table
 
 
-def generate(quick: bool = True, runs: int = 1) -> List[Dict[str, object]]:
+def generate(cells: Sequence[GridRow]) -> List[Dict[str, object]]:
     """One row per feasible grid cell with Eq. 1 / Eq. 2 values."""
     rows: List[Dict[str, object]] = []
-    for cell in grid_rows(quick=quick, runs=runs):
+    for cell in cells:
         if not cell.ran:
             rows.append(
                 {
@@ -42,9 +42,9 @@ def generate(quick: bool = True, runs: int = 1) -> List[Dict[str, object]]:
     return rows
 
 
-def headline(quick: bool = True, runs: int = 1) -> Dict[str, float]:
-    """The abstract's aggregate numbers over the grid."""
-    return summarize_slowdowns(grid_rows(quick=quick, runs=runs))
+def headline(cells: Sequence[GridRow]) -> Dict[str, float]:
+    """The abstract's aggregate numbers over the grid's cells."""
+    return summarize_slowdowns(cells)
 
 
 def render(rows: List[Dict[str, object]]) -> str:

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.harness.figures.grid import grid_rows, grid_spec
+from repro.core.sweep import GridRow
+from repro.harness.figures.grid import grid_spec
 from repro.scenario.registry import register_scenario
 from repro.harness.report import render_table
 from repro.units import MS
 
 
-def generate(quick: bool = True, runs: int = 1) -> List[Dict[str, object]]:
+def generate(cells: Sequence[GridRow]) -> List[Dict[str, object]]:
     """One row per feasible cell with the three scenario latencies."""
     rows: List[Dict[str, object]] = []
-    for cell in grid_rows(quick=quick, runs=runs):
+    for cell in cells:
         if not cell.ran:
             continue
         metrics = cell.result.metrics

@@ -8,10 +8,10 @@ communication fight for the power budget, not just for bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.modes import ExecutionMode
-from repro.exec.service import default_service
+from repro.core.sweep import GridRow
 from repro.harness.report import render_table
 from repro.scenario.registry import register_scenario
 from repro.scenario.spec import SweepSpec
@@ -21,47 +21,30 @@ CAPS_W: Tuple[float, ...] = (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0)
 QUICK_CAPS_W: Tuple[float, ...] = (100.0, 200.0, 400.0)
 
 
-def scenario_spec(
-    quick: bool = True,
-    gpu: str = "A100",
-    model: str = "gpt3-2.7b",
-    batch: int = 8,
-    runs: int = 1,
-) -> SweepSpec:
+def scenario_spec(quick: bool = True) -> SweepSpec:
     """The power-cap sweep, loosest cap first (the uncapped baseline)."""
     caps = sorted(QUICK_CAPS_W if quick else CAPS_W, reverse=True)
     return SweepSpec(
         name="fig9",
         description="power capping sweep (Fig. 9)",
         base={
-            "gpu": gpu,
-            "model": model,
-            "batch_size": batch,
+            "gpu": "A100",
+            "model": "gpt3-2.7b",
+            "batch_size": 8,
             "strategy": "fsdp",
-            "runs": runs,
+            "runs": 1,
         },
         axes=[{"power_limit_w": list(caps)}],
         modes=(ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL),
     )
 
 
-def generate(
-    quick: bool = True,
-    gpu: str = "A100",
-    model: str = "gpt3-2.7b",
-    batch: int = 8,
-    runs: int = 1,
-) -> List[Dict[str, object]]:
+def generate(cells: Sequence[GridRow]) -> List[Dict[str, object]]:
     """One row per power cap."""
-    jobs = scenario_spec(
-        quick=quick, gpu=gpu, model=model, batch=batch, runs=runs
-    ).compile()
-    outcomes = default_service().run_jobs(jobs)
-    caps = [job.config.power_limit_w for job in jobs]
     rows: List[Dict[str, object]] = []
     uncapped: Optional[Dict[ExecutionMode, float]] = None
-    for cap, outcome in zip(caps, outcomes):
-        result = outcome.unwrap()
+    for cell in cells:
+        result = cell.unwrap()
         e2e = {
             mode: result.modes[mode].e2e_s
             for mode in (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
@@ -70,7 +53,7 @@ def generate(
             uncapped = e2e
         rows.append(
             {
-                "cap_w": cap,
+                "cap_w": cell.config.power_limit_w,
                 "e2e_overlapped_ms": e2e[ExecutionMode.OVERLAPPED] / MS,
                 "e2e_sequential_ms": e2e[ExecutionMode.SEQUENTIAL] / MS,
                 "compute_slowdown": result.metrics.compute_slowdown,

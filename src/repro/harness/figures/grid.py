@@ -3,12 +3,12 @@
 The paper evaluates the cross-product of four systems, five models,
 batch sizes 8-64 and two strategies (with infeasible cells dropped).
 The grid is specified declaratively as a
-:class:`~repro.scenario.spec.SweepSpec` (:func:`grid_spec`) — the spec
-Figs. 4-6 register with the scenario catalog — and run once, viewed
-three ways, matching the paper's workflow; it is memoised per
-(quick, runs) so co-located benchmarks reuse it within a session.
+:class:`~repro.scenario.spec.SweepSpec` (:func:`grid_spec`), the spec
+Figs. 4-6 register with the scenario catalog. Each of the three
+figures is a view of the same resolved cells, matching the paper's
+workflow; the claims resolve the grid once for all three.
 
-The cells themselves go through the execution service
+The scenario runner resolves the cells through the execution service
 (:mod:`repro.exec`) and therefore through whichever executor the CLI
 configured: with ``--jobs N`` they fan out across worker processes,
 ``--executor remote`` hands them to a fleet coordinator, ``scenario
@@ -19,11 +19,9 @@ regenerating a figure performs zero new simulations.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.core.modes import ExecutionMode
-from repro.core.sweep import GridRow
 from repro.scenario.spec import SweepSpec
 
 ALL_GPUS: Tuple[str, ...] = ("A100", "H100", "MI210", "MI250")
@@ -43,12 +41,12 @@ QUICK_BATCHES: Tuple[int, ...] = (8, 32)
 QUICK_STRATEGIES: Tuple[str, ...] = ("fsdp", "pipeline")
 
 
-def grid_spec(quick: bool = True, runs: int = 1) -> SweepSpec:
+def grid_spec(quick: bool = True) -> SweepSpec:
     """The canonical evaluation grid as a declarative sweep spec."""
     return SweepSpec(
         name="grid",
         description="the shared Figs. 4-6 evaluation grid",
-        base={"runs": runs, "jitter_sigma": 0.02},
+        base={"runs": 1, "jitter_sigma": 0.02},
         axes=[
             {"gpu": list(QUICK_GPUS if quick else ALL_GPUS)},
             {"strategy": list(QUICK_STRATEGIES if quick else ALL_STRATEGIES)},
@@ -61,18 +59,3 @@ def grid_spec(quick: bool = True, runs: int = 1) -> SweepSpec:
             ExecutionMode.IDEAL,
         ),
     )
-
-
-@lru_cache(maxsize=4)
-def evaluation_grid(quick: bool = True, runs: int = 1) -> Tuple[GridRow, ...]:
-    """Run (or fetch) the canonical evaluation grid."""
-    # Function-level import: keeps figure modules importable without
-    # pulling the runner in at module-import time.
-    from repro.scenario.runner import run_spec
-
-    return tuple(run_spec(grid_spec(quick=quick, runs=runs)))
-
-
-def grid_rows(quick: bool = True, runs: int = 1) -> List[GridRow]:
-    """Mutable copy of the memoised grid."""
-    return list(evaluation_grid(quick=quick, runs=runs))

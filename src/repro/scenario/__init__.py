@@ -8,15 +8,17 @@ This package is how experiments are *specified* in this repo:
   deterministically to :class:`~repro.exec.job.SimJob` lists, and
   :func:`load_spec_file`, which reads one from a JSON spec file such
   as ``examples/scenarios/*.json``;
-* :mod:`repro.scenario.registry` — the ``@register_scenario`` registry
-  under which every paper artifact (figures, claims, sensitivity,
-  crossover) is a named, runnable scenario;
+* :mod:`repro.scenario.registry` — the registry under which every
+  paper artifact (figures, claims, sensitivity, crossover) is a named,
+  runnable scenario: a spec plus a function of its resolved cells, or
+  a spec-less generator;
 * :mod:`repro.scenario.manifest` — :class:`ScenarioResult` manifests
   persisted next to the result cache, making scenario re-runs
   incremental;
 * :mod:`repro.scenario.runner` — :func:`run_spec` /
   :func:`run_scenario`, the execution paths behind
-  ``python -m repro scenario run`` (``--shard i/N`` included).
+  ``python -m repro scenario run`` (``--shard i/N`` included), where a
+  scenario's cells are resolved once per run.
 """
 
 from repro.scenario.manifest import (

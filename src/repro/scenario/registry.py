@@ -3,17 +3,16 @@
 Every paper artifact (figures 1 and 4-11, the paper's claims, the
 sensitivity tornado, the crossover search) registers itself here as a
 :class:`Scenario`: a name, a spec builder describing the cells it
-simulates, the row generator, and the text renderer. The CLI's
-``scenario list`` / ``scenario show`` / ``scenario run`` subcommands
-and the figure command resolve scenarios through this registry.
+simulates, a function of those cells, and the text renderer. The
+scenario runner resolves a spec's cells once and hands them, in
+compile order, to the scenario's ``generate(cells)``, which only
+shapes them into rows. The spec-less artifacts (fig1, fig7, fig8 and
+the claims) produce their rows themselves with ``generate(quick=...)``.
+The CLI's ``scenario list`` / ``scenario show`` / ``scenario run``
+subcommands and the figure command resolve scenarios through this
+registry.
 
-Artifacts register at import time via :func:`register_scenario`, used
-either as a decorator on the generate function::
-
-    @register_scenario("fig9", description="...", spec=scenario_spec)
-    def generate(quick=True): ...
-
-or as a plain call once generate/render exist::
+Artifacts register at import time, once generate/render exist::
 
     register_scenario("fig4", description="...", spec=grid_spec,
                       generate=generate, render=render)
@@ -38,10 +37,12 @@ class Scenario:
 
     name: str
     description: str
+    #: ``generate(cells)`` with the resolved cells of the spec for a
+    #: spec-backed scenario; ``generate(quick=...)`` for a spec-less one.
     generate: Callable[..., Any]
-    #: Builds the spec of cells to (pre)simulate; ``None`` for
-    #: artifacts that do not run through the job service (fig1's
-    #: profiler cells, fig7's single trace, fig8's microbenchmark).
+    #: Builds the spec of cells to simulate; ``None`` for artifacts
+    #: that do not run through the job service (fig1's profiler cells,
+    #: fig7's single trace, fig8's microbenchmark, the claims).
     build_spec: Optional[Callable[..., SweepSpec]] = None
     render: Optional[Callable[[Any], str]] = None
 
@@ -58,33 +59,24 @@ _catalog_loaded = False
 
 def register_scenario(
     name: str,
+    generate: Callable[..., Any],
     description: str = "",
     spec: Optional[Callable[..., SweepSpec]] = None,
-    generate: Optional[Callable[..., Any]] = None,
     render: Optional[Callable[[Any], str]] = None,
-):
-    """Register a scenario; decorator form when ``generate`` is omitted."""
-
-    def _register(fn: Callable[..., Any]) -> Callable[..., Any]:
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing.generate is not fn:
-            # A silent overwrite would let a copy-pasted registration
-            # mask a real paper artifact.
-            raise ConfigurationError(
-                f"scenario {name!r} is already registered"
-            )
-        _REGISTRY[name] = Scenario(
-            name=name,
-            description=description,
-            generate=fn,
-            build_spec=spec,
-            render=render,
-        )
-        return fn
-
-    if generate is not None:
-        return _register(generate)
-    return _register
+) -> None:
+    """Register a scenario under ``name``."""
+    existing = _REGISTRY.get(name)
+    if existing is not None and existing.generate is not generate:
+        # A silent overwrite would let a copy-pasted registration mask
+        # a real paper artifact.
+        raise ConfigurationError(f"scenario {name!r} is already registered")
+    _REGISTRY[name] = Scenario(
+        name=name,
+        description=description,
+        generate=generate,
+        build_spec=spec,
+        render=render,
+    )
 
 
 def load_catalog() -> None:

@@ -7,10 +7,13 @@ Two entry points:
   through the execution service, returning
   :class:`~repro.core.sweep.GridRow` cells in compile order.
 * :func:`run_scenario` — everything ``scenario run`` does: resolve a
-  registered scenario (or load a spec file), prefetch its compiled
-  jobs as one batch (so ``--jobs N`` fans them out), produce the
-  artifact rows, and persist a :class:`ScenarioResult` manifest next
-  to the result cache for incremental re-runs.
+  registered scenario (or load a spec file), resolve its compiled
+  jobs as one batch (so ``--jobs N`` fans them out), hand the cells to
+  the scenario's ``generate(cells)`` (or shape generic rows for a spec
+  file), and persist a :class:`ScenarioResult` manifest next to the
+  result cache for incremental re-runs. This batch is the only
+  resolution of the run's cells: a spec-backed scenario's generator
+  only shapes them.
 
 Sharded execution rides the same entry point: ``run_scenario(...,
 shard=ShardPlan(i, N))`` compiles the full spec and runs only the
@@ -21,15 +24,16 @@ writes the canonical manifest.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Mapping, Optional
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.experiment import ExperimentConfig
+from repro.core.modes import ExecutionMode
 from repro.core.sweep import GridRow
 from repro.errors import ConfigurationError, UnknownSpecError
-from repro.exec.job import SimJob
+from repro.exec.job import JobOutcome, SimJob
 from repro.exec.service import ExecutionService, default_service
 from repro.exec.shard import ShardPlan
 from repro.harness.report import render_table
@@ -55,6 +59,17 @@ def _rows_from(jobs, outcomes) -> List[GridRow]:
     ]
 
 
+def _summary(outcomes: Sequence[JobOutcome]) -> Tuple[int, int, int]:
+    """(simulated, from cache, infeasible) counts of one resolved batch.
+
+    A batch's outcome is fresh exactly when the service simulated it:
+    cache hits and in-batch duplicates come back ``from_cache``.
+    """
+    cache_hits = sum(1 for o in outcomes if o.from_cache)
+    skipped = sum(1 for o in outcomes if not o.ran)
+    return len(outcomes) - cache_hits, cache_hits, skipped
+
+
 def run_spec(
     spec: SweepSpec, service: Optional[ExecutionService] = None
 ) -> List[GridRow]:
@@ -63,6 +78,15 @@ def run_spec(
         service = default_service()
     jobs = spec.compile()
     return _rows_from(jobs, service.run_jobs(jobs))
+
+
+def run_configs(
+    configs: Sequence[ExperimentConfig], modes: Sequence[ExecutionMode]
+) -> List[GridRow]:
+    """Run ``configs`` as one batch, in order, through the default
+    service; infeasible cells come back skipped."""
+    jobs = [SimJob(config=config, modes=tuple(modes)) for config in configs]
+    return _rows_from(jobs, default_service().run_jobs(jobs))
 
 
 def generic_rows(rows: List[GridRow]) -> List[dict]:
@@ -240,95 +264,78 @@ def run_scenario(
     """Run a registered scenario by name, or a spec file by path.
 
     Everything goes through the process-wide default service (the one
-    the CLI's ``--jobs``/``--cache-dir`` flags configure) — registered
-    scenarios' generators resolve their cells through it, so a
-    different service here would just simulate everything twice. With
-    a cache, the compiled jobs are prefetched as one batch first
-    (parallel executors fan them out; the generator then resolves from
-    cache), and the run's manifest is persisted next to the result
-    cache when one is on disk.
+    the CLI's ``--jobs``/``--cache-dir`` flags configure). The compiled
+    jobs are resolved as one batch, the only resolution of the run's
+    cells: a registered scenario's ``generate(cells)`` shapes them into
+    its rows, a spec file's cells become generic per-cell rows. The
+    run's manifest is persisted next to the result cache when one is
+    on disk. A spec-less scenario produces its rows itself with
+    ``generate(quick=...)`` and has no manifest.
 
     With ``shard=ShardPlan(i, N)`` only the deterministic shard ``i``
     of the compiled job list runs (see :mod:`repro.exec.shard`); the
     rows are the generic per-cell records of that shard (a figure's
-    own generator would simulate every other shard's cells too, which
-    is exactly what sharding exists to avoid). A shard writes the
+    own generator needs every cell of its spec). A shard writes the
     canonical manifest only once the on-disk cache holds every
     compiled key, and then resolves the whole job list through the
     service, so the manifest is the one a warm unsharded run writes
     and a torn cache entry re-simulates instead of being trusted.
     """
     scenario, name, spec = resolve_spec(target, quick=quick)
-    service = default_service()
     if overrides:
         spec = override_spec(name, spec, overrides)
         # An overridden sweep is a different experiment: its rows come
-        # from the generic per-cell path (a registered scenario's own
-        # generator would ignore the overrides) and its manifest lands
-        # under a hash-qualified name so it never clobbers the
-        # canonical run record.
+        # from the generic per-cell path (a registered scenario's rows
+        # describe its own spec) and its manifest lands under a
+        # hash-qualified name so it never clobbers the canonical run
+        # record.
         name = f"{name}@{spec.spec_hash()[:8]}"
         scenario = None
     if shard is not None:
         spec = require_spec(name, spec, "cannot be sharded")
         scenario = None
+    if spec is None:
+        rows = scenario.generate(quick=quick)
+        return ScenarioRunReport(
+            name=name,
+            spec=None,
+            rows=rows,
+            text=_render(scenario, rows),
+            cells=0,
+            simulated=0,
+            cache_hits=0,
+            skipped=0,
+            previously_completed=0,
+        )
 
+    service = default_service()
     cache_dir = service.cache.directory if service.cache is not None else None
-    previous = None
-    job_keys: List[str] = []
-    compiled = []
-    jobs = []
-    if spec is not None:
-        compiled = spec.compile()
-        jobs = shard.select(compiled) if shard is not None else compiled
-        job_keys = [job.cache_key() for job in jobs]
-        previous = load_manifest(cache_dir, name)
+    compiled = spec.compile()
+    jobs = shard.select(compiled) if shard is not None else compiled
+    job_keys = [job.cache_key() for job in jobs]
+    previous = load_manifest(cache_dir, name)
     # Keys recorded for an older spec version still count: cells the
     # edit left unchanged remain cached under the same job hash.
     known = set(previous.job_keys) if previous is not None else set()
     previously_completed = sum(1 for key in job_keys if key in known)
 
-    before = dataclasses.replace(service.stats)
-    # Resolve the compiled batch once. For a registered scenario this
-    # is the prefetch (the generator then reads from cache), so it is
-    # skipped when caching is off — nothing would be retained and the
-    # generator would simulate every cell a second time. A file spec's
-    # rows come straight from these outcomes, so it always runs (and
-    # an empty compile yields an empty batch, not None).
-    outcomes = None
-    if scenario is None or service.cache is not None:
-        outcomes = service.run_jobs(jobs) if jobs else []
-
+    # An empty compile yields an empty batch, not an executor call.
+    outcomes = service.run_jobs(jobs) if jobs else []
+    cells = _rows_from(jobs, outcomes)
     if scenario is not None:
-        rows = scenario.generate(quick=quick)
-        text = (
-            scenario.render(rows)
-            if scenario.render is not None
-            else repr(rows)
-        )
+        rows = scenario.generate(cells)
+        text = _render(scenario, rows)
     else:
-        rows = generic_rows(_rows_from(jobs, outcomes))
+        rows = generic_rows(cells)
         text = render_generic(rows)
-    after = service.stats
-
-    # Per-cell accounting comes from the batch outcomes (counted once,
-    # not per re-read); only the no-cache registered-scenario path has
-    # no batch and falls back to service-stat deltas (a single pass,
-    # so the deltas are exact there).
-    simulated = after.simulated - before.simulated
-    if outcomes is not None:
-        cache_hits = sum(1 for o in outcomes if o.from_cache)
-        skipped = sum(1 for o in outcomes if not o.ran)
-    else:
-        cache_hits = after.cache_hits - before.cache_hits
-        skipped = after.skipped - before.skipped
+    simulated, cache_hits, skipped = _summary(outcomes)
 
     manifest = None
-    if shard is None and spec is not None:
+    if shard is None:
         manifest = canonical_manifest(
             name, spec.spec_hash(), job_keys, simulated, cache_hits, skipped
         )
-    elif shard is not None and cache_dir is not None:
+    elif cache_dir is not None:
         manifest = _manifest_if_cached(name, spec, compiled, service)
     manifest_file = (
         save_manifest(cache_dir, manifest) if manifest is not None else None
@@ -351,6 +358,11 @@ def run_scenario(
     )
 
 
+def _render(scenario: Scenario, rows: Any) -> str:
+    """A registered scenario's text report of its rows."""
+    return scenario.render(rows) if scenario.render is not None else repr(rows)
+
+
 def _manifest_if_cached(
     name: str,
     spec: SweepSpec,
@@ -367,15 +379,8 @@ def _manifest_if_cached(
     keys = [job.cache_key() for job in jobs]
     if not all(service.cache.contains(key) for key in keys):
         return None
-    before = dataclasses.replace(service.stats)
-    outcomes = service.run_jobs(jobs)
     return canonical_manifest(
-        name,
-        spec.spec_hash(),
-        keys,
-        service.stats.simulated - before.simulated,
-        sum(1 for o in outcomes if o.from_cache),
-        sum(1 for o in outcomes if not o.ran),
+        name, spec.spec_hash(), keys, *_summary(service.run_jobs(jobs))
     )
 
 

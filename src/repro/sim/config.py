@@ -6,7 +6,7 @@ oracle (``reference_engine``), which produces identical numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -77,7 +77,3 @@ class SimConfig:
     def governor_enabled(self) -> bool:
         """The governor runs unless the run models the ideal scenario."""
         return self.contention_enabled
-
-    def ideal(self) -> "SimConfig":
-        """Copy configured for the paper's ideal (no-interference) mode."""
-        return replace(self, contention_enabled=False)

@@ -70,16 +70,16 @@ def test_lease_order_is_submission_order(queue):
     first, second = _task(8), _task(16)
     queue.add(first)
     queue.add(second)
-    _, t1 = queue.lease("w")
-    _, t2 = queue.lease("w")
+    _, t1 = queue.lease_with_hint("w")[0]
+    _, t2 = queue.lease_with_hint("w")[0]
     assert t1.cache_key == first.cache_key
     assert t2.cache_key == second.cache_key
-    assert queue.lease("w") is None  # nothing left to lease
+    assert queue.lease_with_hint("w")[0] is None  # nothing left to lease
 
 
 def test_complete_drains_the_queue(queue):
     queue.add(_task(8))
-    lease, task = queue.lease("w")
+    lease, task = queue.lease_with_hint("w")[0]
     assert not queue.drained
     assert queue.complete(task.cache_key, False, lease.lease_id) is True
     assert queue.drained and queue.succeeded
@@ -89,7 +89,7 @@ def test_complete_drains_the_queue(queue):
 
 def test_duplicate_completion_is_counted_not_crashed(queue):
     queue.add(_task(8))
-    lease, task = queue.lease("w")
+    lease, task = queue.lease_with_hint("w")[0]
     assert queue.complete(task.cache_key, False, lease.lease_id) is True
     assert queue.complete(task.cache_key, False, None) is False
     assert queue.stats.duplicates == 1
@@ -98,16 +98,16 @@ def test_duplicate_completion_is_counted_not_crashed(queue):
 
 def test_expired_lease_reaps_and_requeues(queue, clock):
     queue.add(_task(8))
-    lease, task = queue.lease("limping")
+    lease, task = queue.lease_with_hint("limping")[0]
     clock.advance(10.1)  # past the lease deadline
     reaped = queue.reap()
     assert reaped == [task.cache_key]
     assert queue.stats.requeued == 1
     assert queue.stats.dead_workers == 1
     # Backoff gates the re-lease: not leasable until not_before passes.
-    assert queue.lease("w2") is None
+    assert queue.lease_with_hint("w2")[0] is None
     clock.advance(1.1)  # backoff_base * 2^0 = 1.0
-    _, retried = queue.lease("w2")
+    _, retried = queue.lease_with_hint("w2")[0]
     assert retried.cache_key == task.cache_key
     assert retried.attempt == 1
     assert queue.stats.retries == 1
@@ -115,7 +115,7 @@ def test_expired_lease_reaps_and_requeues(queue, clock):
 
 def test_heartbeat_extends_the_deadline(queue, clock):
     queue.add(_task(8))
-    lease, task = queue.lease("w")
+    lease, task = queue.lease_with_hint("w")[0]
     clock.advance(8.0)
     assert queue.heartbeat(lease.lease_id) is True
     clock.advance(8.0)  # 16s total: dead without the heartbeat
@@ -131,16 +131,16 @@ def test_backoff_grows_exponentially_then_dead_letters(queue, clock):
     key = None
     # max_retries=2 allows attempts 0, 1, 2; the third expiry kills it.
     for attempt, backoff in ((0, 1.0), (1, 2.0)):
-        leased = queue.lease("w")
+        leased = queue.lease_with_hint("w")[0]
         assert leased is not None
         _, task = leased
         key = task.cache_key
         assert task.attempt == attempt
         clock.advance(10.1)
         assert queue.reap() == [key]
-        assert queue.lease("w") is None  # backoff gate closed
+        assert queue.lease_with_hint("w")[0] is None  # backoff gate closed
         clock.advance(backoff)  # 1.0 then 2.0 (base * 2^(attempts-1))
-    _, task = queue.lease("w")
+    _, task = queue.lease_with_hint("w")[0]
     assert task.attempt == 2
     clock.advance(10.1)
     queue.reap()
@@ -154,34 +154,34 @@ def test_backoff_grows_exponentially_then_dead_letters(queue, clock):
 
 def test_reported_failure_requeues_with_backoff(queue, clock):
     queue.add(_task(8))
-    lease, task = queue.lease("w")
+    lease, task = queue.lease_with_hint("w")[0]
     queue.fail(lease.lease_id, "RuntimeError: boom")
     assert queue.stats.requeued == 1
     clock.advance(1.1)
-    _, retried = queue.lease("w")
+    _, retried = queue.lease_with_hint("w")[0]
     assert retried.attempt == 1
 
 
 def test_late_completion_from_a_limping_worker_is_honored(queue, clock):
     queue.add(_task(8))
-    lease, task = queue.lease("limping")
+    lease, task = queue.lease_with_hint("limping")[0]
     clock.advance(10.1)
     queue.reap()  # lease expired; task back in pending
     # The reaped worker finishes anyway and pushes its (deterministic)
     # result: the task is done and never re-leases.
     assert queue.complete(task.cache_key, False, lease.lease_id) is True
     clock.advance(5.0)
-    assert queue.lease("w2") is None
+    assert queue.lease_with_hint("w2")[0] is None
     assert queue.drained and queue.succeeded
 
 
 def test_late_completion_drops_the_replacement_lease(queue, clock):
     queue.add(_task(8))
-    lease1, task = queue.lease("limping")
+    lease1, task = queue.lease_with_hint("limping")[0]
     clock.advance(10.1)
     queue.reap()
     clock.advance(1.1)
-    lease2, _ = queue.lease("replacement")
+    lease2, _ = queue.lease_with_hint("replacement")[0]
     # The limping worker lands first; the replacement's push duplicates.
     assert queue.complete(task.cache_key, False, lease1.lease_id) is True
     assert queue.complete(task.cache_key, False, lease2.lease_id) is False
@@ -192,8 +192,8 @@ def test_late_completion_drops_the_replacement_lease(queue, clock):
 def test_each_dead_worker_is_counted_once(queue, clock):
     queue.add(_task(8))
     queue.add(_task(16))
-    queue.lease("flaky")
-    queue.lease("flaky")
+    queue.lease_with_hint("flaky")
+    queue.lease_with_hint("flaky")
     clock.advance(10.1)
     assert len(queue.reap()) == 2
     assert queue.stats.dead_workers == 1
@@ -204,7 +204,7 @@ def test_knows_covers_every_state(queue, clock):
     assert not queue.knows(task.cache_key)
     queue.add(task)
     assert queue.knows(task.cache_key)  # pending
-    lease, _ = queue.lease("w")
+    lease, _ = queue.lease_with_hint("w")[0]
     assert queue.knows(task.cache_key)  # leased
     queue.complete(task.cache_key, False, lease.lease_id)
     assert queue.knows(task.cache_key)  # done
@@ -212,7 +212,7 @@ def test_knows_covers_every_state(queue, clock):
 
 def test_lease_with_hint_reports_earliest_backoff_gate(queue, clock):
     queue.add(_task(8))
-    queue.lease("limping")
+    queue.lease_with_hint("limping")
     clock.advance(10.1)
     queue.reap()  # requeued with not_before = now + backoff_base
     leased, hint = queue.lease_with_hint("w2")
@@ -241,8 +241,8 @@ def test_lease_with_hint_is_none_when_only_in_flight(queue):
 def test_lease_with_hint_takes_the_minimum_gate(queue, clock):
     queue.add(_task(8))
     queue.add(_task(16))
-    lease1, _ = queue.lease("w")
-    lease2, _ = queue.lease("w")
+    lease1, _ = queue.lease_with_hint("w")[0]
+    lease2, _ = queue.lease_with_hint("w")[0]
     queue.fail(lease1.lease_id, "boom")  # gate at t = 1.0
     clock.advance(0.5)
     queue.fail(lease2.lease_id, "boom")  # gate at t = 1.5
@@ -254,7 +254,7 @@ def test_lease_with_hint_takes_the_minimum_gate(queue, clock):
 def test_snapshot_reports_counts_workers_and_stats(queue):
     queue.add(_task(8))
     queue.add(_task(16))
-    queue.lease("w1")
+    queue.lease_with_hint("w1")
     snap = queue.snapshot()
     assert snap["pending"] == 1
     assert snap["leased"] == 1
@@ -267,7 +267,7 @@ def test_snapshot_reports_counts_workers_and_stats(queue):
 
 def test_lease_with_hint_surfaces_backoff_hint(queue, clock):
     queue.add(_task(8))
-    lease, task = queue.lease("w")
+    lease, task = queue.lease_with_hint("w")[0]
     queue.fail(lease.lease_id, "boom")
     leased, hint = queue.lease_with_hint("w")
     assert leased is None
@@ -279,7 +279,7 @@ def test_await_settled_reports_open_and_dead_lettered_keys(clock):
     doomed, waiting = _task(8), _task(16)
     queue.add(doomed)
     queue.add(waiting)
-    lease, _ = queue.lease("w")
+    lease, _ = queue.lease_with_hint("w")[0]
     queue.fail(lease.lease_id, "RuntimeError: boom")  # no retries left
     keys = [waiting.cache_key, doomed.cache_key, "e" * 64]
     still_open, failed = queue.await_settled(keys, 0.0)
@@ -290,7 +290,7 @@ def test_await_settled_reports_open_and_dead_lettered_keys(clock):
 def test_await_settled_wakes_on_completion(queue):
     task = _task(8)
     queue.add(task)
-    lease, _ = queue.lease("w")
+    lease, _ = queue.lease_with_hint("w")[0]
     timer = threading.Timer(
         0.1, queue.complete, args=(task.cache_key, False, lease.lease_id)
     )

@@ -17,6 +17,7 @@ The acceptance criteria of the fleet subsystem, gated here:
   rejected at the HTTP boundary with 400s.
 """
 
+import http.client
 import json
 import socket
 import struct
@@ -502,6 +503,31 @@ def test_held_lease_of_a_vanished_worker_ends_quietly(tmp_path, capsys):
         )
         sock.close()
         time.sleep(0.6)  # the hold ends; its answer meets the reset
+    finally:
+        coordinator.stop()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_reset_between_keep_alive_requests_ends_quietly(tmp_path, capsys):
+    """A client that resets its connection while the coordinator waits
+    for its next keep-alive request leaves no traceback behind."""
+    coordinator = FleetCoordinator(cache=ResultCache(tmp_path))
+    coordinator.start()
+    try:
+        address = urllib.parse.urlsplit(coordinator.url)
+        conn = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=5
+        )
+        conn.request("GET", "/status")
+        response = conn.getresponse()
+        assert response.status == 200
+        # The answer is read; the handler now waits for the next request.
+        assert json.loads(response.read())
+        conn.sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        conn.sock.close()
+        time.sleep(0.3)  # the reset reaches the waiting handler
     finally:
         coordinator.stop()
     assert "Traceback" not in capsys.readouterr().err

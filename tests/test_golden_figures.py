@@ -33,23 +33,24 @@ def _generate_fig8():
 
 
 def _generate_fig9():
-    from repro.harness.figures import fig9
+    from repro.scenario import run_scenario
 
-    return fig9.generate(quick=True)
+    return run_scenario("fig9").rows
 
 
 def _generate_degradation():
-    from repro.harness.figures import degradation
+    from repro.scenario import run_scenario
 
-    return degradation.straggler_generate(quick=True)
+    return run_scenario("degrade_straggler").rows
 
 
 def _generate_grid():
     from repro.core.modes import ExecutionMode
-    from repro.harness.figures.grid import grid_rows
+    from repro.harness.figures.grid import grid_spec
+    from repro.scenario import run_spec
 
     rows = []
-    for cell in grid_rows(quick=True):
+    for cell in run_spec(grid_spec(quick=True)):
         record = {
             "cell": cell.config.describe(),
             "skipped": cell.skipped_reason,

@@ -1,8 +1,8 @@
 """The claims registry against the committed ``EXPERIMENTS.md``.
 
 This file sorts after ``test_golden_figures.py``, so the claims' Figs.
-4-6 rows reuse the evaluation grid that file already simulated in this
-process.
+4-6 rows read the evaluation grid that file already simulated from the
+default service's in-memory cache, unless a test in between reset it.
 
 When a change to the table is intended (a physics change shows its
 paper-gap delta here), regenerate the file and commit the diff:
@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.sweep import summarize_slowdowns
 from repro.harness import claims
-from repro.harness.figures.grid import grid_rows
+from repro.harness.figures.grid import grid_spec
+from repro.scenario import run_spec
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
@@ -47,7 +48,7 @@ def test_rendered_table_matches_experiments_md(rows, request):
 def test_abstract_magnitudes_match_the_grid_summary(rows):
     # perfbench's check.paper_gap_pp reads the same summary.
     measured = {row["id"]: row["measured"] for row in rows}
-    headline = summarize_slowdowns(grid_rows(quick=True))
+    headline = summarize_slowdowns(run_spec(grid_spec(quick=True)))
     for claim_id, key in (
         ("abstract.mean_slowdown", "mean_compute_slowdown"),
         ("abstract.max_slowdown", "max_compute_slowdown"),

@@ -4,6 +4,7 @@ The acceptance criteria of the scenario API redesign:
 
 * ``scenario list`` names every paper figure/analysis artifact;
 * ``scenario run fig4`` reproduces byte-identical rows to ``figure 4``;
+* a run resolves each compiled cell once, in one executor batch;
 * re-running a scenario against a warm on-disk cache + manifest
   performs zero new simulations.
 """
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from repro.errors import UnknownSpecError
+from repro.exec.executors import SerialExecutor
 from repro.exec.service import configure, default_service, reset_default_service
 from repro.scenario import (
     get_scenario,
@@ -67,15 +69,63 @@ def test_spec_backed_scenarios_compile():
 def test_scenario_run_fig4_matches_figure_generate():
     from repro.harness.figures import fig4
 
-    # Generate first: it warms the default service's cache, so the
-    # scenario run's prefetch of the same 48 jobs resolves without
+    # Resolve first: it warms the default service's cache, so the
+    # scenario run's batch of the same 48 jobs resolves without
     # re-simulating (cheap even when this file runs standalone).
-    direct = fig4.generate(quick=True)
+    direct = fig4.generate(run_spec(fig4.grid_spec(quick=True)))
     report = run_scenario("fig4")
     assert json.dumps(report.rows, sort_keys=True) == json.dumps(
         direct, sort_keys=True
     )
     assert report.text == fig4.render(direct)
+
+
+SPEC_BACKED = (
+    "crossover",
+    "degrade_linkfail",
+    "degrade_straggler",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig9",
+    "fig10",
+    "fig11",
+    "sensitivity",
+)
+
+
+def test_scenario_run_resolves_each_cell_once():
+    """The runner's batch is a run's only resolution of its cells: a
+    scenario's generator only shapes them."""
+    service = default_service()
+    for name in SPEC_BACKED:
+        before = service.stats.submitted
+        report = run_scenario(name)
+        assert report.cells > 0, name
+        assert service.stats.submitted - before == report.cells, name
+
+
+class _BatchCounter(SerialExecutor):
+    """Serial execution that records the size of every batch."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def _run_batch(self, jobs):
+        self.batches.append(len(jobs))
+        return super()._run_batch(jobs)
+
+
+@pytest.mark.parametrize("name", ["crossover", "sensitivity"])
+def test_uncached_scenario_hands_the_executor_one_batch(name):
+    try:
+        service = configure(cache=False, cache_dir=None, executor=None)
+        service.executor = counter = _BatchCounter()
+        report = run_scenario(name)
+        assert counter.batches == [report.cells]
+    finally:
+        reset_default_service()
 
 
 def test_scenario_rerun_with_manifest_simulates_nothing(tmp_path):
